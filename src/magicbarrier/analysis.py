@@ -20,7 +20,6 @@ families arise and are answered here:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
@@ -417,6 +416,17 @@ def rank_distribution(
         raise ValueError("need at least one system")
     values = simulate_metric_shared(dists, systems, metric, cfg, workers=workers)
     order = np.argsort(values, axis=0, kind="stable")
-    counts = Counter(tuple(int(i) for i in column) for column in order.T)
+    k = len(systems)
+    if k**k <= np.iinfo(np.intp).max:
+        # one integer code per trial's ordering: a 1-D unique over codes is
+        # ~100x faster than np.unique(axis=1) at 4 systems x 200k trials
+        codes = np.ravel_multi_index(tuple(order), (k,) * k)
+        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+        orderings = order[:, first]
+    else:
+        orderings, counts = np.unique(order, axis=1, return_counts=True)
     tau = cfg.trials
-    return {ordering: count / tau for ordering, count in counts.items()}
+    return {
+        tuple(column.tolist()): int(count) / tau
+        for column, count in zip(orderings.T, counts)
+    }

@@ -12,10 +12,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric degeneracy.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -136,16 +138,23 @@ def _load_summary(path: str) -> tuple[GaussianSummary, dict | None]:
 
 
 def _load_predictors(path: str) -> dict[tuple[str, str], float]:
-    lines = _read_text(path).splitlines()
-    if not lines or tuple(
-        h.strip().lstrip("﻿").lower() for h in lines[0].split(",")
-    ) != ("user", "item", "prediction"):
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    try:
+        return _predictor_table(reader, path)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _predictor_table(reader, path: str) -> dict[tuple[str, str], float]:
+    header = tuple(h.strip().lstrip("\ufeff").lower() for h in next(reader, []))
+    if header != ("user", "item", "prediction"):
         raise DataFormatError(f"{path}: line 1: expected header 'user,item,prediction'")
     table: dict[tuple[str, str], float] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for row in reader:
+        i = reader.line_num
+        if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        parts = [f.strip() for f in line.split(",")]
+        parts = [f.strip() for f in row]
         if len(parts) != 3:
             raise DataFormatError(f"{path}: line {i}: expected 3 fields")
         try:
@@ -206,8 +215,19 @@ def _add_scale_flags(p: argparse.ArgumentParser) -> None:
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=int, default=100_000, help="Monte-Carlo trials")
     p.add_argument("--bins", type=int, default=None, help="histogram bins")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--workers", type=int, default=1, help="worker threads")
+    p.add_argument("--seed", type=int, default=0, help="master seed in [0, 2**64)")
+    p.add_argument(
+        "--workers", type=int, default=1, help="worker threads (capped at the usable CPUs)"
+    )
+
+
+def _mc_config_from_args(args) -> mc.MCConfig:
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
+    try:
+        return mc.MCConfig(trials=args.tau, bins=args.bins, master_seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +363,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    mc_cfg = _mc_config_from_args(args)
     scale, dists = _load_pairs(args.pairs)
     usable = ingest.filter_nonvanishing(dists)
     if not usable:
         raise DegenerateInputError("no pairs with nonvanishing variance")
     metric = _metric_from_args(args)
-    mc_cfg = mc.MCConfig(trials=args.tau, bins=args.bins, master_seed=args.seed)
     if args.predictors is None:
         predictors = mc.optimal_predictors(usable, metric)
         predictor_source = "optimal"
@@ -554,12 +574,19 @@ def _cmd_rankcurves(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    labels = [Path(p).stem for p in args.predictors]
+    clash = next((s for s, n in Counter(labels).items() if n > 1), None)
+    if clash is not None:
+        raise _UsageError(
+            f"--predictors: several files share the label {clash!r}; "
+            f"orderings are keyed by file stem, so stems must be unique"
+        )
+    mc_cfg = _mc_config_from_args(args)
     _, dists = _load_pairs(args.pairs)
     usable = ingest.filter_nonvanishing(dists)
     if not usable:
         raise DegenerateInputError("no pairs with nonvanishing variance")
     metric = _metric_from_args(args)
-    mc_cfg = mc.MCConfig(trials=args.tau, master_seed=args.seed)
     systems = [
         _predictors_for(usable, _load_predictors(path), path)
         for path in args.predictors
@@ -567,7 +594,6 @@ def _cmd_rank(args) -> int:
     ranking = analysis.rank_distribution(
         systems, usable, metric, mc_cfg, workers=args.workers
     )
-    labels = [Path(p).stem for p in args.predictors]
     cfg = RunConfig(
         "rank",
         {

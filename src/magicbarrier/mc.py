@@ -19,11 +19,23 @@ consumption is fixed per draw, so a trial's draws depend only on
 
 Uniform draws of exactly 0.0 (probability 2^-53 per draw) are clipped to
 2^-53 before the inverse CDF to keep normals finite.
+
+Block sizing
+------------
+Trials are simulated in blocks, one block per task. A block holds
+``max(1, _BLOCK_ELEMENTS // (4 * ceil(N/4)))`` trials, so each of its
+temporaries stays near ``_BLOCK_ELEMENTS`` float64 values (2 MiB,
+cache-sized) whatever the pair count N. Memory is therefore O(N + K*tau)
+for the per-pair vectors and the K systems' tau metric values, plus one
+block per worker thread. The block size never changes a value: draws are
+counter-addressed per trial and every reduction runs along one trial's row,
+so each trial's metric depends on that trial alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -49,7 +61,8 @@ __all__ = [
 ]
 
 MAX_DEFAULT_BINS = 512
-_TRIALS_PER_TASK = 4096
+# float64 elements per block temporary; trials per block follow from N
+_BLOCK_ELEMENTS = 1 << 18
 _MIN_UNIFORM = 2.0**-53
 
 
@@ -69,8 +82,10 @@ class MCConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.bins is not None and self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(
+                f"master_seed must be in [0, 2**64), got {self.master_seed}"
+            )
 
     @property
     def resolved_bins(self) -> int:
@@ -168,7 +183,11 @@ def _trial_words(n_pairs: int) -> int:
 def _draw_block(
     master_seed: int, k0: int, n_trials: int, n_pairs: int
 ) -> np.ndarray:
-    """Standard-normal draws for trials k0..k0+n_trials-1, shape (n_trials, N)."""
+    """Standard-normal draws for trials k0..k0+n_trials-1, shape (n_trials, N).
+
+    The result is a writable view into one padded buffer; callers may
+    transform it in place.
+    """
     words = _trial_words(n_pairs)
     bg = np.random.Philox(
         key=np.array([master_seed, 0], dtype=np.uint64),
@@ -176,15 +195,24 @@ def _draw_block(
     )
     u = np.random.Generator(bg).random(n_trials * words)
     u = u.reshape(n_trials, words)[:, :n_pairs]
-    return ndtri(np.maximum(u, _MIN_UNIFORM))
+    np.maximum(u, _MIN_UNIFORM, out=u)
+    return ndtri(u, out=u)
 
 
 def _metric_rows(resid: np.ndarray, metric: MetricKind) -> np.ndarray:
+    """Per-row metric of ``resid``; overwrites ``resid``."""
     if metric is MetricKind.RMSE:
-        return np.sqrt(np.mean(resid * resid, axis=1))
+        return np.sqrt(np.mean(np.square(resid, out=resid), axis=1))
     if metric is MetricKind.MAE:
-        return np.mean(np.abs(resid), axis=1)
+        return np.mean(np.abs(resid, out=resid), axis=1)
     raise ValueError(f"unknown metric: {metric!r}")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _simulate_values(
@@ -201,22 +229,33 @@ def _simulate_values(
     ``offsets_list`` holds, per system, the vector ``means - predictions``.
     All systems are evaluated on the same rating draws per trial (common
     random numbers), which is what makes simulated rankings comparable.
+    The kernel works in offset space: a draw's deviation from its pair mean
+    is ``sigma * z``, and clipping the rating to ``[lo, hi]`` clips that
+    deviation to ``[lo - mean, hi - mean]``.
     """
     n_pairs = means.size
     tau = cfg.trials
+    block = max(1, _BLOCK_ELEMENTS // _trial_words(n_pairs))
     out = np.empty((len(offsets_list), tau), dtype=np.float64)
+    if clip_bounds is not None:
+        lo = clip_bounds[0] - means
+        hi = clip_bounds[1] - means
 
     def run_task(k0: int) -> None:
-        nt = min(_TRIALS_PER_TASK, tau - k0)
-        normals = _draw_block(cfg.master_seed, k0, nt, n_pairs)
-        draws = means + sigmas * normals
+        nt = min(block, tau - k0)
+        delta = _draw_block(cfg.master_seed, k0, nt, n_pairs)
+        delta *= sigmas
         if clip_bounds is not None:
-            np.clip(draws, clip_bounds[0], clip_bounds[1], out=draws)
-        delta = draws - means
+            np.clip(delta, lo, hi, out=delta)
+        resid = np.empty((nt, n_pairs), dtype=np.float64)
         for row, offsets in enumerate(offsets_list):
-            out[row, k0 : k0 + nt] = _metric_rows(delta + offsets, metric)
+            np.add(delta, offsets, out=resid)
+            out[row, k0 : k0 + nt] = _metric_rows(resid, metric)
 
-    starts = range(0, tau, _TRIALS_PER_TASK)
+    starts = range(0, tau, block)
+    # in-flight memory is one block per thread, and threads beyond the
+    # usable CPUs or the tasks only add contention
+    workers = min(workers, _usable_cpus(), len(starts))
     if workers <= 1:
         for k0 in starts:
             run_task(k0)

@@ -276,10 +276,12 @@ def test_c6_convolution_oracle():
 # criterion 7: always-runnable property bundle
 
 
-def test_c7_property_bundle():
+def test_c7_property_bundle(monkeypatch):
     failures = []
 
-    # determinism across worker counts, bit for bit
+    # determinism across worker counts, bit for bit; the pool is capped at
+    # the usable CPUs, so lift the cap to run 4 workers threaded on any host
+    monkeypatch.setattr(mb.mc, "_usable_cpus", lambda: 4)
     dists = [
         mb.RatingDistribution(f"u{k}", "i", 3.0, 0.2 + 0.05 * k) for k in range(23)
     ]

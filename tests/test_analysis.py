@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from magicbarrier import (
     ranking_error_curves,
     sensitivity_sweep,
     simulate_metric,
+    simulate_metric_shared,
 )
 from magicbarrier.analysis import alternating_offsets
 from magicbarrier.mc import optimal_predictors
@@ -307,7 +309,35 @@ class TestRankingErrorCurves:
             )
 
 
+def counter_rank_distribution(systems, dists, metric, cfg):
+    """Reference: one ordering tuple per trial, counted in a Python Counter."""
+    values = simulate_metric_shared(dists, systems, metric, cfg)
+    order = np.argsort(values, axis=0, kind="stable")
+    counts = Counter(tuple(int(i) for i in column) for column in order.T)
+    return {ordering: count / cfg.trials for ordering, count in counts.items()}
+
+
 class TestRankDistribution:
+    @pytest.mark.parametrize(
+        "shifts",
+        [
+            (0.0, 0.05, 0.1),
+            (0.0, 0.0, 0.02, -0.02),  # two identical systems: ties by index
+            tuple(0.01 * k for k in range(16)),  # K**K overflows the code space
+        ],
+    )
+    def test_matches_counter_reference(self, shifts):
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        base = optimal_predictors(dists, MetricKind.RMSE)
+        systems = [
+            PredictorVector(keys=base.keys, values=tuple(v + s for v in base.values))
+            for s in shifts
+        ]
+        cfg = MCConfig(trials=3000, master_seed=12)
+        ranking = rank_distribution(systems, dists, MetricKind.RMSE, cfg)
+        assert ranking == counter_rank_distribution(systems, dists, MetricKind.RMSE, cfg)
+        assert all(type(i) is int for ordering in ranking for i in ordering)
+
     def test_single_system(self):
         dists = make_dists([0.5, 0.9])
         systems = [optimal_predictors(dists, MetricKind.RMSE)]

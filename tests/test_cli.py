@@ -1,5 +1,9 @@
+import csv
+import hashlib
 import json
 import math
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,75 @@ class TestSimulate:
             ["simulate", str(pairs_file), "--predictors", str(pred), "--tau", "10"]
         ) == 2
 
+    def test_quoted_ids_in_predictions(self, tmp_path, pairs_file):
+        doc = read_json(pairs_file)
+        usable = [p for p in doc["pairs"] if p["variance"] > 0]
+        outputs = []
+        for name, quote in (("plain", ""), ("quoted", '"')):
+            pred = tmp_path / f"{name}.csv"
+            pred.write_text(
+                '"user","item","prediction"\n'
+                + "".join(
+                    f"{quote}{p['user']}{quote},{quote}{p['item']}{quote},{p['mean']}\n"
+                    for p in usable
+                ),
+                encoding="utf-8",
+            )
+            out = tmp_path / f"{name}.json"
+            assert main(
+                ["simulate", str(pairs_file), "--predictors", str(pred),
+                 "--tau", "300", "--seed", "2", "--out", str(out)]
+            ) == 0
+            outputs.append(read_json(out))
+        assert outputs[0]["mean"] == outputs[1]["mean"]
+        assert outputs[0]["histogram"] == outputs[1]["histogram"]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("user,item\n", "line 1: expected header"),
+            ("user,item,prediction\nu0,i0\n", "line 2: expected 3 fields"),
+            ("user,item,prediction\n\nu0,i0,x\n", "line 3: prediction must be a number"),
+            ('user,item,prediction\nu0,i0,3\n"u0",i0,4\n', "line 3: duplicate pair"),
+            (
+                "user,item,prediction\nu0,i0,3\n"
+                + "u" * (csv.field_size_limit() + 1)
+                + ",i0,4\n",
+                "line 3: field larger than field limit",
+            ),
+        ],
+        ids=["header", "fields", "number", "duplicate", "overlong-id"],
+    )
+    def test_predictions_errors_name_the_line(
+        self, tmp_path, pairs_file, capsys, body, message
+    ):
+        pred = tmp_path / "pred.csv"
+        pred.write_text(body, encoding="utf-8")
+        assert main(
+            ["simulate", str(pairs_file), "--predictors", str(pred), "--tau", "10"]
+        ) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--workers", "-3"],
+            ["--seed", "-1"],
+            ["--seed", str(2**64)],
+            ["--tau", "0"],
+        ],
+        ids=["workers-0", "workers-neg", "seed-neg", "seed-2^64", "tau-0"],
+    )
+    def test_mc_flags_out_of_range_are_usage_errors(
+        self, pairs_file, capsys, flags
+    ):
+        assert main(["simulate", str(pairs_file), "--tau", "10", *flags]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert main(
+            ["rank", str(pairs_file), "--predictors", "x.csv", "--tau", "10", *flags]
+        ) == 1
+
     def test_clip_flag_changes_draws(self, tmp_path, pairs_file):
         free = tmp_path / "free.json"
         clipped = tmp_path / "clipped.json"
@@ -311,6 +384,88 @@ class TestRank:
         orderings = read_json(out)["orderings"]
         assert sum(orderings.values()) == pytest.approx(1.0, abs=1e-12)
         assert orderings.get("optimal>shifted", 0) > 0.99
+
+    def test_duplicate_labels_refused(self, tmp_path, pairs_file, capsys):
+        doc = read_json(pairs_file)
+        usable = [p for p in doc["pairs"] if p["variance"] > 0]
+        paths = []
+        for folder, shift in (("a", 0.0), ("b", 0.1)):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "sys.csv"
+            path.write_text(
+                "user,item,prediction\n"
+                + "".join(f"{p['user']},{p['item']},{p['mean'] + shift}\n" for p in usable),
+                encoding="utf-8",
+            )
+            paths.append(str(path))
+        assert main(["rank", str(pairs_file), "--predictors", *paths, "--tau", "100"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "'sys'" in err
+
+
+class TestGoldenDigests:
+    """SHA-256 of outputs at a fixed small input and seed.
+
+    A change of these digests is a change of output bits: make it on purpose,
+    update the digest and record why. The tool version is blanked so that a
+    release alone does not move them. The digests hold for the numpy and
+    scipy versions the suite is pinned against (numpy 2.4, scipy 1.17).
+    """
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths keep the echoed config fixed
+        pairs = [
+            {
+                "user": f"u{k}",
+                "item": f"i{k % 3}",
+                "mean": 1.5 + 0.125 * k,
+                "variance": 0.0625 * (k % 7) + 0.25 * (k % 2),
+            }
+            for k in range(23)
+        ]
+        scale = {"min_category": 1, "max_category": 5, "num_trials": 5}
+        Path("pairs.json").write_text(
+            json.dumps({"scale": scale, "pairs": pairs}), encoding="utf-8"
+        )
+        for name, shift in (("best", 0.0), ("near", 0.0625), ("far", -0.25)):
+            Path(f"{name}.csv").write_text(
+                "user,item,prediction\n"
+                + "".join(f"{p['user']},{p['item']},{p['mean'] + shift}\n" for p in pairs),
+                encoding="utf-8",
+            )
+
+    @staticmethod
+    def digest(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc["tool"]["version"] = "*"
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["simulate", "pairs.json", "--tau", "3000", "--seed", "17"],
+                "4ff82957b866326154a7d7ebbcdfb87390f5d5e3c21daa167a570467045cf43e",
+            ),
+            (
+                ["simulate", "pairs.json", "--tau", "3000", "--seed", "17",
+                 "--metric", "mae", "--predictors", "near.csv", "--clip",
+                 "--workers", "2"],
+                "e62bf062b2ec8e16b0d54e507115f95d2a8f223e97ffadb00d0b5ef206dd5020",
+            ),
+            (
+                ["rank", "pairs.json", "--predictors", "best.csv", "near.csv",
+                 "far.csv", "--tau", "3000", "--seed", "5", "--workers", "2"],
+                "a705f7d0bbe2fddd2aa9b4c6396a4324bb8c977d71939c98f8637d954af2d1d7",
+            ),
+        ],
+        ids=["simulate", "simulate-mae-clip", "rank"],
+    )
+    def test_output_digest(self, inputs, argv, expected):
+        assert main([*argv, "--out", "out.json"]) == 0
+        assert self.digest("out.json") == expected
 
 
 class TestTransfer:

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from magicbarrier import mc
 from magicbarrier import (
     GaussianSummary,
     MCConfig,
@@ -37,6 +39,11 @@ class TestMCConfig:
             MCConfig(trials=0)
         with pytest.raises(ValueError):
             MCConfig(trials=10, bins=1)
+        with pytest.raises(ValueError):
+            MCConfig(trials=10, master_seed=-1)
+        with pytest.raises(ValueError):
+            MCConfig(trials=10, master_seed=2**64)
+        assert MCConfig(trials=10, master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 class TestOptimalPredictors:
@@ -129,7 +136,10 @@ class TestSimulate:
 
 
 class TestDeterminism:
-    def test_bit_identical_across_runs_and_workers(self):
+    def test_bit_identical_across_runs_and_workers(self, monkeypatch):
+        # the pool is capped at the usable CPUs; lift the cap so 4 workers
+        # run threaded on any host
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
         dists = make_dists(np.linspace(0.2, 2.0, 37), means=np.linspace(1, 5, 37))
         p = optimal_predictors(dists, MetricKind.RMSE)
         cfg = MCConfig(trials=10_000, master_seed=99)
@@ -236,3 +246,98 @@ class TestSharedDraws:
         both = simulate_metric_shared(dists, [p, q], MetricKind.RMSE, cfg)
         alone = simulate_metric(dists, p, MetricKind.RMSE, cfg)
         assert np.array_equal(both[0], alone.values)
+
+
+class TestBlockContract:
+    """Values depend on (seed, trial, N) only: never on block size or threads."""
+
+    N = 37
+
+    def _dists(self):
+        return make_dists(
+            np.linspace(0.2, 2.0, self.N), means=np.linspace(1.2, 4.8, self.N)
+        )
+
+    def _systems(self, dists):
+        p = optimal_predictors(dists, MetricKind.RMSE)
+        q = PredictorVector(keys=p.keys, values=tuple(v + 0.3 for v in p.values))
+        return [p, q]
+
+    def _run(self, metric, clip_bounds, workers=1):
+        dists = self._dists()
+        return simulate_metric_shared(
+            dists,
+            self._systems(dists),
+            metric,
+            MCConfig(trials=200, master_seed=42),
+            workers=workers,
+            clip_bounds=clip_bounds,
+        )
+
+    @pytest.mark.parametrize("metric", [MetricKind.RMSE, MetricKind.MAE])
+    @pytest.mark.parametrize("clip_bounds", [None, (1.0, 5.0)])
+    @pytest.mark.parametrize("trials_per_task", [1, 3, 37])
+    def test_values_independent_of_block_size(
+        self, monkeypatch, metric, clip_bounds, trials_per_task
+    ):
+        default = self._run(metric, clip_bounds)
+        monkeypatch.setattr(
+            mc, "_BLOCK_ELEMENTS", trials_per_task * mc._trial_words(self.N)
+        )
+        assert np.array_equal(self._run(metric, clip_bounds), default)
+
+    def test_clipped_values_independent_of_workers(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        serial = self._run(MetricKind.RMSE, (1.0, 5.0), workers=1)
+        for workers in (2, 3):
+            threaded = self._run(MetricKind.RMSE, (1.0, 5.0), workers=workers)
+            assert np.array_equal(threaded, serial)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, tasks, expected",
+        [(8, 3, 50, 3), (2, 3, 50, 2), (8, 3, 2, 2), (8, 3, 1, None), (1, 3, 50, None)],
+    )
+    def test_thread_pool_capped(self, monkeypatch, workers, cpus, tasks, expected):
+        seen = []
+
+        class RecordingPool(mc.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", mc._trial_words(self.N))
+        dists = self._dists()
+        simulate_metric(
+            dists,
+            optimal_predictors(dists, MetricKind.RMSE),
+            MetricKind.RMSE,
+            MCConfig(trials=tasks, master_seed=1),
+            workers=workers,
+        )
+        assert seen == ([] if expected is None else [expected])
+
+    def test_usable_cpus_within_cpu_count(self):
+        assert 1 <= mc._usable_cpus() <= (os.cpu_count() or 1)
+
+    def test_block_stays_within_element_budget(self, monkeypatch):
+        n, tau = 5001, 300
+        blocks = []
+        draw_block = mc._draw_block
+
+        def recording(master_seed, k0, n_trials, n_pairs):
+            blocks.append(n_trials)
+            return draw_block(master_seed, k0, n_trials, n_pairs)
+
+        monkeypatch.setattr(mc, "_draw_block", recording)
+        dists = make_dists(np.full(n, 0.5))
+        simulate_metric(
+            dists,
+            optimal_predictors(dists, MetricKind.RMSE),
+            MetricKind.RMSE,
+            MCConfig(trials=tau, master_seed=3),
+        )
+        assert sum(blocks) == tau
+        assert max(blocks) * mc._trial_words(n) <= mc._BLOCK_ELEMENTS
