@@ -460,8 +460,32 @@ class TestGoldenDigests:
                  "far.csv", "--tau", "3000", "--seed", "5", "--workers", "2"],
                 "a705f7d0bbe2fddd2aa9b4c6396a4324bb8c977d71939c98f8637d954af2d1d7",
             ),
+            (
+                ["estimate", "pairs.json"],
+                "747ee64f38723a0bcbaf1787d9849214b2003514a0ab74eb4a1061688350e4d4",
+            ),
+            (
+                ["estimate", "pairs.json", "--metric", "mae"],
+                "85122d8f7c02c27bff77b39622009916e07d524e58ff8d6e3b6456b2c58023e5",
+            ),
+            (
+                ["transfer", "--count", "5000", "--seed", "3", "--bounds", "0.16,3.84"],
+                "5c1a0a7a2285b23350d4248b934bd35d940668ddffcd3194252fc1f4ea8b3e68",
+            ),
+            (
+                ["sensitivity", "--axis", "n", "--grid", "1,7,50,333", "--fixed", "0.7"],
+                "5aec641388aac1c64eaba6a32c52e7f85354837979e77460864507f51480f296",
+            ),
+            (
+                ["rankcurves", "--pairs", "pairs.json", "--deltas", "0.0,0.05,0.1",
+                 "--offsets", "0.0,0.25,0.5"],
+                "138178ba2294d1c4f4a730406922783eb333e1bdfd9caf7f6d57d7939c64bc98",
+            ),
         ],
-        ids=["simulate", "simulate-mae-clip", "rank"],
+        ids=[
+            "simulate", "simulate-mae-clip", "rank", "estimate-rmse", "estimate-mae",
+            "transfer", "sensitivity", "rankcurves",
+        ],
     )
     def test_output_digest(self, inputs, argv, expected):
         assert main([*argv, "--out", "out.json"]) == 0
