@@ -53,8 +53,9 @@ def main() -> int:
             ]
             approx = mb.magic_barrier_rmse(variances)
             cfg = mb.MCConfig(trials=args.tau, master_seed=rep * 100 + n)
-            sample = mb.simulate_magic_barrier(
-                dists, mb.MetricKind.RMSE, cfg, workers=args.workers
+            optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
+            sample = mb.simulate_metric(
+                dists, optimal, mb.MetricKind.RMSE, cfg, workers=args.workers
             )
             divergence = jsd(
                 DiscreteDensity.from_metric_sample(sample),

@@ -40,22 +40,14 @@ from .ingest import (
 from .mc import (
     MCConfig,
     MetricSample,
-    evaluate_metric_once,
     optimal_predictors,
-    simulate_magic_barrier,
     simulate_metric,
     simulate_metric_shared,
 )
 from .approx import (
-    TaylorMoments,
-    mae_distribution,
     mae_summary_from_offsets,
     magic_barrier_rmse,
-    rmse_distribution,
     rmse_summary_from_offsets,
-    sqrt_taylor_moments,
-    taylor_expectation,
-    taylor_variance,
 )
 from .analysis import (
     DiscreteDensity,
@@ -64,8 +56,6 @@ from .analysis import (
     improvement_criterion,
     interference_probability,
     interference_probability_empirical,
-    interference_probability_mc,
-    interference_probability_quadrature,
     jsd,
     kl_divergence,
     rank_distribution,
@@ -99,26 +89,16 @@ __all__ = [
     "MCConfig",
     "MetricSample",
     "optimal_predictors",
-    "evaluate_metric_once",
     "simulate_metric",
     "simulate_metric_shared",
-    "simulate_magic_barrier",
-    "TaylorMoments",
-    "taylor_expectation",
-    "taylor_variance",
-    "sqrt_taylor_moments",
     "magic_barrier_rmse",
-    "rmse_distribution",
     "rmse_summary_from_offsets",
-    "mae_distribution",
     "mae_summary_from_offsets",
     "DiscreteDensity",
     "NoiseSweepConfig",
     "kl_divergence",
     "jsd",
     "interference_probability",
-    "interference_probability_quadrature",
-    "interference_probability_mc",
     "interference_probability_empirical",
     "ImprovementDecision",
     "improvement_criterion",

@@ -33,7 +33,6 @@ from .core import (
     ScaleSpec,
     as_float_array,
     gaussian_cdf,
-    gaussian_pdf,
     variance_bounds,
 )
 from .approx import magic_barrier_rmse, rmse_summary_from_offsets
@@ -47,8 +46,6 @@ __all__ = [
     "kl_divergence",
     "jsd",
     "interference_probability",
-    "interference_probability_quadrature",
-    "interference_probability_mc",
     "interference_probability_empirical",
     "ImprovementDecision",
     "improvement_criterion",
@@ -165,38 +162,6 @@ def interference_probability(a: GaussianSummary, b: GaussianSummary) -> float:
         return 1.0 if a.mean > b.mean else 0.0
     diff = GaussianSummary(0.0, 1.0)
     return diff.cdf((a.mean - b.mean) / math.sqrt(total_var))
-
-
-def interference_probability_quadrature(
-    a: GaussianSummary, b: GaussianSummary, points: int = 40001
-) -> float:
-    """P(A > B) by numeric quadrature of ``integral f_B(x) * (1 - F_A(x)) dx``.
-
-    Independent second route to :func:`interference_probability`; the two must
-    agree within 1e-6. Degenerate sides reduce analytically (the integral
-    collapses onto the point mass).
-    """
-    if a.variance + b.variance == 0.0:
-        return interference_probability(a, b)
-    if b.variance == 0.0:
-        return 1.0 - gaussian_cdf(a, b.mean)
-    if a.variance == 0.0:
-        return gaussian_cdf(b, a.mean)
-    lo = min(a.mean - 10.0 * a.std, b.mean - 10.0 * b.std)
-    hi = max(a.mean + 10.0 * a.std, b.mean + 10.0 * b.std)
-    x = np.linspace(lo, hi, points)
-    integrand = gaussian_pdf(b, x) * (1.0 - gaussian_cdf(a, x))
-    return float(np.trapezoid(integrand, x))
-
-
-def interference_probability_mc(
-    a: GaussianSummary, b: GaussianSummary, trials: int = 100_000, seed: int = 0
-) -> float:
-    """P(A > B) estimated from paired draws of the two Gaussians."""
-    rng = np.random.default_rng(seed)
-    da = a.mean + a.std * rng.standard_normal(trials)
-    db = b.mean + b.std * rng.standard_normal(trials)
-    return float(np.mean(da > db))
 
 
 def interference_probability_empirical(a: MetricSample, b: MetricSample) -> float:
@@ -336,7 +301,6 @@ class NoiseSweepConfig:
     offsets: tuple[float, ...]
     base_variances: tuple[float, ...]
     noise_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.relative_differences:

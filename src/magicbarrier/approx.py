@@ -16,9 +16,7 @@ the RMSE under per-pair Gaussians:
 
 The truncation to first order is deliberate: it is what makes the headline
 formulas single-line, and its error is measured (not assumed) by regression
-against simulation in the test suite. :func:`taylor_expectation` and
-:func:`taylor_variance` expose the generic series so second-order corrections
-can be inspected as diagnostics.
+against simulation in the test suite.
 
 The MAE needs no Taylor step at all: absolute residuals are folded normals
 with exact first and second moments, and their average is treated as Gaussian
@@ -32,128 +30,40 @@ Gaussian as N grows); callers are warned below N = 100 pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import (
-    DegenerateInputError,
-    GaussianSummary,
-    PredictorVector,
-    RatingDistribution,
-    as_float_array,
-)
+from .core import DegenerateInputError, GaussianSummary, as_float_array
 
 __all__ = [
-    "TaylorMoments",
-    "taylor_expectation",
-    "taylor_variance",
-    "sqrt_taylor_moments",
-    "residual_square_moments",
     "magic_barrier_rmse",
     "rmse_summary_from_offsets",
-    "rmse_distribution",
     "mae_summary_from_offsets",
-    "mae_distribution",
     "SMALL_N_WARNING_THRESHOLD",
 ]
 
 SMALL_N_WARNING_THRESHOLD = 100
 
 
-@dataclass(frozen=True)
-class TaylorMoments:
-    """Inputs of a one-dimensional Taylor moment expansion.
-
-    ``central_moments[k]`` is the k-th central moment of the argument
-    (``m0 = 1``, ``m1 = 0``); ``derivatives[k]`` is the k-th derivative of the
-    mapping evaluated at the argument's expectation. Entries beyond the
-    highest order actually requested may be omitted.
-    """
-
-    central_moments: tuple[float, ...]
-    derivatives: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        m = self.central_moments
-        if len(m) < 1 or m[0] != 1.0:
-            raise ValueError("central_moments must start with m0 = 1")
-        if len(m) >= 2 and m[1] != 0.0:
-            raise ValueError(f"m1 must be 0 for central moments, got {m[1]}")
-        if len(m) >= 3 and m[2] < 0.0:
-            raise ValueError(f"m2 must be >= 0, got {m[2]}")
-        if len(m) >= 5 and m[4] < m[2] ** 2:
-            raise ValueError(f"m4 must be >= m2^2, got m4={m[4]}, m2={m[2]}")
-
-    def moment(self, k: int) -> float:
-        if k >= len(self.central_moments):
-            raise ValueError(f"missing central moment m{k}")
-        return self.central_moments[k]
-
-    def derivative(self, k: int) -> float:
-        if k >= len(self.derivatives):
-            raise ValueError(f"missing derivative of order {k}")
-        return self.derivatives[k]
-
-
-def taylor_expectation(tm: TaylorMoments, order: int) -> float:
-    """Series estimate of E[g(X)] truncated at ``order``:
-    ``sum_{k<=order} g^(k)(mu)/k! * m_k``."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    return math.fsum(
-        tm.derivative(k) / math.factorial(k) * tm.moment(k)
-        for k in range(order + 1)
-    )
-
-
-def taylor_variance(tm: TaylorMoments, order: int) -> float:
-    """Series estimate of V[g(X)] truncated at ``order``:
-    ``sum_{1<=k<=order} (g^(k)(mu)/k!)^2 * (m_2k - m_k^2)``."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    return math.fsum(
-        (tm.derivative(k) / math.factorial(k)) ** 2
-        * (tm.moment(2 * k) - tm.moment(k) ** 2)
-        for k in range(1, order + 1)
-    )
-
-
-def sqrt_taylor_moments(mean: float, variance: float) -> TaylorMoments:
-    """Taylor inputs for the square root of a Gaussian variable.
-
-    Central moments of ``N(mean, variance)`` up to order 4 and derivatives of
-    the square root at ``mean``; feeds the diagnostic second-order terms of
-    the barrier formulas.
-    """
-    if mean <= 0.0:
-        raise DegenerateInputError(f"square-root expansion needs mean > 0, got {mean}")
-    root = math.sqrt(mean)
-    return TaylorMoments(
-        central_moments=(1.0, 0.0, variance, 0.0, 3.0 * variance**2),
-        derivatives=(root, 0.5 / root, -0.25 / mean / root),
-    )
-
-
-def residual_square_moments(
-    variances: np.ndarray, offsets: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Mean and variance of the averaged squared residuals.
-
-    Returns ``(E[Z], V[Z])`` for ``Z = (1/N) * sum (X - prediction)^2`` with
-    independent ``X ~ N(mean, s2)`` and ``offset = mean - prediction``.
-    """
-    n = variances.size
+def _checked(
+    variances: Sequence[float], offsets: Sequence[float] | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Variances and offsets as float arrays, checked once for both metrics."""
+    arr = as_float_array(variances, "variances")
+    if arr.size == 0:
+        raise DegenerateInputError("empty variance list")
+    if np.any(arr < 0.0):
+        raise ValueError("variances must be >= 0")
     if offsets is None:
-        ey_sum = float(np.sum(variances))
-        vy_sum = float(2.0 * np.sum(variances**2))
-    else:
-        d2 = offsets**2
-        ey_sum = float(np.sum(variances) + np.sum(d2))
-        vy_sum = float(np.sum(2.0 * variances**2 + 4.0 * d2 * variances))
-    return ey_sum / n, vy_sum / (n * n)
+        return arr, None
+    off = as_float_array(offsets, "offsets")
+    if off.size != arr.size:
+        raise ValueError(
+            f"offsets length {off.size} does not match {arr.size} variances"
+        )
+    return arr, off
 
 
 def magic_barrier_rmse(variances: Sequence[float]) -> GaussianSummary:
@@ -163,20 +73,7 @@ def magic_barrier_rmse(variances: Sequence[float]) -> GaussianSummary:
     All variances must be nonnegative and at least one positive, otherwise
     the barrier is a point mass at zero and the ratio is undefined.
     """
-    arr = as_float_array(variances, "variances")
-    if arr.size == 0:
-        raise DegenerateInputError("degenerate barrier: empty variance list")
-    if np.any(arr < 0.0):
-        raise ValueError("variances must be >= 0")
-    sum2 = float(np.sum(arr))
-    if sum2 <= 0.0:
-        raise DegenerateInputError("degenerate barrier: all variances are zero")
-    sum4 = float(np.sum(arr**2))
-    n = arr.size
-    return GaussianSummary(
-        mean=math.sqrt(sum2 / n),
-        variance=sum4 / (2.0 * n * sum2),
-    )
+    return rmse_summary_from_offsets(variances)
 
 
 def rmse_summary_from_offsets(
@@ -184,37 +81,28 @@ def rmse_summary_from_offsets(
 ) -> GaussianSummary:
     """RMSE distribution for a system with per-pair prediction offsets.
 
-    ``offsets=None`` or all-zero offsets reduce exactly to
-    :func:`magic_barrier_rmse`.
+    With ``d = mean - prediction`` the per-pair squared residual has
+    ``E = s2 + d^2`` and ``V = 2*s2^2 + 4*d^2*s2``, so
+    ``mean = sqrt(sum(E)/N)`` and
+    ``variance = (sum(V)/N^2) / (4*sum(E)/N) = sum(V) / (4*N*sum(E))``.
+    ``offsets=None`` is the optimal recommender, i.e. the Magic Barrier.
     """
-    arr = as_float_array(variances, "variances")
-    if arr.size == 0:
-        raise DegenerateInputError("degenerate RMSE: empty variance list")
-    if np.any(arr < 0.0):
-        raise ValueError("variances must be >= 0")
-    off = None
-    if offsets is not None:
-        off = as_float_array(offsets, "offsets")
-        if off.size != arr.size:
-            raise ValueError(
-                f"offsets length {off.size} does not match {arr.size} variances"
-            )
-    ez, vz = residual_square_moments(arr, off)
-    if ez <= 0.0:
+    arr, off = _checked(variances, offsets)
+    n = arr.size
+    if off is None:
+        e_sum = float(np.sum(arr))
+        v_sum = float(2.0 * np.sum(arr**2))
+    else:
+        d2 = off**2
+        e_sum = float(np.sum(arr) + np.sum(d2))
+        v_sum = float(np.sum(2.0 * arr**2 + 4.0 * d2 * arr))
+    if e_sum <= 0.0:
         raise DegenerateInputError(
-            "degenerate RMSE: zero variances and zero offsets everywhere"
+            "degenerate barrier: zero variances and zero offsets everywhere"
         )
-    return GaussianSummary(mean=math.sqrt(ez), variance=vz / (4.0 * ez))
-
-
-def rmse_distribution(
-    dists: Sequence[RatingDistribution], predictors: PredictorVector
-) -> GaussianSummary:
-    """RMSE distribution of an arbitrary recommender against fitted pairs."""
-    predictors.check_aligned(dists)
-    variances = np.array([d.variance for d in dists], dtype=np.float64)
-    means = np.array([d.mean for d in dists], dtype=np.float64)
-    return rmse_summary_from_offsets(variances, means - predictors.as_array())
+    return GaussianSummary(
+        mean=math.sqrt(e_sum / n), variance=v_sum / (4.0 * n * e_sum)
+    )
 
 
 def _folded_normal_moments(
@@ -246,32 +134,10 @@ def mae_summary_from_offsets(
     ``E|N(d, s2)|`` and its variance are exact, and the metric is their plain
     average, so ``mean = avg(E)`` and ``variance = sum(V)/N^2``.
     """
-    arr = as_float_array(variances, "variances")
-    if arr.size == 0:
-        raise DegenerateInputError("degenerate MAE: empty variance list")
-    if np.any(arr < 0.0):
-        raise ValueError("variances must be >= 0")
-    if offsets is None:
-        off = np.zeros_like(arr)
-    else:
-        off = as_float_array(offsets, "offsets")
-        if off.size != arr.size:
-            raise ValueError(
-                f"offsets length {off.size} does not match {arr.size} variances"
-            )
-    m, v = _folded_normal_moments(off, arr)
+    arr, off = _checked(variances, offsets)
+    m, v = _folded_normal_moments(np.zeros_like(arr) if off is None else off, arr)
     n = arr.size
     return GaussianSummary(
         mean=float(np.mean(m)),
         variance=float(np.sum(v)) / (n * n),
     )
-
-
-def mae_distribution(
-    dists: Sequence[RatingDistribution], predictors: PredictorVector
-) -> GaussianSummary:
-    """MAE distribution of an arbitrary recommender against fitted pairs."""
-    predictors.check_aligned(dists)
-    variances = np.array([d.variance for d in dists], dtype=np.float64)
-    means = np.array([d.mean for d in dists], dtype=np.float64)
-    return mae_summary_from_offsets(variances, means - predictors.as_array())

@@ -200,10 +200,6 @@ def _scale_from_args(args) -> ScaleSpec:
         raise _UsageError(str(exc))
 
 
-def _metric_from_args(args) -> MetricKind:
-    return MetricKind(args.metric)
-
-
 def _add_scale_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale-min", type=int, default=1, help="lowest rating category")
     p.add_argument("--scale-max", type=int, default=5, help="highest rating category")
@@ -214,18 +210,17 @@ def _add_scale_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=int, default=100_000, help="Monte-Carlo trials")
-    p.add_argument("--bins", type=int, default=None, help="histogram bins")
     p.add_argument("--seed", type=int, default=0, help="master seed in [0, 2**64)")
     p.add_argument(
         "--workers", type=int, default=1, help="worker threads (capped at the usable CPUs)"
     )
 
 
-def _mc_config_from_args(args) -> mc.MCConfig:
+def _mc_config_from_args(args, bins: int | None = None) -> mc.MCConfig:
     if args.workers < 1:
         raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     try:
-        return mc.MCConfig(trials=args.tau, bins=args.bins, master_seed=args.seed)
+        return mc.MCConfig(trials=args.tau, bins=bins, master_seed=args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -247,37 +242,18 @@ def _cmd_ingest(args) -> int:
             "alpha": args.alpha,
         },
     )
-    if not tensor.records:
+    if tensor.records:
+        dists = ingest.fit_pair_gaussians(tensor)
+    else:
         print("warning: empty tensor, nothing to fit", file=sys.stderr)
-        doc = cfg.header()
-        doc.update(
-            {
-                "scale": {
-                    "min_category": scale.min_category,
-                    "max_category": scale.max_category,
-                    "num_trials": scale.num_trials,
-                },
-                "pairs": [],
-                "summary": {
-                    "pair_count": 0,
-                    "nonvanishing_count": 0,
-                    "per_item_nonzero_fraction": {},
-                    "exponential_rate": None,
-                    "ks": {"alpha": args.alpha, "tested": 0, "rejected": 0},
-                },
-            }
-        )
-        _emit_json(doc, args.out)
-        return EXIT_OK
-
-    dists = ingest.fit_pair_gaussians(tensor)
+        dists = []
     nonvanishing = ingest.filter_nonvanishing(dists)
     fractions = ingest.nonzero_variance_fraction_by_item(dists)
 
     rate = None
     if nonvanishing:
         rate = ingest.fit_exponential([d.variance for d in nonvanishing]).rate
-    else:
+    elif dists:
         print(
             "warning: all slices constant, exponential fit unavailable",
             file=sys.stderr,
@@ -346,7 +322,7 @@ def _cmd_estimate(args) -> int:
             f"for the metric weakens below {approx.SMALL_N_WARNING_THRESHOLD}",
             file=sys.stderr,
         )
-    metric = _metric_from_args(args)
+    metric = MetricKind(args.metric)
     start = time.perf_counter()
     summary = _estimate_summary(usable, metric)
     elapsed = time.perf_counter() - start
@@ -363,12 +339,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    mc_cfg = _mc_config_from_args(args)
+    mc_cfg = _mc_config_from_args(args, args.bins)
     scale, dists = _load_pairs(args.pairs)
     usable = ingest.filter_nonvanishing(dists)
     if not usable:
         raise DegenerateInputError("no pairs with nonvanishing variance")
-    metric = _metric_from_args(args)
+    metric = MetricKind(args.metric)
     if args.predictors is None:
         predictors = mc.optimal_predictors(usable, metric)
         predictor_source = "optimal"
@@ -493,21 +469,7 @@ def _cmd_sensitivity(args) -> int:
     ]
     if args.format == "csv":
         _emit_csv(
-            cfg,
-            columns,
-            [
-                (
-                    r.axis_value,
-                    r.mean,
-                    r.variance,
-                    r.envelope_min_mean,
-                    r.envelope_max_mean,
-                    r.envelope_min_variance,
-                    r.envelope_max_variance,
-                )
-                for r in rows
-            ],
-            args.out,
+            cfg, columns, [tuple(getattr(r, c) for c in columns) for r in rows], args.out
         )
     else:
         doc = cfg.header()
@@ -536,7 +498,6 @@ def _cmd_rankcurves(args) -> int:
             offsets=tuple(_parse_grid(args.offsets, "--offsets")),
             base_variances=tuple(base.tolist()),
             noise_scale=args.noise_scale,
-            seed=args.seed,
         )
     except ValueError as exc:
         raise _UsageError(str(exc))
@@ -548,7 +509,6 @@ def _cmd_rankcurves(args) -> int:
             "deltas": args.deltas,
             "offsets": args.offsets,
             "noise_scale": args.noise_scale,
-            "seed": args.seed,
             "pair_count": int(base.size),
         },
     )
@@ -586,7 +546,7 @@ def _cmd_rank(args) -> int:
     usable = ingest.filter_nonvanishing(dists)
     if not usable:
         raise DegenerateInputError("no pairs with nonvanishing variance")
-    metric = _metric_from_args(args)
+    metric = MetricKind(args.metric)
     systems = [
         _predictors_for(usable, _load_predictors(path), path)
         for path in args.predictors
@@ -618,6 +578,8 @@ def _cmd_rank(args) -> int:
 def _cmd_transfer(args) -> int:
     if args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
+    if not 0 <= args.seed < 2**64:
+        raise _UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
     fit = ingest.ExponentialFit(rate=args.rate, sample_size=0)
     bounds = None
     if args.bounds is not None:
@@ -702,6 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--metric", choices=["rmse", "mae"], default="rmse")
     _add_mc_flags(p)
+    p.add_argument("--bins", type=int, default=None, help="histogram bins")
     p.add_argument(
         "--clip",
         action="store_true",
@@ -737,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", required=True, help="relative differences, comma-separated")
     p.add_argument("--offsets", required=True, help="offset grid, comma-separated")
     p.add_argument("--noise-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_rankcurves)
@@ -758,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=2.11, help="exponential rate of variances")
     p.add_argument("--count", type=int, default=2_800_000, help="ratings in the target record")
     p.add_argument("--bounds", default=None, help="optional truncation low,high")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed in [0, 2**64)")
     p.add_argument(
         "--competitor-mean",
         type=float,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from .core import (
     DataFormatError,
@@ -209,20 +210,6 @@ def nonzero_variance_fraction_by_item(
     return {item: nonzero.get(item, 0) / n for item, n in totals.items()}
 
 
-def _kolmogorov_survival(lam: float) -> float:
-    # Q_KS(lam) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2); alternating and
-    # fast-converging for lam away from 0. The small-lam regime saturates at 1.
-    if lam <= 0.0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 200):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-14:
-            break
-    return min(max(total, 0.0), 1.0)
-
-
 def ks_normality_test(
     sample: Sequence[float], mu: float, sigma: float, alpha: float = 0.05
 ) -> KSResult:
@@ -249,7 +236,7 @@ def ks_normality_test(
     lower = np.arange(0, n) / n
     d = float(max(np.max(upper - cdf), np.max(cdf - lower)))
     sqrt_n = math.sqrt(n)
-    p = _kolmogorov_survival((sqrt_n + 0.12 + 0.11 / sqrt_n) * d)
+    p = float(kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d))
     return KSResult(statistic=d, p_value=p, rejected=p < alpha)
 
 

@@ -54,10 +54,8 @@ __all__ = [
     "MCConfig",
     "MetricSample",
     "optimal_predictors",
-    "evaluate_metric_once",
     "simulate_metric",
     "simulate_metric_shared",
-    "simulate_magic_barrier",
 ]
 
 MAX_DEFAULT_BINS = 512
@@ -153,27 +151,6 @@ def optimal_predictors(
     )
 
 
-def evaluate_metric_once(
-    dists: Sequence[RatingDistribution],
-    predictors: PredictorVector,
-    metric: MetricKind,
-    draws: Sequence[float],
-) -> float:
-    """Metric value for one realization (one rating draw per pair)."""
-    predictors.check_aligned(dists)
-    x = np.asarray(draws, dtype=np.float64)
-    if x.shape != (len(dists),):
-        raise ValueError(
-            f"expected {len(dists)} draws, got shape {x.shape}"
-        )
-    resid = x - predictors.as_array()
-    if metric is MetricKind.RMSE:
-        return float(np.sqrt(np.mean(resid * resid)))
-    if metric is MetricKind.MAE:
-        return float(np.mean(np.abs(resid)))
-    raise ValueError(f"unknown metric: {metric!r}")
-
-
 def _trial_words(n_pairs: int) -> int:
     # Philox counters address 4-output blocks; pad each trial's budget so
     # every trial starts on a block boundary.
@@ -265,14 +242,6 @@ def _simulate_values(
     return out
 
 
-def _extract_arrays(
-    dists: Sequence[RatingDistribution],
-) -> tuple[np.ndarray, np.ndarray]:
-    means = np.array([d.mean for d in dists], dtype=np.float64)
-    variances = np.array([d.variance for d in dists], dtype=np.float64)
-    return means, np.sqrt(variances)
-
-
 def simulate_metric(
     dists: Sequence[RatingDistribution],
     predictors: PredictorVector,
@@ -288,13 +257,8 @@ def simulate_metric(
     rating scale by default (the Gaussian model has support on all reals);
     pass ``clip_bounds`` to study the effect of clipping.
     """
-    if not dists:
-        raise ValueError("need at least one rating distribution")
-    predictors.check_aligned(dists)
-    means, sigmas = _extract_arrays(dists)
-    offsets = means - predictors.as_array()
-    values = _simulate_values(
-        means, sigmas, [offsets], metric, cfg, workers, clip_bounds
+    values = simulate_metric_shared(
+        dists, [predictors], metric, cfg, workers, clip_bounds
     )[0]
     return MetricSample.from_values(values, cfg.resolved_bins)
 
@@ -316,24 +280,12 @@ def simulate_metric_shared(
         raise ValueError("need at least one rating distribution")
     if not predictor_list:
         raise ValueError("need at least one predictor vector")
-    means, sigmas = _extract_arrays(dists)
+    means = np.array([d.mean for d in dists], dtype=np.float64)
+    sigmas = np.sqrt(np.array([d.variance for d in dists], dtype=np.float64))
     offsets_list = []
     for p in predictor_list:
         p.check_aligned(dists)
         offsets_list.append(means - p.as_array())
     return _simulate_values(
         means, sigmas, offsets_list, metric, cfg, workers, clip_bounds
-    )
-
-
-def simulate_magic_barrier(
-    dists: Sequence[RatingDistribution],
-    metric: MetricKind,
-    cfg: MCConfig,
-    workers: int = 1,
-    clip_bounds: tuple[float, float] | None = None,
-) -> MetricSample:
-    """Metric sample of the optimal recommender (the Magic Barrier)."""
-    return simulate_metric(
-        dists, optimal_predictors(dists, metric), metric, cfg, workers, clip_bounds
     )

@@ -18,6 +18,8 @@ import pytest
 import magicbarrier as mb
 from magicbarrier.analysis import DiscreteDensity, jsd
 
+from oracles import interference_probability_mc, interference_probability_quadrature
+
 TAU = 100_000
 STUDY_SEED = 0
 PAIR_COUNTS = (50, 100, 150, 200, 500, 1000)
@@ -110,7 +112,8 @@ def agreement_study():
             ]
             approx = mb.magic_barrier_rmse(variances)
             cfg = mb.MCConfig(trials=TAU, master_seed=rep * 100 + n)
-            sample = mb.simulate_magic_barrier(dists, mb.MetricKind.RMSE, cfg, workers=4)
+            optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
+            sample = mb.simulate_metric(dists, optimal, mb.MetricKind.RMSE, cfg, workers=4)
             divergence = jsd(
                 DiscreteDensity.from_metric_sample(sample),
                 DiscreteDensity.from_gaussian(approx, sample.bin_edges),
@@ -214,7 +217,7 @@ def test_c5_interference_oracles():
         a = mb.GaussianSummary(rng.uniform(0.4, 1.2), rng.uniform(1e-5, 0.02))
         b = mb.GaussianSummary(rng.uniform(0.4, 1.2), rng.uniform(1e-5, 0.02))
         closed = mb.interference_probability(a, b)
-        quad = mb.interference_probability_quadrature(a, b)
+        quad = interference_probability_quadrature(a, b)
         worst_quad = max(worst_quad, abs(closed - quad))
     quad_ok = worst_quad <= 1e-6
 
@@ -224,7 +227,7 @@ def test_c5_interference_oracles():
         a = mb.GaussianSummary(rng.uniform(0.6, 0.8), rng.uniform(1e-4, 0.01))
         b = mb.GaussianSummary(rng.uniform(0.6, 0.8), rng.uniform(1e-4, 0.01))
         closed = mb.interference_probability(a, b)
-        estimate = mb.interference_probability_mc(a, b, trials=TAU, seed=500 + k)
+        estimate = interference_probability_mc(a, b, trials=TAU, seed=500 + k)
         se = math.sqrt(max(closed * (1 - closed), 1e-12) / TAU)
         worst_z = max(worst_z, abs(estimate - closed) / se)
         mc_ok = mc_ok and abs(estimate - closed) <= 3 * se
@@ -265,7 +268,8 @@ def test_c6_convolution_oracle():
         mb.RatingDistribution("u2", "i", 4.0, variances[1]),
     ]
     cfg = mb.MCConfig(trials=1_000_000, master_seed=66)
-    sample = mb.simulate_magic_barrier(dists, mb.MetricKind.RMSE, cfg, workers=4)
+    optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
+    sample = mb.simulate_metric(dists, optimal, mb.MetricKind.RMSE, cfg, workers=4)
     simulated = DiscreteDensity.from_metric_sample(sample)
     convolved = _convolved_rmse_density(variances, sample.bin_edges)
     divergence = jsd(simulated, convolved)

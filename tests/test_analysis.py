@@ -16,8 +16,6 @@ from magicbarrier import (
     improvement_criterion,
     interference_probability,
     interference_probability_empirical,
-    interference_probability_mc,
-    interference_probability_quadrature,
     jsd,
     kl_divergence,
     rank_distribution,
@@ -30,6 +28,7 @@ from magicbarrier.analysis import alternating_offsets
 from magicbarrier.mc import optimal_predictors
 
 from conftest import make_dists
+from oracles import interference_probability_mc, interference_probability_quadrature
 
 
 def density(masses, edges=None):
@@ -241,14 +240,13 @@ class TestSensitivitySweep:
             sensitivity_sweep("pair_count", [], 1.0, scale_5star)
 
 
-def sweep_config(deltas, offsets, n=51, seed=0):
+def sweep_config(deltas, offsets, n=51):
     rng = np.random.default_rng(7)
     return NoiseSweepConfig(
         relative_differences=tuple(deltas),
         offsets=tuple(offsets),
         base_variances=tuple(rng.exponential(1 / 2.11, size=n).tolist()),
         noise_scale=1.0,
-        seed=seed,
     )
 
 

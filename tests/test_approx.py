@@ -10,81 +10,14 @@ from magicbarrier import (
     MCConfig,
     MetricKind,
     PredictorVector,
-    TaylorMoments,
-    mae_distribution,
     mae_summary_from_offsets,
     magic_barrier_rmse,
-    rmse_distribution,
     rmse_summary_from_offsets,
     simulate_metric,
-    sqrt_taylor_moments,
-    taylor_expectation,
-    taylor_variance,
 )
 from magicbarrier.mc import optimal_predictors
 
 from conftest import make_dists
-
-
-def gaussian_moments(variance):
-    return (1.0, 0.0, variance, 0.0, 3.0 * variance**2)
-
-
-class TestTaylorSeries:
-    def test_identity_map_is_exact_at_every_order(self):
-        tm = TaylorMoments(
-            central_moments=gaussian_moments(2.0), derivatives=(5.0, 1.0, 0.0)
-        )
-        for order in (0, 1, 2):
-            assert taylor_expectation(tm, order) == 5.0
-        for order in (1, 2):
-            assert taylor_variance(tm, order) == pytest.approx(2.0)
-
-    def test_square_map_standard_normal(self):
-        # g(x) = x^2 around mu = 0: E[g] = m2 exactly at order 2
-        tm = TaylorMoments(
-            central_moments=gaussian_moments(1.0), derivatives=(0.0, 0.0, 2.0)
-        )
-        assert taylor_expectation(tm, 2) == pytest.approx(1.0)
-
-    def test_square_map_variance_truncation(self):
-        # g(x) = x^2 around mu: order 1 gives 4 mu^2 s2; the exact value adds 2 s4
-        mu, s2 = 3.0, 0.5
-        tm = TaylorMoments(
-            central_moments=gaussian_moments(s2),
-            derivatives=(mu * mu, 2 * mu, 2.0),
-        )
-        order1 = taylor_variance(tm, 1)
-        assert order1 == pytest.approx(4 * mu * mu * s2)
-        exact = 4 * mu * mu * s2 + 2 * s2 * s2
-        assert taylor_variance(tm, 2) > order1
-        assert abs(exact - order1) == pytest.approx(2 * s2 * s2)
-
-    def test_sqrt_map_first_order(self):
-        ez, vz = 0.5, 2.5e-4
-        tm = sqrt_taylor_moments(ez, vz)
-        assert taylor_expectation(tm, 1) == pytest.approx(math.sqrt(0.5))
-        assert taylor_variance(tm, 1) == pytest.approx(vz / (4 * ez))
-
-    def test_missing_moment_errors(self):
-        tm = TaylorMoments(central_moments=(1.0, 0.0, 1.0), derivatives=(0.0, 0.0, 2.0))
-        with pytest.raises(ValueError, match="missing central moment"):
-            taylor_variance(tm, 2)
-        short = TaylorMoments(central_moments=(1.0, 0.0), derivatives=(1.0,))
-        with pytest.raises(ValueError, match="missing derivative"):
-            taylor_expectation(short, 1)
-
-    def test_moment_invariants(self):
-        with pytest.raises(ValueError):
-            TaylorMoments(central_moments=(0.9,), derivatives=(1.0,))
-        with pytest.raises(ValueError):
-            TaylorMoments(central_moments=(1.0, 0.1), derivatives=(1.0,))
-        with pytest.raises(ValueError):
-            TaylorMoments(central_moments=(1.0, 0.0, 2.0, 0.0, 1.0), derivatives=(1.0,))
-
-    def test_sqrt_expansion_needs_positive_mean(self):
-        with pytest.raises(DegenerateInputError):
-            sqrt_taylor_moments(0.0, 1.0)
 
 
 class TestMagicBarrierRmse:
@@ -140,17 +73,16 @@ class TestMagicBarrierRmse:
 class TestRmseDistribution:
     def test_zero_offsets_reduce_to_barrier(self):
         variances = np.array([0.3, 1.4, 0.9, 2.2])
-        dists = make_dists(variances, means=[1.0, 2.0, 3.0, 4.0])
-        p = optimal_predictors(dists, MetricKind.RMSE)
-        with_offsets = rmse_distribution(dists, p)
+        means = np.array([1.0, 2.0, 3.0, 4.0])
+        p = optimal_predictors(make_dists(variances, means=means), MetricKind.RMSE)
+        with_offsets = rmse_summary_from_offsets(variances, means - p.as_array())
         barrier = magic_barrier_rmse(variances)
         assert with_offsets.mean == pytest.approx(barrier.mean, rel=1e-12)
         assert with_offsets.variance == pytest.approx(barrier.variance, rel=1e-12)
 
     def test_deterministic_residual(self):
-        dists = make_dists([0.0], means=[3.0])
-        p = PredictorVector(keys=(dists[0].key,), values=(2.0,))
-        s = rmse_distribution(dists, p)
+        # variance 0, mean 3, prediction 2
+        s = rmse_summary_from_offsets([0.0], [3.0 - 2.0])
         assert (s.mean, s.variance) == (1.0, 0.0)
 
     def test_homogeneous_biased_system(self):
@@ -173,13 +105,11 @@ class TestRmseDistribution:
         mc = simulate_metric(dists, p, MetricKind.RMSE, MCConfig(trials=tau, master_seed=17))
         se = math.sqrt(closed.variance / tau)
         # the first-order mean carries the truncation bias quantified by the
-        # second-order series term; grant exactly that much slack
-        from magicbarrier.approx import residual_square_moments
-
-        ez, vz = residual_square_moments(np.full(n, s2), np.full(n, d))
-        order2_shift = abs(
-            taylor_expectation(sqrt_taylor_moments(ez, vz), 2) - closed.mean
-        )
+        # second-order series term sqrt(E[Z]) - V[Z] / (8 E[Z]^1.5); grant
+        # exactly that much slack
+        ez = s2 + d * d
+        vz = (2.0 * s2 * s2 + 4.0 * d * d * s2) / n
+        order2_shift = abs(math.sqrt(ez) - vz / (8.0 * ez**1.5) - closed.mean)
         assert mc.summary.mean == pytest.approx(closed.mean, abs=3 * se + order2_shift)
         assert mc.summary.variance == pytest.approx(closed.variance, rel=0.05)
 
@@ -220,9 +150,10 @@ class TestMaeDistribution:
     def test_against_mc_on_mixed_pairs(self):
         rng = np.random.default_rng(213)
         variances = rng.exponential(1 / 2.11, size=213)
-        dists = make_dists(variances, means=rng.uniform(1, 5, size=213))
+        means = rng.uniform(1, 5, size=213)
+        dists = make_dists(variances, means=means)
         p = optimal_predictors(dists, MetricKind.MAE)
-        closed = mae_distribution(dists, p)
+        closed = mae_summary_from_offsets(variances, means - p.as_array())
         tau = 100_000
         mc = simulate_metric(dists, p, MetricKind.MAE, MCConfig(trials=tau, master_seed=23))
         se = math.sqrt(closed.variance / tau)

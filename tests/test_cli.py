@@ -239,11 +239,16 @@ class TestSimulate:
     def test_mc_flags_out_of_range_are_usage_errors(
         self, pairs_file, capsys, flags
     ):
-        assert main(["simulate", str(pairs_file), "--tau", "10", *flags]) == 1
-        assert "usage error" in capsys.readouterr().err
-        assert main(
-            ["rank", str(pairs_file), "--predictors", "x.csv", "--tau", "10", *flags]
-        ) == 1
+        commands = [
+            ["simulate", str(pairs_file), "--tau", "10"],
+            ["rank", str(pairs_file), "--predictors", "x.csv", "--tau", "10"],
+        ]
+        if flags[0] == "--seed":
+            # transfer draws its variances from a seed with the same bounds
+            commands.append(["transfer", "--count", "10"])
+        for argv in commands:
+            assert main([*argv, *flags]) == 1
+            assert "usage error" in capsys.readouterr().err
 
     def test_clip_flag_changes_draws(self, tmp_path, pairs_file):
         free = tmp_path / "free.json"
@@ -253,6 +258,19 @@ class TestSimulate:
         assert main(base + ["--clip", "--out", str(clipped)]) == 0
         assert read_json(clipped)["config"]["clip"] is True
         assert read_json(clipped)["mean"] != read_json(free)["mean"]
+
+    def test_bins_belongs_to_simulate_only(self, tmp_path, pairs_file, capsys):
+        out = tmp_path / "sample.json"
+        assert main(
+            ["simulate", str(pairs_file), "--tau", "100", "--bins", "7", "--out", str(out)]
+        ) == 0
+        assert read_json(out)["config"]["bins"] == 7
+        assert len(read_json(out)["histogram"]["heights"]) == 7
+        # rank emits orderings, not a histogram, so it has no --bins to ignore
+        assert main(
+            ["rank", str(pairs_file), "--predictors", "x.csv", "--tau", "100", "--bins", "7"]
+        ) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -344,6 +362,18 @@ class TestRankCurves:
         assert all(r["error_probability"] == 0.5 for r in zero_delta)
         curve = [r["error_probability"] for r in rows if r["delta"] == 0.1]
         assert all(a > b for a, b in zip(curve, curve[1:]))
+
+    def test_no_seed_flag(self, tmp_path, capsys):
+        # the curves are closed-form and draw nothing, so no seed is echoed
+        variances = tmp_path / "variances.csv"
+        variances.write_text("variance\n0.5\n0.7\n", encoding="utf-8")
+        out = tmp_path / "curves.json"
+        argv = ["rankcurves", "--variances", str(variances),
+                "--deltas", "0.1", "--offsets", "0.0"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert "seed" not in read_json(out)["config"]
+        assert main([*argv, "--seed", "99"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_requires_exactly_one_source(self, tmp_path, pairs_file):
         assert main(["rankcurves", "--deltas", "0.1", "--offsets", "0.0"]) == 1
@@ -479,7 +509,7 @@ class TestGoldenDigests:
             (
                 ["rankcurves", "--pairs", "pairs.json", "--deltas", "0.0,0.05,0.1",
                  "--offsets", "0.0,0.25,0.5"],
-                "138178ba2294d1c4f4a730406922783eb333e1bdfd9caf7f6d57d7939c64bc98",
+                "7fa84a971d85aa0383a9f52e5cc47a5fea54ec3f31a82ee0c930fd89e6d95f10",
             ),
         ],
         ids=[

@@ -10,19 +10,13 @@ from magicbarrier import (
     MCConfig,
     MetricKind,
     PredictorVector,
-    evaluate_metric_once,
     optimal_predictors,
-    simulate_magic_barrier,
     simulate_metric,
     simulate_metric_shared,
 )
-from magicbarrier.approx import (
-    residual_square_moments,
-    sqrt_taylor_moments,
-    taylor_expectation,
-)
 
 from conftest import make_dists
+from oracles import evaluate_metric_once
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_VAR = 1.0 - 2.0 / math.pi
@@ -100,14 +94,20 @@ class TestSimulate:
         # so the exact mean and variance are known without any approximation
         dists = make_dists([1.0])
         tau = 1_000_000
-        sample = simulate_magic_barrier(dists, MetricKind.RMSE, MCConfig(trials=tau, master_seed=3))
+        sample = simulate_metric(
+            dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
+            MCConfig(trials=tau, master_seed=3),
+        )
         se = math.sqrt(HALF_NORMAL_VAR / tau)
         assert sample.summary.mean == pytest.approx(HALF_NORMAL_MEAN, abs=3 * se)
 
     def test_homogeneous_1000_pairs_against_closed_form(self):
         n, s2, tau = 1000, 0.5, 100_000
         dists = make_dists(np.full(n, s2))
-        sample = simulate_magic_barrier(dists, MetricKind.RMSE, MCConfig(trials=tau, master_seed=11))
+        sample = simulate_metric(
+            dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
+            MCConfig(trials=tau, master_seed=11),
+        )
         approx_var = 2.5e-4
         se = math.sqrt(approx_var / tau)
 
@@ -120,9 +120,10 @@ class TestSimulate:
         assert sample.summary.mean == pytest.approx(exact, abs=3 * se)
 
         # the first-order value sqrt(0.5) carries a truncation bias of the
-        # size predicted by the second-order series term; allow exactly that
-        ez, vz = residual_square_moments(np.full(n, s2))
-        order2_shift = abs(taylor_expectation(sqrt_taylor_moments(ez, vz), 2) - math.sqrt(s2))
+        # size predicted by the second-order series term
+        # sqrt(E[Z]) - V[Z] / (8 E[Z]^1.5); allow exactly that
+        ez, vz = s2, 2.0 * s2 * s2 / n
+        order2_shift = abs(math.sqrt(ez) - vz / (8.0 * ez**1.5) - math.sqrt(s2))
         assert sample.summary.mean == pytest.approx(math.sqrt(s2), abs=3 * se + order2_shift)
 
         assert sample.summary.variance == pytest.approx(approx_var, rel=0.10)
@@ -130,7 +131,10 @@ class TestSimulate:
     def test_mae_single_pair(self):
         dists = make_dists([1.0])
         tau = 200_000
-        sample = simulate_magic_barrier(dists, MetricKind.MAE, MCConfig(trials=tau, master_seed=5))
+        sample = simulate_metric(
+            dists, optimal_predictors(dists, MetricKind.MAE), MetricKind.MAE,
+            MCConfig(trials=tau, master_seed=5),
+        )
         se = math.sqrt(HALF_NORMAL_VAR / tau)
         assert sample.summary.mean == pytest.approx(HALF_NORMAL_MEAN, abs=3 * se)
 
@@ -200,19 +204,28 @@ class TestTauRefinement:
 class TestMetricSample:
     def test_histogram_is_normalized(self):
         dists = make_dists([0.3, 0.9, 1.5])
-        sample = simulate_magic_barrier(dists, MetricKind.RMSE, MCConfig(trials=5000, master_seed=2))
+        sample = simulate_metric(
+            dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
+            MCConfig(trials=5000, master_seed=2),
+        )
         mass = np.sum(sample.bin_heights * np.diff(sample.bin_edges))
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_summary_mean_matches_values(self):
         dists = make_dists([0.3, 0.9])
-        sample = simulate_magic_barrier(dists, MetricKind.RMSE, MCConfig(trials=4096, master_seed=2))
+        sample = simulate_metric(
+            dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
+            MCConfig(trials=4096, master_seed=2),
+        )
         assert sample.summary.mean == pytest.approx(float(sample.values.mean()), rel=1e-12)
         assert sample.values.flags.writeable is False
 
     def test_json_payload(self):
         dists = make_dists([0.3])
-        sample = simulate_magic_barrier(dists, MetricKind.RMSE, MCConfig(trials=64, master_seed=0))
+        sample = simulate_metric(
+            dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
+            MCConfig(trials=64, master_seed=0),
+        )
         doc = sample.to_json_dict()
         assert set(doc) == {"mean", "variance", "histogram"}
         assert len(doc["histogram"]["edges"]) == len(doc["histogram"]["heights"]) + 1
