@@ -458,6 +458,18 @@ class TestGoldenDigests:
         Path("pairs.json").write_text(
             json.dumps({"scale": scale, "pairs": pairs}), encoding="utf-8"
         )
+        # 15 slices of 1 to 12 ratings, written trial-major so that records of
+        # different pairs interleave; slice 3 is constant
+        lengths = [1 + (5 * k) % 12 for k in range(15)]
+        lines = ["user,item,trial,rating"]
+        for t in range(12):
+            lines.extend(
+                f"u{k % 5},i{k // 5},{(5 * t) % 12 + 1},"
+                f"{4 if k == 3 else 1 + (7 * k + 3 * t * t + t) % 5}"
+                for k in range(15)
+                if t < lengths[k]
+            )
+        Path("tensor.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         for name, shift in (("best", 0.0), ("near", 0.0625), ("far", -0.25)):
             Path(f"{name}.csv").write_text(
                 "user,item,prediction\n"
@@ -511,14 +523,26 @@ class TestGoldenDigests:
                  "--offsets", "0.0,0.25,0.5"],
                 "7fa84a971d85aa0383a9f52e5cc47a5fea54ec3f31a82ee0c930fd89e6d95f10",
             ),
+            (
+                ["ingest", "tensor.csv", "--trials", "12"],
+                "5375eb8bb4c7680205d15e870b8186a7d60d7fd872a5d70b4023c468cfd0216e",
+            ),
         ],
         ids=[
             "simulate", "simulate-mae-clip", "rank", "estimate-rmse", "estimate-mae",
-            "transfer", "sensitivity", "rankcurves",
+            "transfer", "sensitivity", "rankcurves", "ingest",
         ],
     )
     def test_output_digest(self, inputs, argv, expected):
         assert main([*argv, "--out", "out.json"]) == 0
+        assert self.digest("out.json") == expected
+
+    def test_compare_digest(self, inputs):
+        assert main(["estimate", "pairs.json", "--out", "barrier.json"]) == 0
+        assert main(["simulate", "pairs.json", "--tau", "3000", "--seed", "17",
+                     "--out", "mc.json"]) == 0
+        assert main(["compare", "barrier.json", "mc.json", "--out", "out.json"]) == 0
+        expected = "1b3335eeef20c24389fe98d1f877cd9a0ea12a7eae2c4e5b2fdd85f6a630cc6c"
         assert self.digest("out.json") == expected
 
 
