@@ -47,10 +47,7 @@ def main() -> int:
         for n in PAIR_COUNTS:
             mus = rng.uniform(1.0, 5.0, n)
             variances = rng.uniform(0.16, 3.84, n)
-            dists = [
-                mb.RatingDistribution(f"u{k}", "i", float(m), float(v))
-                for k, (m, v) in enumerate(zip(mus, variances))
-            ]
+            dists = mb.PairTable([(f"u{k}", "i") for k in range(n)], mus, variances)
             approx = mb.magic_barrier_rmse(variances)
             cfg = mb.MCConfig(trials=args.tau, master_seed=rep * 100 + n)
             optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)

@@ -18,8 +18,8 @@ from .core import (
     GaussianSummary,
     MagicBarrierError,
     MetricKind,
+    PairTable,
     PredictorVector,
-    RatingDistribution,
     ScaleSpec,
     gaussian_cdf,
     gaussian_pdf,
@@ -69,7 +69,7 @@ __all__ = [
     "DataFormatError",
     "DegenerateInputError",
     "ScaleSpec",
-    "RatingDistribution",
+    "PairTable",
     "PredictorVector",
     "GaussianSummary",
     "MetricKind",

@@ -28,8 +28,8 @@ import numpy as np
 from .core import (
     GaussianSummary,
     MetricKind,
+    PairTable,
     PredictorVector,
-    RatingDistribution,
     ScaleSpec,
     as_float_array,
     gaussian_cdf,
@@ -362,7 +362,7 @@ def ranking_error_curves(cfg: NoiseSweepConfig) -> list[RankCurvePoint]:
 
 def rank_distribution(
     systems: Sequence[PredictorVector],
-    dists: Sequence[RatingDistribution],
+    dists: PairTable,
     metric: MetricKind,
     cfg: MCConfig,
     workers: int = 1,

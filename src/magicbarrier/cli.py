@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -30,8 +30,8 @@ from .core import (
     DegenerateInputError,
     GaussianSummary,
     MetricKind,
+    PairTable,
     PredictorVector,
-    RatingDistribution,
     ScaleSpec,
 )
 from . import analysis, approx, ingest, mc
@@ -67,30 +67,35 @@ class RunConfig:
         }
 
 
-def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _emit_csv(
-    cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence], out: str | None
-) -> None:
+def _emit_json(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
+def _emit_rows(cfg: RunConfig, row_type, rows: Sequence, fmt: str, out: str | None) -> None:
+    """Dataclass rows as JSON ``rows``, or as CSV with one column per field."""
+    if fmt == "json":
+        doc = cfg.header()
+        doc["rows"] = [asdict(r) for r in rows]
+        _emit_json(doc, out)
+        return
     buf = io.StringIO()
     buf.write(f"# tool=magicbarrier version={__version__}\n")
     buf.write(f"# command={cfg.command}\n")
     for key in sorted(cfg.options):
         buf.write(f"# {key}={cfg.options[key]}\n")
-    buf.write(",".join(columns) + "\n")
+    buf.write(",".join(f.name for f in fields(row_type)) + "\n")
     for row in rows:
-        buf.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        values = astuple(row)
+        buf.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values))
         buf.write("\n")
-    if out is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        Path(out).write_text(buf.getvalue(), encoding="utf-8")
+    _write(buf.getvalue(), out)
 
 
 def _read_text(path: str) -> str:
@@ -102,39 +107,61 @@ def _read_text(path: str) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(_read_text(path))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: expected a JSON object at the top level")
+    return doc
 
 
-def _load_pairs(path: str) -> tuple[ScaleSpec | None, list[RatingDistribution]]:
+def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
     doc = _load_json(path)
     if "pairs" not in doc:
         raise DataFormatError(f"{path}: missing 'pairs' key")
     scale = None
     if doc.get("scale") is not None:
         s = doc["scale"]
-        scale = ScaleSpec(s["min_category"], s["max_category"], s["num_trials"])
+        try:
+            scale = ScaleSpec(s["min_category"], s["max_category"], s["num_trials"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: malformed scale: {exc}") from exc
     try:
-        pairs = [
-            RatingDistribution(
-                str(p["user"]), str(p["item"]), float(p["mean"]), float(p["variance"])
-            )
-            for p in doc["pairs"]
-        ]
+        entries = doc["pairs"]
+        keys = [(str(p["user"]), str(p["item"])) for p in entries]
+        means = [float(p["mean"]) for p in entries]
+        variances = [float(p["variance"]) for p in entries]
+        return scale, PairTable(keys, means, variances)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed pair entry: {exc}") from exc
-    return scale, pairs
 
 
-def _load_summary(path: str) -> tuple[GaussianSummary, dict | None]:
+def _load_usable_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
+    """The pairs of ``path`` with nonvanishing variance; refuses when none has."""
+    scale, pairs = _load_pairs(path)
+    usable = ingest.filter_nonvanishing(pairs)
+    if not len(usable):
+        raise DegenerateInputError("no pairs with nonvanishing variance")
+    return scale, usable
+
+
+def _load_summary(
+    path: str,
+) -> tuple[GaussianSummary, analysis.DiscreteDensity | None]:
     """Load a Gaussian summary; also return its histogram when present."""
     doc = _load_json(path)
     try:
         summary = GaussianSummary(float(doc["mean"]), float(doc["variance"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: expected mean/variance: {exc}") from exc
-    return summary, doc.get("histogram")
+    hist = doc.get("histogram")
+    if hist is None:
+        return summary, None
+    try:
+        edges, heights = hist["edges"], hist["heights"]
+        return summary, analysis.DiscreteDensity.from_histogram(edges, heights)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed histogram: {exc}") from exc
 
 
 def _load_predictors(path: str) -> dict[tuple[str, str], float]:
@@ -171,16 +198,15 @@ def _predictor_table(reader, path: str) -> dict[tuple[str, str], float]:
 
 
 def _predictors_for(
-    dists: Sequence[RatingDistribution], table: dict[tuple[str, str], float], path: str
+    pairs: PairTable, table: dict[tuple[str, str], float], path: str
 ) -> PredictorVector:
-    values = []
-    for d in dists:
-        if d.key not in table:
-            raise DataFormatError(f"{path}: missing prediction for pair {d.key}")
-        values.append(table[d.key])
-    return PredictorVector(
-        keys=tuple(d.key for d in dists), values=tuple(values)
-    )
+    try:
+        values = [table[key] for key in pairs.keys]
+    except KeyError as exc:
+        raise DataFormatError(
+            f"{path}: missing prediction for pair {exc.args[0]}"
+        ) from None
+    return PredictorVector(keys=pairs.keys, values=values)
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -242,55 +268,46 @@ def _cmd_ingest(args) -> int:
             "alpha": args.alpha,
         },
     )
-    if tensor.records:
-        dists = ingest.fit_pair_gaussians(tensor)
+    if len(tensor):
+        pairs = ingest.fit_pair_gaussians(tensor)
     else:
         print("warning: empty tensor, nothing to fit", file=sys.stderr)
-        dists = []
-    nonvanishing = ingest.filter_nonvanishing(dists)
-    fractions = ingest.nonzero_variance_fraction_by_item(dists)
+        pairs = PairTable((), (), ())
+    nonvanishing = ingest.filter_nonvanishing(pairs)
+    fractions = ingest.nonzero_variance_fraction_by_item(pairs)
 
     rate = None
-    if nonvanishing:
-        rate = ingest.fit_exponential([d.variance for d in nonvanishing]).rate
-    elif dists:
+    if len(nonvanishing):
+        rate = ingest.fit_exponential(nonvanishing.variances).rate
+    elif len(pairs):
         print(
             "warning: all slices constant, exponential fit unavailable",
             file=sys.stderr,
         )
 
-    slices = tensor.pair_slices()
+    means = pairs.means.tolist()
+    variances = pairs.variances.tolist()
     tested = 0
     rejected = 0
-    for d in nonvanishing:
-        sample = slices[d.key]
-        if len(sample) < 2:
-            continue
-        result = ingest.ks_normality_test(
-            sample, d.mean, np.sqrt(d.variance), alpha=args.alpha
-        )
-        tested += 1
-        rejected += int(result.rejected)
+    # a slice with nonzero variance has at least two ratings
+    for sample, mean, variance in zip(tensor.pair_slices(), means, variances):
+        if variance > 0.0:
+            result = ingest.ks_normality_test(
+                sample, mean, np.sqrt(variance), alpha=args.alpha
+            )
+            tested += 1
+            rejected += int(result.rejected)
 
     doc = cfg.header()
     doc.update(
         {
-            "scale": {
-                "min_category": scale.min_category,
-                "max_category": scale.max_category,
-                "num_trials": scale.num_trials,
-            },
+            "scale": asdict(scale),
             "pairs": [
-                {
-                    "user": d.user_id,
-                    "item": d.item_id,
-                    "mean": d.mean,
-                    "variance": d.variance,
-                }
-                for d in dists
+                {"user": user, "item": item, "mean": mean, "variance": variance}
+                for (user, item), mean, variance in zip(pairs.keys, means, variances)
             ],
             "summary": {
-                "pair_count": len(dists),
+                "pair_count": len(pairs),
                 "nonvanishing_count": len(nonvanishing),
                 "per_item_nonzero_fraction": fractions,
                 "exponential_rate": rate,
@@ -302,20 +319,8 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _estimate_summary(
-    dists: Sequence[RatingDistribution], metric: MetricKind
-) -> GaussianSummary:
-    variances = [d.variance for d in dists]
-    if metric is MetricKind.RMSE:
-        return approx.magic_barrier_rmse(variances)
-    return approx.mae_summary_from_offsets(variances)
-
-
 def _cmd_estimate(args) -> int:
-    _, dists = _load_pairs(args.pairs)
-    usable = ingest.filter_nonvanishing(dists)
-    if not usable:
-        raise DegenerateInputError("no pairs with nonvanishing variance")
+    _, usable = _load_usable_pairs(args.pairs)
     if len(usable) < approx.SMALL_N_WARNING_THRESHOLD:
         print(
             f"warning: only {len(usable)} pairs; the Gaussian shape assumption "
@@ -324,7 +329,10 @@ def _cmd_estimate(args) -> int:
         )
     metric = MetricKind(args.metric)
     start = time.perf_counter()
-    summary = _estimate_summary(usable, metric)
+    if metric is MetricKind.RMSE:
+        summary = approx.magic_barrier_rmse(usable.variances)
+    else:
+        summary = approx.mae_summary_from_offsets(usable.variances)
     elapsed = time.perf_counter() - start
     print(f"closed-form step: {elapsed * 1e3:.3f} ms", file=sys.stderr)
 
@@ -340,10 +348,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     mc_cfg = _mc_config_from_args(args, args.bins)
-    scale, dists = _load_pairs(args.pairs)
-    usable = ingest.filter_nonvanishing(dists)
-    if not usable:
-        raise DegenerateInputError("no pairs with nonvanishing variance")
+    scale, usable = _load_usable_pairs(args.pairs)
     metric = MetricKind(args.metric)
     if args.predictors is None:
         predictors = mc.optimal_predictors(usable, metric)
@@ -394,30 +399,18 @@ def _cmd_compare(args) -> int:
     probability = analysis.interference_probability(barrier, rmse)
     decision = analysis.improvement_criterion(barrier, rmse)
 
-    jsd_value = None
-    jsd_note = None
+    jsd_value = jsd_note = None
     if barrier_hist is not None and rmse_hist is not None:
-        if list(barrier_hist["edges"]) == list(rmse_hist["edges"]):
-            jsd_value = analysis.jsd(
-                analysis.DiscreteDensity.from_histogram(
-                    barrier_hist["edges"], barrier_hist["heights"]
-                ),
-                analysis.DiscreteDensity.from_histogram(
-                    rmse_hist["edges"], rmse_hist["heights"]
-                ),
-            )
+        if np.array_equal(barrier_hist.edges, rmse_hist.edges):
+            jsd_value = analysis.jsd(barrier_hist, rmse_hist)
         else:
             jsd_note = "histogram edges differ; divergence not computed"
     elif barrier_hist is not None or rmse_hist is not None:
-        hist = barrier_hist if barrier_hist is not None else rmse_hist
-        gaussian = rmse if barrier_hist is not None else barrier
-        sampled = analysis.DiscreteDensity.from_histogram(
-            hist["edges"], hist["heights"]
+        sampled, gaussian = (
+            (barrier_hist, rmse) if barrier_hist is not None else (rmse_hist, barrier)
         )
-        jsd_value = analysis.jsd(
-            sampled,
-            analysis.DiscreteDensity.from_gaussian(gaussian, hist["edges"]),
-        )
+        gaussian_masses = analysis.DiscreteDensity.from_gaussian(gaussian, sampled.edges)
+        jsd_value = analysis.jsd(sampled, gaussian_masses)
 
     cfg = RunConfig("compare", {"barrier": args.barrier, "rmse": args.rmse})
     doc = cfg.header()
@@ -458,23 +451,7 @@ def _cmd_sensitivity(args) -> int:
             "trials": scale.num_trials,
         },
     )
-    columns = [
-        "axis_value",
-        "mean",
-        "variance",
-        "envelope_min_mean",
-        "envelope_max_mean",
-        "envelope_min_variance",
-        "envelope_max_variance",
-    ]
-    if args.format == "csv":
-        _emit_csv(
-            cfg, columns, [tuple(getattr(r, c) for c in columns) for r in rows], args.out
-        )
-    else:
-        doc = cfg.header()
-        doc["rows"] = [{c: getattr(r, c) for c in columns} for r in rows]
-        _emit_json(doc, args.out)
+    _emit_rows(cfg, analysis.SweepRow, rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -485,10 +462,8 @@ def _cmd_rankcurves(args) -> int:
         base = ingest.parse_variances(_read_text(args.variances))
         source = args.variances
     else:
-        _, dists = _load_pairs(args.pairs)
-        base = np.array(
-            [d.variance for d in ingest.filter_nonvanishing(dists)], dtype=np.float64
-        )
+        _, pairs = _load_pairs(args.pairs)
+        base = ingest.filter_nonvanishing(pairs).variances
         source = args.pairs
     if base.size == 0:
         raise DegenerateInputError("no positive variances available")
@@ -512,24 +487,7 @@ def _cmd_rankcurves(args) -> int:
             "pair_count": int(base.size),
         },
     )
-    if args.format == "csv":
-        _emit_csv(
-            cfg,
-            ["delta", "offset", "error_probability"],
-            [(p.delta, p.offset, p.error_probability) for p in points],
-            args.out,
-        )
-    else:
-        doc = cfg.header()
-        doc["rows"] = [
-            {
-                "delta": p.delta,
-                "offset": p.offset,
-                "error_probability": p.error_probability,
-            }
-            for p in points
-        ]
-        _emit_json(doc, args.out)
+    _emit_rows(cfg, analysis.RankCurvePoint, points, args.format, args.out)
     return EXIT_OK
 
 
@@ -542,10 +500,7 @@ def _cmd_rank(args) -> int:
             f"orderings are keyed by file stem, so stems must be unique"
         )
     mc_cfg = _mc_config_from_args(args)
-    _, dists = _load_pairs(args.pairs)
-    usable = ingest.filter_nonvanishing(dists)
-    if not usable:
-        raise DegenerateInputError("no pairs with nonvanishing variance")
+    _, usable = _load_usable_pairs(args.pairs)
     metric = MetricKind(args.metric)
     systems = [
         _predictors_for(usable, _load_predictors(path), path)
@@ -734,26 +689,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataFormatError as exc:
+    except (DataFormatError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ asked to re-rate the same item scatters around a personal preference value.
 Two quantities recur everywhere downstream:
 
 - per-pair rating distributions, Gaussian ``N(mean, variance)``, fitted from
-  repeated ratings on a bounded discrete scale, and
+  repeated ratings on a bounded discrete scale and held as one
+  :class:`PairTable`: the (user, item) keys plus a ``means`` and a
+  ``variances`` column, and
 - metric-level Gaussian summaries, used both for a recommender's metric score
   and for the Magic Barrier (the metric distribution of the optimal
   recommender).
@@ -20,8 +22,8 @@ Conventions fixed here and relied on by the rest of the package:
   for a Gaussian;
 - ratings inside a tensor are integers on the scale, while means, variances
   and predictions are real-valued;
-- all types are immutable after construction and safe to share across
-  threads.
+- all types are immutable after construction (their arrays are read-only)
+  and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +41,7 @@ __all__ = [
     "DataFormatError",
     "DegenerateInputError",
     "ScaleSpec",
-    "RatingDistribution",
+    "PairTable",
     "PredictorVector",
     "GaussianSummary",
     "MetricKind",
@@ -89,61 +91,88 @@ class ScaleSpec:
         return range(self.min_category, self.max_category + 1)
 
 
-@dataclass(frozen=True)
-class RatingDistribution:
-    """One user-item pair's latent rating, modelled as ``N(mean, variance)``."""
-
-    user_id: str
-    item_id: str
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (math.isfinite(self.variance) and self.variance >= 0.0):
-            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.user_id, self.item_id)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64).reshape(-1)
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
-class PredictorVector:
-    """One recommender system: a real-valued prediction per user-item pair.
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Every user-item pair's latent rating ``N(mean, variance)``, as columns.
 
-    Aligned index-for-index with the rating-distribution list it is evaluated
-    against; ``check_aligned`` enforces that before any metric evaluation.
+    Row i is the pair ``keys[i] = (user, item)``; ``means`` and ``variances``
+    are read-only float64 arrays aligned with ``keys``. Construction copies
+    the columns and validates them once: equal lengths, finite means, finite
+    nonnegative variances and no pair twice.
     """
 
     keys: tuple[tuple[str, str], ...]
-    values: tuple[float, ...]
+    means: np.ndarray
+    variances: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.keys) != len(self.values):
+        keys = tuple(self.keys)
+        means = _readonly(self.means)
+        variances = _readonly(self.variances)
+        if not len(keys) == means.size == variances.size:
             raise ValueError(
-                f"keys and values must have equal length, got "
-                f"{len(self.keys)} vs {len(self.values)}"
+                f"keys, means and variances must have equal length, got "
+                f"{len(keys)}, {means.size} and {variances.size}"
             )
+        if not np.all(np.isfinite(means)):
+            raise ValueError("means must be finite")
+        if not np.all(np.isfinite(variances) & (variances >= 0.0)):
+            raise ValueError("variances must be finite and >= 0")
+        if len(set(keys)) != len(keys):
+            seen: set[tuple[str, str]] = set()
+            duplicate = next(k for k in keys if k in seen or seen.add(k))
+            raise ValueError(f"duplicate pair {duplicate}")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "variances", variances)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.keys)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
-    def check_aligned(self, dists: Sequence[RatingDistribution]) -> None:
-        if len(dists) != len(self.keys):
+@dataclass(frozen=True, eq=False)
+class PredictorVector:
+    """One recommender system: a real-valued prediction per user-item pair.
+
+    ``values`` is a read-only float64 array aligned with ``keys``;
+    ``check_aligned`` enforces that the keys match a :class:`PairTable`'s
+    before any metric evaluation.
+    """
+
+    keys: tuple[tuple[str, str], ...]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = _readonly(self.values)
+        if len(self.keys) != values.size:
+            raise ValueError(
+                f"keys and values must have equal length, got "
+                f"{len(self.keys)} vs {values.size}"
+            )
+        object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def check_aligned(self, pairs: PairTable) -> None:
+        if self.keys == pairs.keys:
+            return
+        if len(self.keys) != len(pairs):
             raise ValueError(
                 f"predictor length {len(self.keys)} does not match "
-                f"{len(dists)} rating distributions"
+                f"{len(pairs)} pairs"
             )
-        for i, (d, k) in enumerate(zip(dists, self.keys)):
-            if d.key != k:
-                raise ValueError(
-                    f"predictor key mismatch at index {i}: {k} vs {d.key}"
-                )
+        i = next(i for i, (k, d) in enumerate(zip(self.keys, pairs.keys)) if k != d)
+        raise ValueError(
+            f"predictor key mismatch at index {i}: {self.keys[i]} vs {pairs.keys[i]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -171,9 +200,6 @@ class GaussianSummary:
 
     def cdf(self, x):
         return gaussian_cdf(self, x)
-
-    def pdf(self, x):
-        return gaussian_pdf(self, x)
 
     def to_json_dict(self) -> dict:
         return {"mean": self.mean, "variance": self.variance}

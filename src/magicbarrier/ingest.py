@@ -2,10 +2,13 @@
 checks, and the population law of rating variances.
 
 The on-disk format is a flat CSV with header ``user,item,trial,rating``; one
-record per observed rating, trial indices 1-based. A tensor slice is the set
-of ratings one user gave one item across trials; each slice is fitted with the
-Gaussian ML parameters (sample mean, population variance). Slices with zero
-variance carry no uncertainty signal and are filtered before any barrier
+record per observed rating, trial indices 1-based. A parsed tensor is columnar:
+integer trial and rating columns plus one integer pair code per record, the
+codes numbering the (user, item) pairs in first-appearance order. A tensor
+slice is the set of ratings one user gave one item across trials; each slice
+is fitted with the Gaussian ML parameters (sample mean, population variance),
+all slices of one length as one block, into a :class:`PairTable`. Slices with
+zero variance carry no uncertainty signal and are filtered before any barrier
 computation.
 
 Two statistical utilities complete the module: a one-sample Kolmogorov-Smirnov
@@ -19,7 +22,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -28,14 +33,13 @@ from scipy.special import kolmogorov
 from .core import (
     DataFormatError,
     DegenerateInputError,
-    RatingDistribution,
+    PairTable,
     ScaleSpec,
     gaussian_cdf,
     GaussianSummary,
 )
 
 __all__ = [
-    "RatingRecord",
     "RatingTensor",
     "ExponentialFit",
     "KSResult",
@@ -54,30 +58,36 @@ TENSOR_HEADER = ("user", "item", "trial", "rating")
 VARIANCE_HEADER = "variance"
 
 
-@dataclass(frozen=True)
-class RatingRecord:
-    user_id: str
-    item_id: str
-    trial: int
-    rating: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingTensor:
-    """Validated re-rating records plus the scale they live on."""
+    """Validated re-rating records, as columns, plus the scale they live on.
 
-    records: tuple[RatingRecord, ...]
+    Record r is the rating ``ratings[r]`` that pair ``pair_keys[codes[r]]``
+    gave in trial ``trials[r]``; pair codes number the (user, item) pairs in
+    first-appearance order.
+    """
+
+    pair_keys: tuple[tuple[str, str], ...]
+    codes: np.ndarray
+    trials: np.ndarray
+    ratings: np.ndarray
     scale: ScaleSpec
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.codes.size
 
-    def pair_slices(self) -> dict[tuple[str, str], list[int]]:
-        """Ratings grouped by (user, item), in first-appearance order."""
-        slices: dict[tuple[str, str], list[int]] = {}
-        for r in self.records:
-            slices.setdefault((r.user_id, r.item_id), []).append(r.rating)
-        return slices
+    def _ratings_by_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ratings sorted by pair code (record order within a pair) and the
+        rating count of each pair."""
+        order = np.argsort(self.codes, kind="stable")
+        counts = np.bincount(self.codes, minlength=len(self.pair_keys))
+        return self.ratings[order], counts
+
+    def pair_slices(self) -> list[np.ndarray]:
+        """Each pair's ratings in record order, indexed by pair code."""
+        ratings, counts = self._ratings_by_pair()
+        ends = np.cumsum(counts).tolist()
+        return [ratings[end - n : end] for end, n in zip(ends, counts.tolist())]
 
 
 @dataclass(frozen=True)
@@ -126,8 +136,11 @@ def parse_tensor(source: str | TextIO, scale: ScaleSpec) -> RatingTensor:
             f"got {','.join(header)!r}"
         )
 
-    records: list[RatingRecord] = []
-    seen: set[tuple[str, str, int]] = set()
+    pair_codes: dict[tuple[str, str], int] = {}
+    codes: list[int] = []
+    trials: list[int] = []
+    ratings: list[int] = []
+    seen: set[tuple[int, int]] = set()
     for row in reader:
         lineno = reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -154,12 +167,22 @@ def parse_tensor(source: str | TextIO, scale: ScaleSpec) -> RatingTensor:
                 f"line {lineno}: rating out of scale: {rating} not in "
                 f"[{scale.min_category}, {scale.max_category}]"
             )
-        triple = (user, item, trial)
-        if triple in seen:
-            raise DataFormatError(f"line {lineno}: duplicate triple {triple}")
-        seen.add(triple)
-        records.append(RatingRecord(user, item, trial, rating))
-    return RatingTensor(tuple(records), scale)
+        code = pair_codes.setdefault((user, item), len(pair_codes))
+        if (code, trial) in seen:
+            raise DataFormatError(
+                f"line {lineno}: duplicate triple {(user, item, trial)}"
+            )
+        seen.add((code, trial))
+        codes.append(code)
+        trials.append(trial)
+        ratings.append(rating)
+    return RatingTensor(
+        tuple(pair_codes),
+        np.array(codes, dtype=np.intp),
+        np.array(trials, dtype=np.int64),
+        np.array(ratings, dtype=np.int64),
+        scale,
+    )
 
 
 def serialize_tensor(tensor: RatingTensor) -> str:
@@ -167,47 +190,51 @@ def serialize_tensor(tensor: RatingTensor) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TENSOR_HEADER)
-    for r in tensor.records:
-        writer.writerow([r.user_id, r.item_id, r.trial, r.rating])
+    for code, trial, rating in zip(
+        tensor.codes.tolist(), tensor.trials.tolist(), tensor.ratings.tolist()
+    ):
+        writer.writerow([*tensor.pair_keys[code], trial, rating])
     return out.getvalue()
 
 
-def fit_pair_gaussians(tensor: RatingTensor) -> list[RatingDistribution]:
+def fit_pair_gaussians(tensor: RatingTensor) -> PairTable:
     """Gaussian ML parameters per (user, item) slice.
 
     Mean is the sample mean; variance is the population variance (divide by
-    n), which is the ML estimate. Constant slices yield variance 0. Slice
-    order follows first appearance in the tensor.
+    n), which is the ML estimate. Constant slices yield variance 0. Rows
+    follow the pair codes, i.e. first appearance in the tensor. All slices of
+    one length are reduced as one block, row by row in record order, so each
+    row gets the same bits as ``mean()`` and ``var()`` of its slice alone.
     """
-    if not tensor.records:
+    if not len(tensor):
         raise DegenerateInputError("cannot fit an empty tensor")
-    fits: list[RatingDistribution] = []
-    for (user, item), ratings in tensor.pair_slices().items():
-        arr = np.asarray(ratings, dtype=np.float64)
-        fits.append(
-            RatingDistribution(user, item, float(arr.mean()), float(arr.var()))
-        )
-    return fits
+    ratings, counts = tensor._ratings_by_pair()
+    ratings = ratings.astype(np.float64)
+    starts = np.cumsum(counts) - counts
+    means = np.empty(counts.size)
+    variances = np.empty(counts.size)
+    for n in np.unique(counts):
+        rows = np.flatnonzero(counts == n)
+        block = ratings[starts[rows, None] + np.arange(n)]
+        means[rows] = block.mean(axis=1)
+        variances[rows] = block.var(axis=1)
+    return PairTable(tensor.pair_keys, means, variances)
 
 
-def filter_nonvanishing(
-    dists: Sequence[RatingDistribution],
-) -> list[RatingDistribution]:
-    """Keep only distributions with strictly positive variance, order preserved."""
-    return [d for d in dists if d.variance > 0.0]
+def filter_nonvanishing(pairs: PairTable) -> PairTable:
+    """Keep only pairs with strictly positive variance, order preserved."""
+    keep = pairs.variances > 0.0
+    return PairTable(
+        tuple(compress(pairs.keys, keep)), pairs.means[keep], pairs.variances[keep]
+    )
 
 
-def nonzero_variance_fraction_by_item(
-    dists: Sequence[RatingDistribution],
-) -> dict[str, float]:
+def nonzero_variance_fraction_by_item(pairs: PairTable) -> dict[str, float]:
     """Per-item fraction of pairs whose fitted variance is nonzero."""
-    totals: dict[str, int] = {}
-    nonzero: dict[str, int] = {}
-    for d in dists:
-        totals[d.item_id] = totals.get(d.item_id, 0) + 1
-        if d.variance > 0.0:
-            nonzero[d.item_id] = nonzero.get(d.item_id, 0) + 1
-    return {item: nonzero.get(item, 0) / n for item, n in totals.items()}
+    items = [item for _, item in pairs.keys]
+    totals = Counter(items)
+    nonzero = Counter(compress(items, pairs.variances > 0.0))
+    return {item: nonzero[item] / n for item, n in totals.items()}
 
 
 def ks_normality_test(

@@ -43,12 +43,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .core import (
-    GaussianSummary,
-    MetricKind,
-    PredictorVector,
-    RatingDistribution,
-)
+from .core import GaussianSummary, MetricKind, PairTable, PredictorVector
 
 __all__ = [
     "MCConfig",
@@ -132,23 +127,18 @@ class MetricSample:
         return doc
 
 
-def optimal_predictors(
-    dists: Sequence[RatingDistribution], metric: MetricKind
-) -> PredictorVector:
+def optimal_predictors(dists: PairTable, metric: MetricKind) -> PredictorVector:
     """Predictors of the metric-optimal recommender.
 
     The expected RMSE is minimised by the per-pair mean and the expected MAE
     by the per-pair median; under the symmetric Gaussian rating model both
     rules give the same prediction, the per-pair mean.
     """
-    if not dists:
+    if not len(dists):
         raise ValueError("need at least one rating distribution")
     if not isinstance(metric, MetricKind):
         raise ValueError(f"unknown metric: {metric!r}")
-    return PredictorVector(
-        keys=tuple(d.key for d in dists),
-        values=tuple(d.mean for d in dists),
-    )
+    return PredictorVector(keys=dists.keys, values=dists.means)
 
 
 def _trial_words(n_pairs: int) -> int:
@@ -243,7 +233,7 @@ def _simulate_values(
 
 
 def simulate_metric(
-    dists: Sequence[RatingDistribution],
+    dists: PairTable,
     predictors: PredictorVector,
     metric: MetricKind,
     cfg: MCConfig,
@@ -264,7 +254,7 @@ def simulate_metric(
 
 
 def simulate_metric_shared(
-    dists: Sequence[RatingDistribution],
+    dists: PairTable,
     predictor_list: Sequence[PredictorVector],
     metric: MetricKind,
     cfg: MCConfig,
@@ -276,16 +266,15 @@ def simulate_metric_shared(
     Returns an array of shape ``(len(predictor_list), cfg.trials)`` where
     column k was computed from one common draw of all pair ratings.
     """
-    if not dists:
+    if not len(dists):
         raise ValueError("need at least one rating distribution")
     if not predictor_list:
         raise ValueError("need at least one predictor vector")
-    means = np.array([d.mean for d in dists], dtype=np.float64)
-    sigmas = np.sqrt(np.array([d.variance for d in dists], dtype=np.float64))
+    means = dists.means
     offsets_list = []
     for p in predictor_list:
         p.check_aligned(dists)
-        offsets_list.append(means - p.as_array())
+        offsets_list.append(means - p.values)
     return _simulate_values(
-        means, sigmas, offsets_list, metric, cfg, workers, clip_bounds
+        means, np.sqrt(dists.variances), offsets_list, metric, cfg, workers, clip_bounds
     )

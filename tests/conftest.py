@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magicbarrier import RatingDistribution, ScaleSpec
+from magicbarrier import PairTable, ScaleSpec
 
 
 @pytest.fixture
@@ -19,14 +19,12 @@ def make_tensor_csv(ratings_by_pair, header="user,item,trial,rating"):
 
 
 def make_dists(variances, means=None, item="i"):
-    """Synthetic rating distributions with the given variances."""
+    """Synthetic pair table with the given variances."""
     variances = np.asarray(variances, dtype=float)
     if means is None:
         means = np.full(variances.size, 3.0)
-    return [
-        RatingDistribution(f"u{k}", item, float(m), float(v))
-        for k, (m, v) in enumerate(zip(means, variances))
-    ]
+    keys = [(f"u{k}", item) for k in range(variances.size)]
+    return PairTable(keys, means, variances)
 
 
 def synthetic_study_tensor(seed=123, users=40, items=5, trials=5):

@@ -13,8 +13,8 @@ import numpy as np
 from magicbarrier import (
     GaussianSummary,
     MetricKind,
+    PairTable,
     PredictorVector,
-    RatingDistribution,
     gaussian_cdf,
     gaussian_pdf,
     interference_probability,
@@ -22,7 +22,7 @@ from magicbarrier import (
 
 
 def evaluate_metric_once(
-    dists: Sequence[RatingDistribution],
+    dists: PairTable,
     predictors: PredictorVector,
     metric: MetricKind,
     draws: Sequence[float],
@@ -34,7 +34,7 @@ def evaluate_metric_once(
         raise ValueError(
             f"expected {len(dists)} draws, got shape {x.shape}"
         )
-    resid = x - predictors.as_array()
+    resid = x - predictors.values
     if metric is MetricKind.RMSE:
         return float(np.sqrt(np.mean(resid * resid)))
     if metric is MetricKind.MAE:

@@ -64,14 +64,16 @@ def test_c1_experimental_record():
     tensor = mb.parse_tensor(path.read_text(encoding="utf-8"), scale)
     dists = mb.fit_pair_gaussians(tensor)
     usable = mb.filter_nonvanishing(dists)
-    variances = [d.variance for d in usable]
+    variances = usable.variances
     fit = mb.fit_exponential(variances)
     barrier = mb.magic_barrier_rmse(variances)
 
-    slices = tensor.pair_slices()
     rejected = sum(
-        mb.ks_normality_test(slices[d.key], d.mean, math.sqrt(d.variance)).rejected
-        for d in usable
+        mb.ks_normality_test(sample, mean, math.sqrt(variance)).rejected
+        for sample, mean, variance in zip(
+            tensor.pair_slices(), dists.means.tolist(), dists.variances.tolist()
+        )
+        if variance > 0.0
     )
     from magicbarrier.ingest import nonzero_variance_fraction_by_item
 
@@ -106,10 +108,7 @@ def agreement_study():
         for n in PAIR_COUNTS:
             mus = rng.uniform(1.0, 5.0, n)
             variances = rng.uniform(0.16, 3.84, n)
-            dists = [
-                mb.RatingDistribution(f"u{k}", "i", float(m), float(v))
-                for k, (m, v) in enumerate(zip(mus, variances))
-            ]
+            dists = mb.PairTable([(f"u{k}", "i") for k in range(n)], mus, variances)
             approx = mb.magic_barrier_rmse(variances)
             cfg = mb.MCConfig(trials=TAU, master_seed=rep * 100 + n)
             optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
@@ -263,10 +262,7 @@ def _convolved_rmse_density(variances, edges, grid_points=2501, span=8.0):
 
 def test_c6_convolution_oracle():
     variances = (0.9, 0.35)
-    dists = [
-        mb.RatingDistribution("u1", "i", 2.0, variances[0]),
-        mb.RatingDistribution("u2", "i", 4.0, variances[1]),
-    ]
+    dists = mb.PairTable([("u1", "i"), ("u2", "i")], [2.0, 4.0], variances)
     cfg = mb.MCConfig(trials=1_000_000, master_seed=66)
     optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
     sample = mb.simulate_metric(dists, optimal, mb.MetricKind.RMSE, cfg, workers=4)
@@ -286,9 +282,9 @@ def test_c7_property_bundle(monkeypatch):
     # determinism across worker counts, bit for bit; the pool is capped at
     # the usable CPUs, so lift the cap to run 4 workers threaded on any host
     monkeypatch.setattr(mb.mc, "_usable_cpus", lambda: 4)
-    dists = [
-        mb.RatingDistribution(f"u{k}", "i", 3.0, 0.2 + 0.05 * k) for k in range(23)
-    ]
+    dists = mb.PairTable(
+        [(f"u{k}", "i") for k in range(23)], [3.0] * 23, 0.2 + 0.05 * np.arange(23)
+    )
     p = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
     cfg = mb.MCConfig(trials=20_000, master_seed=7)
     serial = mb.simulate_metric(dists, p, mb.MetricKind.RMSE, cfg, workers=1)
@@ -318,7 +314,7 @@ def test_c7_property_bundle(monkeypatch):
             break
 
     # ranking masses sum to one
-    other = mb.PredictorVector(keys=p.keys, values=tuple(v + 0.2 for v in p.values))
+    other = mb.PredictorVector(keys=p.keys, values=p.values + 0.2)
     ranking = mb.rank_distribution(
         [p, other], dists, mb.MetricKind.RMSE, mb.MCConfig(trials=9999, master_seed=3)
     )

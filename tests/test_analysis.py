@@ -161,7 +161,7 @@ class TestInterference:
         dists = make_dists(np.tile([0.5, 1.0, 0.7], 20))
         better = optimal_predictors(dists, MetricKind.RMSE)
         worse = PredictorVector(
-            keys=better.keys, values=tuple(v + 1.0 for v in better.values)
+            keys=better.keys, values=better.values + 1.0
         )
         cfg = MCConfig(trials=20_000, master_seed=31)
         sample_a = simulate_metric(dists, worse, MetricKind.RMSE, cfg)
@@ -287,7 +287,7 @@ class TestRankingErrorCurves:
         for offset, seed in ((0.25, 1001), (0.35, 2002)):
             predictions = means - alternating_offsets(offset, n)
             p = PredictorVector(
-                keys=tuple(d.key for d in dists), values=tuple(predictions)
+                keys=dists.keys, values=predictions
             )
             samples.append(
                 simulate_metric(dists, p, MetricKind.RMSE, MCConfig(trials=tau, master_seed=seed))
@@ -328,7 +328,7 @@ class TestRankDistribution:
         dists = make_dists(np.linspace(0.3, 1.5, 20))
         base = optimal_predictors(dists, MetricKind.RMSE)
         systems = [
-            PredictorVector(keys=base.keys, values=tuple(v + s for v in base.values))
+            PredictorVector(keys=base.keys, values=base.values + s)
             for s in shifts
         ]
         cfg = MCConfig(trials=3000, master_seed=12)
@@ -346,7 +346,7 @@ class TestRankDistribution:
         dists = make_dists(np.full(200, 0.5))
         better = optimal_predictors(dists, MetricKind.RMSE)
         worse = PredictorVector(
-            keys=better.keys, values=tuple(v + 1.2 for v in better.values)
+            keys=better.keys, values=better.values + 1.2
         )
         ranking = rank_distribution(
             [worse, better], dists, MetricKind.RMSE, MCConfig(trials=20_000, master_seed=9)
@@ -358,8 +358,8 @@ class TestRankDistribution:
         base = optimal_predictors(dists, MetricKind.RMSE)
         systems = [
             base,
-            PredictorVector(keys=base.keys, values=tuple(v + 0.2 for v in base.values)),
-            PredictorVector(keys=base.keys, values=tuple(v - 0.3 for v in base.values)),
+            PredictorVector(keys=base.keys, values=base.values + 0.2),
+            PredictorVector(keys=base.keys, values=base.values - 0.3),
         ]
         ranking = rank_distribution(systems, dists, MetricKind.RMSE, MCConfig(trials=7777, master_seed=3))
         assert math.fsum(ranking.values()) == pytest.approx(1.0, abs=1e-12)
@@ -368,7 +368,7 @@ class TestRankDistribution:
     def test_reproducible_per_seed(self):
         dists = make_dists([0.5, 0.9])
         base = optimal_predictors(dists, MetricKind.RMSE)
-        other = PredictorVector(keys=base.keys, values=tuple(v + 0.1 for v in base.values))
+        other = PredictorVector(keys=base.keys, values=base.values + 0.1)
         cfg = MCConfig(trials=4000, master_seed=77)
         assert rank_distribution([base, other], dists, MetricKind.RMSE, cfg) == rank_distribution(
             [base, other], dists, MetricKind.RMSE, cfg
@@ -379,8 +379,8 @@ class TestRankDistribution:
         # orderings that put the far system ahead must receive no mass
         dists = make_dists(np.full(100, 0.6))
         base = optimal_predictors(dists, MetricKind.RMSE)
-        near = PredictorVector(keys=base.keys, values=tuple(v + 0.05 for v in base.values))
-        far = PredictorVector(keys=base.keys, values=tuple(v + 1.5 for v in base.values))
+        near = PredictorVector(keys=base.keys, values=base.values + 0.05)
+        far = PredictorVector(keys=base.keys, values=base.values + 1.5)
         ranking = rank_distribution(
             [base, near, far], dists, MetricKind.RMSE, MCConfig(trials=20_000, master_seed=5)
         )

@@ -75,7 +75,7 @@ class TestRmseDistribution:
         variances = np.array([0.3, 1.4, 0.9, 2.2])
         means = np.array([1.0, 2.0, 3.0, 4.0])
         p = optimal_predictors(make_dists(variances, means=means), MetricKind.RMSE)
-        with_offsets = rmse_summary_from_offsets(variances, means - p.as_array())
+        with_offsets = rmse_summary_from_offsets(variances, means - p.values)
         barrier = magic_barrier_rmse(variances)
         assert with_offsets.mean == pytest.approx(barrier.mean, rel=1e-12)
         assert with_offsets.variance == pytest.approx(barrier.variance, rel=1e-12)
@@ -100,7 +100,7 @@ class TestRmseDistribution:
         means = np.full(n, 3.0)
         dists = make_dists(np.full(n, s2), means=means)
         p = PredictorVector(
-            keys=tuple(x.key for x in dists), values=tuple(means - d)
+            keys=dists.keys, values=means - d
         )
         mc = simulate_metric(dists, p, MetricKind.RMSE, MCConfig(trials=tau, master_seed=17))
         se = math.sqrt(closed.variance / tau)
@@ -153,7 +153,7 @@ class TestMaeDistribution:
         means = rng.uniform(1, 5, size=213)
         dists = make_dists(variances, means=means)
         p = optimal_predictors(dists, MetricKind.MAE)
-        closed = mae_summary_from_offsets(variances, means - p.as_array())
+        closed = mae_summary_from_offsets(variances, means - p.values)
         tau = 100_000
         mc = simulate_metric(dists, p, MetricKind.MAE, MCConfig(trials=tau, master_seed=23))
         se = math.sqrt(closed.variance / tau)

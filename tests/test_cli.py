@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from magicbarrier import ingest
 from magicbarrier.cli import main
 
 from conftest import make_tensor_csv, synthetic_study_tensor
@@ -65,6 +66,18 @@ class TestIngest:
     def test_missing_file(self, capsys):
         assert main(["ingest", "/nonexistent/tensor.csv"]) == 2
 
+    def test_one_group_by_per_ingest(self, tmp_path, tensor_file, monkeypatch):
+        calls = []
+        group = ingest.RatingTensor.pair_slices
+
+        def counted(tensor):
+            calls.append(tensor)
+            return group(tensor)
+
+        monkeypatch.setattr(ingest.RatingTensor, "pair_slices", counted)
+        assert main(["ingest", str(tensor_file), "--out", str(tmp_path / "p.json")]) == 0
+        assert len(calls) == 1
+
 
 class TestEstimate:
     def test_barrier_output(self, tmp_path, pairs_file):
@@ -99,6 +112,36 @@ class TestEstimate:
         out = tmp_path / "b.json"
         assert main(["estimate", str(pairs), "--out", str(out)]) == 0
         assert "10 pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            5,
+            ["pairs"],
+            {
+                "scale": {"min_category": 1, "max_category": 5},
+                "pairs": [{"user": "u", "item": "i", "mean": 3, "variance": 0.5}],
+            },
+        ],
+        ids=["number", "list", "scale-field-missing"],
+    )
+    def test_malformed_json_is_data_error(self, tmp_path, capsys, doc):
+        pairs = tmp_path / "odd.json"
+        pairs.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["estimate", str(pairs)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "odd.json" in err
+
+    def test_duplicate_pair_is_data_error(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        entries = [
+            {"user": user, "item": "i", "mean": 3, "variance": 0.5}
+            for user in ("u1", "u2", "u1")
+        ]
+        pairs.write_text(json.dumps({"pairs": entries}), encoding="utf-8")
+        assert main(["estimate", str(pairs)]) == 2
+        err = capsys.readouterr().err
+        assert "pairs.json" in err and "duplicate pair ('u1', 'i')" in err
 
 
 class TestSimulate:
@@ -298,6 +341,21 @@ class TestCompare:
         doc = read_json(report)
         assert doc["interference_probability"] == pytest.approx(0.11507, abs=1e-5)
         assert doc["jsd"] is None
+
+    @pytest.mark.parametrize("missing", ["edges", "heights"])
+    def test_histogram_fields_required(self, tmp_path, capsys, missing):
+        hist = {"edges": [0.6, 0.7, 0.8], "heights": [5.0, 5.0]}
+        del hist[missing]
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"mean": 0.7, "variance": 0.001}), encoding="utf-8")
+        b = tmp_path / "b.json"
+        b.write_text(
+            json.dumps({"mean": 0.7, "variance": 0.001, "histogram": hist}),
+            encoding="utf-8",
+        )
+        assert main(["compare", str(a), str(b)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "b.json" in err
 
     def test_identical_inputs(self, tmp_path):
         a = tmp_path / "a.json"

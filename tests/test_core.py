@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from magicbarrier import (
     DegenerateInputError,
     GaussianSummary,
+    PairTable,
     PredictorVector,
-    RatingDistribution,
     ScaleSpec,
     gaussian_cdf,
     gaussian_pdf,
@@ -138,20 +138,43 @@ class TestGaussianDensity:
 class TestDomainTypes:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            RatingDistribution("u", "i", 3.0, -0.1)
+            PairTable([("u", "i")], [3.0], [-0.1])
         with pytest.raises(ValueError):
             GaussianSummary(0.0, -1e-9)
 
+    @pytest.mark.parametrize(
+        "keys, means, variances, message",
+        [
+            ([("u", "i")], [3.0, 4.0], [0.5], "equal length"),
+            ([("u", "i")], [math.nan], [0.5], "means must be finite"),
+            ([("u", "i")], [3.0], [math.inf], "variances must be finite"),
+            ([("u", "i"), ("u", "j"), ("u", "i")], [3.0] * 3, [0.5] * 3,
+             r"duplicate pair \('u', 'i'\)"),
+        ],
+        ids=["length", "mean", "variance", "duplicate"],
+    )
+    def test_pair_table_validation(self, keys, means, variances, message):
+        with pytest.raises(ValueError, match=message):
+            PairTable(keys, means, variances)
+
+    def test_pair_table_columns_are_read_only_copies(self):
+        means = np.array([1.0, 2.0])
+        table = PairTable([("u1", "i"), ("u2", "i")], means, [0.5, 0.0])
+        means[0] = 9.0
+        assert table.means.tolist() == [1.0, 2.0]
+        assert not table.means.flags.writeable
+        assert not table.variances.flags.writeable
+
     def test_predictor_alignment(self):
-        dists = [
-            RatingDistribution("u1", "i1", 1.0, 0.5),
-            RatingDistribution("u2", "i1", 2.0, 0.5),
-        ]
+        dists = PairTable([("u1", "i1"), ("u2", "i1")], [1.0, 2.0], [0.5, 0.5])
         good = PredictorVector(keys=(("u1", "i1"), ("u2", "i1")), values=(1.0, 2.0))
         good.check_aligned(dists)
         swapped = PredictorVector(keys=(("u2", "i1"), ("u1", "i1")), values=(2.0, 1.0))
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="mismatch at index 0"):
             swapped.check_aligned(dists)
+        renamed = PredictorVector(keys=(("u1", "i1"), ("u3", "i1")), values=(1.0, 2.0))
+        with pytest.raises(ValueError, match="mismatch at index 1"):
+            renamed.check_aligned(dists)
         short = PredictorVector(keys=(("u1", "i1"),), values=(1.0,))
         with pytest.raises(ValueError, match="length"):
             short.check_aligned(dists)

@@ -8,6 +8,7 @@ from magicbarrier import (
     DataFormatError,
     DegenerateInputError,
     ExponentialFit,
+    PairTable,
     ScaleSpec,
     filter_nonvanishing,
     fit_exponential,
@@ -61,13 +62,25 @@ class TestParseTensor:
     def test_crlf_accepted(self, scale_5star):
         text = "user,item,trial,rating\r\nu1,i1,1,3\r\nu1,i1,2,4\r\n"
         tensor = parse_tensor(text, scale_5star)
-        assert [r.rating for r in tensor.records] == [3, 4]
+        assert tensor.ratings.tolist() == [3, 4]
 
     def test_roundtrip_identity(self, scale_5star):
         text = synthetic_study_tensor(seed=11, users=8, items=3)
         tensor = parse_tensor(text, scale_5star)
         again = parse_tensor(serialize_tensor(tensor), scale_5star)
-        assert again == tensor
+        assert again.pair_keys == tensor.pair_keys
+        for column in ("codes", "trials", "ratings"):
+            assert np.array_equal(getattr(again, column), getattr(tensor, column))
+
+    def test_pair_codes_follow_first_appearance(self, scale_5star):
+        text = (
+            "user,item,trial,rating\n"
+            "u2,i1,1,3\nu1,i1,2,4\nu2,i1,2,5\nu1,i2,1,1\nu1,i1,1,2\n"
+        )
+        tensor = parse_tensor(text, scale_5star)
+        assert tensor.pair_keys == (("u2", "i1"), ("u1", "i1"), ("u1", "i2"))
+        assert tensor.codes.tolist() == [0, 1, 0, 2, 1]
+        assert [s.tolist() for s in tensor.pair_slices()] == [[3, 5], [4, 2], [1]]
 
 
 class TestFitPairGaussians:
@@ -80,12 +93,25 @@ class TestFitPairGaussians:
             }
         )
         fits = fit_pair_gaussians(parse_tensor(text, scale_5star))
-        assert fits[0].mean == pytest.approx(1.2)
-        assert fits[0].variance == pytest.approx(0.16)
-        assert fits[1].mean == 3.0
-        assert fits[1].variance == 0.0
-        assert fits[2].mean == pytest.approx(2.6)
-        assert fits[2].variance == pytest.approx(3.84)
+        assert fits.keys == (("u1", "i1"), ("u2", "i1"), ("u3", "i1"))
+        assert fits.means == pytest.approx([1.2, 3.0, 2.6])
+        assert fits.variances == pytest.approx([0.16, 0.0, 3.84])
+        assert fits.variances[1] == 0.0
+
+    def test_blocks_match_per_slice_bits(self):
+        # interleaved slices of 1 to 12 ratings: each row of the length-grouped
+        # reduction must equal mean() and var() of its slice alone
+        rng = np.random.default_rng(5)
+        slices = {(f"u{k}", "i"): rng.integers(1, 6, 1 + k % 12).tolist()
+                  for k in range(120)}
+        lines = ["user,item,trial,rating"]
+        for t in range(12):
+            lines.extend(f"{u},{i},{t + 1},{r[t]}" for (u, i), r in slices.items()
+                         if t < len(r))
+        fits = fit_pair_gaussians(parse_tensor("\n".join(lines), ScaleSpec(1, 5, 12)))
+        for row, ratings in enumerate(slices.values()):
+            arr = np.asarray(ratings, dtype=np.float64)
+            assert fits.means[row] == arr.mean() and fits.variances[row] == arr.var()
 
     def test_empty_tensor_rejected(self, scale_5star):
         tensor = parse_tensor("user,item,trial,rating\n", scale_5star)
@@ -100,9 +126,8 @@ class TestFitPairGaussians:
         shifted = {k: [r + shift for r in v] for k, v in base.items()}
         fits0 = fit_pair_gaussians(parse_tensor(make_tensor_csv(base), scale))
         fits1 = fit_pair_gaussians(parse_tensor(make_tensor_csv(shifted), scale))
-        for f0, f1 in zip(fits0, fits1):
-            assert f1.mean == pytest.approx(f0.mean + shift)
-            assert f1.variance == pytest.approx(f0.variance)
+        assert fits1.means == pytest.approx(fits0.means + shift)
+        assert fits1.variances == pytest.approx(fits0.variances)
 
 
 class TestFilterNonvanishing:
@@ -112,22 +137,19 @@ class TestFilterNonvanishing:
         dists = make_dists([0.3, 0.0, 1.2, 0.0, 0.5, 0.0, 2.0, 0.9, 0.0, 0.1])
         kept = filter_nonvanishing(dists)
         assert len(kept) == 6
-        assert [d.user_id for d in kept] == ["u0", "u2", "u4", "u6", "u7", "u9"]
+        assert [user for user, _ in kept.keys] == ["u0", "u2", "u4", "u6", "u7", "u9"]
 
     def test_all_constant(self):
         from conftest import make_dists
 
-        assert filter_nonvanishing(make_dists([0.0, 0.0])) == []
+        assert len(filter_nonvanishing(make_dists([0.0, 0.0]))) == 0
 
     def test_item_fractions(self):
-        from magicbarrier import RatingDistribution
-
-        dists = [
-            RatingDistribution("u1", "a", 3.0, 0.5),
-            RatingDistribution("u2", "a", 3.0, 0.0),
-            RatingDistribution("u1", "b", 3.0, 1.0),
-            RatingDistribution("u2", "b", 3.0, 1.0),
-        ]
+        dists = PairTable(
+            [("u1", "a"), ("u2", "a"), ("u1", "b"), ("u2", "b")],
+            [3.0] * 4,
+            [0.5, 0.0, 1.0, 1.0],
+        )
         assert nonzero_variance_fraction_by_item(dists) == {"a": 0.5, "b": 1.0}
 
 

@@ -44,22 +44,22 @@ class TestOptimalPredictors:
     def test_rmse_predicts_means(self):
         dists = make_dists([0.16, 3.84, 0.0], means=[1.2, 2.6, 3.0])
         p = optimal_predictors(dists, MetricKind.RMSE)
-        assert p.values == (1.2, 2.6, 3.0)
+        assert p.values.tolist() == [1.2, 2.6, 3.0]
 
     def test_mae_matches_rmse_under_gaussian_model(self):
         dists = make_dists([0.16, 3.84, 0.0], means=[1.2, 2.6, 3.0])
-        assert (
-            optimal_predictors(dists, MetricKind.MAE).values
-            == optimal_predictors(dists, MetricKind.RMSE).values
+        assert np.array_equal(
+            optimal_predictors(dists, MetricKind.MAE).values,
+            optimal_predictors(dists, MetricKind.RMSE).values,
         )
 
     def test_degenerate_pair(self):
         dists = make_dists([0.0], means=[4.0])
-        assert optimal_predictors(dists, MetricKind.RMSE).values == (4.0,)
+        assert optimal_predictors(dists, MetricKind.RMSE).values.tolist() == [4.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            optimal_predictors([], MetricKind.RMSE)
+            optimal_predictors(make_dists([]), MetricKind.RMSE)
 
 
 class TestEvaluateOnce:
@@ -177,12 +177,8 @@ class TestScaling:
         dists = make_dists(variances, means=means)
         scaled = make_dists(variances * c * c, means=means)
         offsets = np.array([0.3, -0.2, 0.1])
-        p = PredictorVector(
-            keys=tuple(d.key for d in dists), values=tuple(means - offsets)
-        )
-        p_scaled = PredictorVector(
-            keys=tuple(d.key for d in scaled), values=tuple(means - offsets * c)
-        )
+        p = PredictorVector(keys=dists.keys, values=means - offsets)
+        p_scaled = PredictorVector(keys=scaled.keys, values=means - offsets * c)
         cfg = MCConfig(trials=2000, master_seed=21)
         base = simulate_metric(dists, p, MetricKind.RMSE, cfg)
         big = simulate_metric(scaled, p_scaled, MetricKind.RMSE, cfg)
@@ -254,7 +250,7 @@ class TestSharedDraws:
     def test_shared_rows_match_single_simulation(self):
         dists = make_dists([0.5, 0.7, 1.2])
         p = optimal_predictors(dists, MetricKind.RMSE)
-        q = PredictorVector(keys=p.keys, values=tuple(v + 0.25 for v in p.values))
+        q = PredictorVector(keys=p.keys, values=p.values + 0.25)
         cfg = MCConfig(trials=512, master_seed=8)
         both = simulate_metric_shared(dists, [p, q], MetricKind.RMSE, cfg)
         alone = simulate_metric(dists, p, MetricKind.RMSE, cfg)
@@ -273,7 +269,7 @@ class TestBlockContract:
 
     def _systems(self, dists):
         p = optimal_predictors(dists, MetricKind.RMSE)
-        q = PredictorVector(keys=p.keys, values=tuple(v + 0.3 for v in p.values))
+        q = PredictorVector(keys=p.keys, values=p.values + 0.3)
         return [p, q]
 
     def _run(self, metric, clip_bounds, workers=1):
