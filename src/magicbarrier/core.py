@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -125,8 +126,7 @@ class PairTable:
         if not np.all(np.isfinite(variances) & (variances >= 0.0)):
             raise ValueError("variances must be finite and >= 0")
         if len(set(keys)) != len(keys):
-            seen: set[tuple[str, str]] = set()
-            duplicate = next(k for k in keys if k in seen or seen.add(k))
+            duplicate = next(k for k, n in Counter(keys).items() if n > 1)
             raise ValueError(f"duplicate pair {duplicate}")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "means", means)
