@@ -70,12 +70,13 @@ class DiscreteDensity:
             raise ValueError(
                 f"need len(edges) == len(masses) + 1, got {edges.size} and {masses.size}"
             )
-        if np.any(np.diff(edges) <= 0.0):
+        # written as negations of the valid case so that NaN is refused too
+        if not np.all(np.diff(edges) > 0.0):
             raise ValueError("edges must be strictly increasing")
-        if np.any(masses < 0.0):
+        if not np.all(masses >= 0.0):
             raise ValueError("masses must be >= 0")
         total = float(masses.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"masses must sum to 1 within 1e-9, got {total}")
         edges.setflags(write=False)
         masses.setflags(write=False)

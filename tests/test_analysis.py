@@ -46,6 +46,10 @@ class TestDiscreteDensity:
             density([1.5, -0.5])
         with pytest.raises(ValueError, match="increasing"):
             DiscreteDensity(edges=np.array([0.0, 0.0, 1.0]), masses=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="increasing"):
+            DiscreteDensity(edges=np.array([0.0, np.nan, 1.0]), masses=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=">= 0"):
+            density([np.nan, 1.0])
 
     def test_from_gaussian_renormalizes(self):
         g = GaussianSummary(0.0, 1.0)

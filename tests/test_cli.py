@@ -342,10 +342,13 @@ class TestCompare:
         assert doc["interference_probability"] == pytest.approx(0.11507, abs=1e-5)
         assert doc["jsd"] is None
 
-    @pytest.mark.parametrize("missing", ["edges", "heights"])
-    def test_histogram_fields_required(self, tmp_path, capsys, missing):
-        hist = {"edges": [0.6, 0.7, 0.8], "heights": [5.0, 5.0]}
-        del hist[missing]
+    @pytest.mark.parametrize(
+        "hist",
+        [{"heights": [5.0, 5.0]}, {"edges": [0.6, 0.7, 0.8]},
+         {"edges": [0.6, math.nan, 0.8], "heights": [5.0, 5.0]}],
+        ids=["no-edges", "no-heights", "nan-edge"],
+    )
+    def test_malformed_histogram_is_data_error(self, tmp_path, capsys, hist):
         a = tmp_path / "a.json"
         a.write_text(json.dumps({"mean": 0.7, "variance": 0.001}), encoding="utf-8")
         b = tmp_path / "b.json"
