@@ -1,7 +1,9 @@
+import argparse
 import csv
 import hashlib
 import json
 import math
+import re
 
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from magicbarrier import ingest
-from magicbarrier.cli import main
+from magicbarrier.cli import build_parser, main
 
 from conftest import make_tensor_csv, synthetic_study_tensor
 
@@ -598,6 +600,31 @@ class TestGoldenDigests:
         assert main([*argv, "--out", "out.json"]) == 0
         assert self.digest("out.json") == expected
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["sensitivity", "--axis", "n", "--grid", "1,7,50,333", "--fixed", "0.7"],
+                "b9ca14e905b3c1b9026bc842a23172f3ad5774249144d77584bce381d51355df",
+            ),
+            (
+                ["rankcurves", "--pairs", "pairs.json", "--deltas", "0.0,0.05,0.1",
+                 "--offsets", "0.0,0.25,0.5"],
+                "b1e1eba7e48d5eb69ea555cd9926dfabf43a97981acffc2fa78f8f85293965e7",
+            ),
+        ],
+        ids=["sensitivity", "rankcurves"],
+    )
+    def test_csv_digest(self, inputs, argv, expected):
+        assert main([*argv, "--format", "csv", "--out", "out.csv"]) == 0
+        text = Path("out.csv").read_text(encoding="utf-8")
+        text, blanked = re.subn(
+            r"\A# tool=magicbarrier version=.*$", "# tool=magicbarrier version=*",
+            text, flags=re.M,
+        )
+        assert blanked == 1
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
     def test_compare_digest(self, inputs):
         assert main(["estimate", "pairs.json", "--out", "barrier.json"]) == 0
         assert main(["simulate", "pairs.json", "--tau", "3000", "--seed", "17",
@@ -643,6 +670,76 @@ class TestTransfer:
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    # every option string of every subcommand, and the defaults a minimal
+    # command line resolves to: the wiring of shared flags must not add,
+    # drop or change one
+    OPTIONS = {
+        "ingest": (
+            ["x.csv"],
+            "--alpha --out --scale-max --scale-min --trials tensor",
+            {"tensor": "x.csv", "alpha": 0.05, "out": None,
+             "scale_min": 1, "scale_max": 5, "trials": 5},
+        ),
+        "estimate": (
+            ["p.json"],
+            "--metric --out pairs",
+            {"pairs": "p.json", "metric": "rmse", "out": None},
+        ),
+        "simulate": (
+            ["p.json"],
+            "--bins --clip --metric --out --predictors --seed --tau --values-out "
+            "--workers pairs",
+            {"pairs": "p.json", "predictors": None, "metric": "rmse", "tau": 100_000,
+             "seed": 0, "workers": 1, "bins": None, "clip": False,
+             "values_out": None, "out": None},
+        ),
+        "compare": (
+            ["a.json", "b.json"],
+            "--out barrier rmse",
+            {"barrier": "a.json", "rmse": "b.json", "out": None},
+        ),
+        "sensitivity": (
+            ["--axis", "n", "--grid", "1", "--fixed", "1"],
+            "--axis --fixed --format --grid --out --scale-max --scale-min --trials",
+            {"axis": "n", "grid": "1", "fixed": 1.0, "scale_min": 1, "scale_max": 5,
+             "trials": 5, "format": "json", "out": None},
+        ),
+        "rankcurves": (
+            ["--deltas", "0", "--offsets", "0"],
+            "--deltas --format --noise-scale --offsets --out --pairs --variances",
+            {"variances": None, "pairs": None, "deltas": "0", "offsets": "0",
+             "noise_scale": 1.0, "format": "json", "out": None},
+        ),
+        "rank": (
+            ["p.json", "--predictors", "a.csv"],
+            "--metric --out --predictors --seed --tau --workers pairs",
+            {"pairs": "p.json", "predictors": ["a.csv"], "metric": "rmse",
+             "tau": 100_000, "seed": 0, "workers": 1, "out": None},
+        ),
+        "transfer": (
+            [],
+            "--bounds --competitor-mean --count --out --rate --seed",
+            {"rate": 2.11, "count": 2_800_000, "bounds": None, "seed": 0,
+             "competitor_mean": 0.8567, "out": None},
+        ),
+    }
+
+    def test_option_strings_pinned(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.OPTIONS)
+        for command, (argv, options, defaults) in self.OPTIONS.items():
+            found = {
+                s
+                for action in sub.choices[command]._actions
+                for s in action.option_strings or [action.dest]
+            }
+            assert found == {"-h", "--help", *options.split()}, command
+            resolved = vars(parser.parse_args([command, *argv]))
+            assert resolved.pop("command") == command
+            assert callable(resolved.pop("func"))
+            assert resolved == defaults, command
 
     def test_missing_required_flag(self):
         assert main(["sensitivity", "--grid", "1,2"]) == 1
