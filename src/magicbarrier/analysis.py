@@ -255,6 +255,8 @@ def sensitivity_sweep(
     """
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
+    if not all(math.isfinite(v) for v in (*grid, fixed)):
+        raise ValueError("grid and fixed values must be finite")
     var_min, var_max = variance_bounds(scale)
     rows: list[SweepRow] = []
     for value in grid:
@@ -306,18 +308,19 @@ class NoiseSweepConfig:
     def __post_init__(self) -> None:
         if not self.relative_differences:
             raise ValueError("need at least one relative difference")
-        if any(d < 0.0 for d in self.relative_differences):
-            raise ValueError("relative differences must be >= 0")
+        # written as negations of the valid case so that NaN is refused too
+        if not all(0.0 <= d < math.inf for d in self.relative_differences):
+            raise ValueError("relative differences must be finite and >= 0")
         if not self.offsets:
             raise ValueError("need at least one offset")
         if any(b < a for a, b in zip(self.offsets, self.offsets[1:])):
             raise ValueError("offsets must be nondecreasing")
-        if any(o < 0.0 for o in self.offsets):
-            raise ValueError("offsets must be >= 0")
+        if not all(0.0 <= o < math.inf for o in self.offsets):
+            raise ValueError("offsets must be finite and >= 0")
         if not self.base_variances:
             raise ValueError("need at least one base variance")
-        if self.noise_scale <= 0.0:
-            raise ValueError(f"noise_scale must be > 0, got {self.noise_scale}")
+        if not 0.0 < self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and > 0, got {self.noise_scale}")
 
 
 @dataclass(frozen=True)

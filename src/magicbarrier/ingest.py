@@ -49,6 +49,7 @@ __all__ = [
     "filter_nonvanishing",
     "nonzero_variance_fraction_by_item",
     "ks_normality_test",
+    "ks_test_slices",
     "fit_exponential",
     "sample_variances",
     "parse_variances",
@@ -265,6 +266,29 @@ def ks_normality_test(
     sqrt_n = math.sqrt(n)
     p = float(kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d))
     return KSResult(statistic=d, p_value=p, rejected=p < alpha)
+
+
+def ks_test_slices(
+    tensor: RatingTensor, pairs: PairTable, alpha: float = 0.05
+) -> tuple[int, int]:
+    """KS-test every nonconstant slice of ``tensor`` against its fitted Gaussian.
+
+    ``pairs`` is the tensor's fit (rows by pair code, as
+    :func:`fit_pair_gaussians` returns them). Groups the tensor once and runs
+    one :func:`ks_normality_test` per slice with nonzero variance; returns
+    ``(tested, rejected)``.
+    """
+    if pairs.keys != tensor.pair_keys:
+        raise ValueError("pairs must be the fit of the tensor, row by pair code")
+    tested = rejected = 0
+    # a slice with nonzero variance has at least two ratings
+    for sample, mean, variance in zip(
+        tensor.pair_slices(), pairs.means.tolist(), pairs.variances.tolist()
+    ):
+        if variance > 0.0:
+            tested += 1
+            rejected += ks_normality_test(sample, mean, math.sqrt(variance), alpha).rejected
+    return tested, rejected
 
 
 def fit_exponential(variances: Iterable[float]) -> ExponentialFit:

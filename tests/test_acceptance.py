@@ -68,14 +68,9 @@ def test_c1_experimental_record():
     fit = mb.fit_exponential(variances)
     barrier = mb.magic_barrier_rmse(variances)
 
-    rejected = sum(
-        mb.ks_normality_test(sample, mean, math.sqrt(variance)).rejected
-        for sample, mean, variance in zip(
-            tensor.pair_slices(), dists.means.tolist(), dists.variances.tolist()
-        )
-        if variance > 0.0
-    )
-    from magicbarrier.ingest import nonzero_variance_fraction_by_item
+    from magicbarrier.ingest import ks_test_slices, nonzero_variance_fraction_by_item
+
+    _, rejected = ks_test_slices(tensor, dists)
 
     fractions = nonzero_variance_fraction_by_item(dists)
 

@@ -278,22 +278,56 @@ class TestSimulate:
             ["--seed", "-1"],
             ["--seed", str(2**64)],
             ["--tau", "0"],
+            ["ingest", "--alpha", "7"],
+            ["ingest", "--alpha", "nan"],
+            ["transfer", "--rate", "0"],
+            ["transfer", "--rate", "nan"],
+            ["transfer", "--bounds", "1,0"],
+            ["transfer", "--competitor-mean", "nan"],
+            ["rankcurves", "--noise-scale", "nan"],
+            ["rankcurves", "--deltas", "inf"],
+            ["sensitivity", "--axis", "variance", "--grid", "0.5", "--fixed", "inf"],
+            ["sensitivity", "--axis", "n", "--grid", "inf", "--fixed", "0.5"],
+            ["sensitivity", "--axis", "n", "--grid", "10", "--fixed", "nan"],
         ],
-        ids=["workers-0", "workers-neg", "seed-neg", "seed-2^64", "tau-0"],
+        ids=[
+            "workers-0", "workers-neg", "seed-neg", "seed-2^64", "tau-0",
+            "ingest-alpha-7", "ingest-alpha-nan", "transfer-rate-0", "transfer-rate-nan",
+            "transfer-bounds-reversed", "transfer-competitor-nan", "rankcurves-noise-nan",
+            "rankcurves-delta-inf", "sensitivity-fixed-inf", "sensitivity-grid-inf",
+            "sensitivity-fixed-nan",
+        ],
     )
     def test_mc_flags_out_of_range_are_usage_errors(
-        self, pairs_file, capsys, flags
+        self, tmp_path, pairs_file, tensor_file, capsys, flags
     ):
-        commands = [
-            ["simulate", str(pairs_file), "--tau", "10"],
-            ["rank", str(pairs_file), "--predictors", "x.csv", "--tau", "10"],
-        ]
-        if flags[0] == "--seed":
-            # transfer draws its variances from a seed with the same bounds
-            commands.append(["transfer", "--count", "10"])
-        for argv in commands:
+        constant = tmp_path / "constant.csv"
+        constant.write_text(make_tensor_csv({("u", "i"): [3] * 5}), encoding="utf-8")
+        variances = tmp_path / "variances.csv"
+        variances.write_text("variance\n0.5\n", encoding="utf-8")
+        commands = {
+            # an all-constant tensor runs no KS test, so alpha is checked up front
+            "ingest": [["ingest", str(tensor_file)], ["ingest", str(constant)]],
+            "transfer": [["transfer", "--count", "10"]],
+            "rankcurves": [["rankcurves", "--variances", str(variances),
+                            "--deltas", "0.1", "--offsets", "0.0"]],
+            "sensitivity": [["sensitivity"]],
+        }
+        if flags[0] in commands:
+            argvs = commands[flags[0]]
+            flags = flags[1:]
+        else:
+            argvs = [
+                ["simulate", str(pairs_file), "--tau", "10"],
+                ["rank", str(pairs_file), "--predictors", "x.csv", "--tau", "10"],
+            ]
+            if flags[0] == "--seed":
+                # transfer draws its variances from a seed with the same bounds
+                argvs.append(["transfer", "--count", "10"])
+        for argv in argvs:
             assert main([*argv, *flags]) == 1
-            assert "usage error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and "Traceback" not in err
 
     def test_clip_flag_changes_draws(self, tmp_path, pairs_file):
         free = tmp_path / "free.json"

@@ -18,7 +18,11 @@ from magicbarrier import (
     sample_variances,
     serialize_tensor,
 )
-from magicbarrier.ingest import nonzero_variance_fraction_by_item, parse_variances
+from magicbarrier.ingest import (
+    ks_test_slices,
+    nonzero_variance_fraction_by_item,
+    parse_variances,
+)
 
 from conftest import make_tensor_csv, synthetic_study_tensor
 
@@ -195,6 +199,29 @@ class TestKSNormality:
     def test_too_small_sample(self):
         with pytest.raises(ValueError):
             ks_normality_test([1.0], 1.0, 1.0)
+
+    def test_slice_tally_tests_each_nonconstant_slice(self):
+        # pair (u2, i1) is constant; (u1, i1) holds its records apart
+        text = make_tensor_csv(
+            {("u1", "i1"): [1, 5, 1, 5, 3], ("u2", "i1"): [4] * 5, ("u1", "i2"): [2, 3]}
+        )
+        tensor = parse_tensor(text, ScaleSpec(1, 5, 5))
+        pairs = fit_pair_gaussians(tensor)
+        tested, rejected = ks_test_slices(tensor, pairs, alpha=0.5)
+        expected = [
+            ks_normality_test(sample, mean, np.sqrt(variance), alpha=0.5).rejected
+            for sample, mean, variance in zip(
+                tensor.pair_slices(), pairs.means, pairs.variances
+            )
+            if variance > 0.0
+        ]
+        assert (tested, rejected) == (2, sum(expected))
+
+    def test_slice_tally_refuses_a_foreign_fit(self, scale_5star):
+        tensor = parse_tensor(make_tensor_csv({("u", "i"): [1, 2]}), scale_5star)
+        other = PairTable([("v", "i")], [1.5], [0.25])
+        with pytest.raises(ValueError, match="fit of the tensor"):
+            ks_test_slices(tensor, other)
 
 
 class TestExponentialFit:
