@@ -22,7 +22,6 @@ from .core import (
     PredictorVector,
     ScaleSpec,
     gaussian_cdf,
-    gaussian_pdf,
     variance_bounds,
 )
 from .ingest import (
@@ -35,7 +34,6 @@ from .ingest import (
     ks_normality_test,
     parse_tensor,
     sample_variances,
-    serialize_tensor,
 )
 from .mc import (
     MCConfig,
@@ -55,7 +53,6 @@ from .analysis import (
     NoiseSweepConfig,
     improvement_criterion,
     interference_probability,
-    interference_probability_empirical,
     jsd,
     kl_divergence,
     rank_distribution,
@@ -75,12 +72,10 @@ __all__ = [
     "MetricKind",
     "variance_bounds",
     "gaussian_cdf",
-    "gaussian_pdf",
     "RatingTensor",
     "ExponentialFit",
     "KSResult",
     "parse_tensor",
-    "serialize_tensor",
     "fit_pair_gaussians",
     "filter_nonvanishing",
     "ks_normality_test",
@@ -99,7 +94,6 @@ __all__ = [
     "kl_divergence",
     "jsd",
     "interference_probability",
-    "interference_probability_empirical",
     "ImprovementDecision",
     "improvement_criterion",
     "sensitivity_sweep",

@@ -46,7 +46,6 @@ __all__ = [
     "kl_divergence",
     "jsd",
     "interference_probability",
-    "interference_probability_empirical",
     "ImprovementDecision",
     "improvement_criterion",
     "sensitivity_sweep",
@@ -133,19 +132,12 @@ def kl_divergence(p: DiscreteDensity, q: DiscreteDensity) -> float:
     return float(np.sum(pm * np.log2(pm / qm)))
 
 
-def jsd(p: DiscreteDensity, q: DiscreteDensity, normalizer: float = 1.0) -> float:
-    """Jensen-Shannon divergence against the equal mixture, in bits, divided
-    by ``normalizer``.
-
-    With base-2 logs the raw value lies in [0, 1]; the normalizer is exposed
-    because published "normed" values divide by varying constants.
-    """
-    if normalizer <= 0.0:
-        raise ValueError(f"normalizer must be > 0, got {normalizer}")
+def jsd(p: DiscreteDensity, q: DiscreteDensity) -> float:
+    """Jensen-Shannon divergence against the equal mixture, in bits, so in
+    [0, 1]."""
     _require_same_edges(p, q)
     mixture = DiscreteDensity(p.edges, 0.5 * (p.masses + q.masses))
-    value = 0.5 * kl_divergence(p, mixture) + 0.5 * kl_divergence(q, mixture)
-    return value / normalizer
+    return 0.5 * kl_divergence(p, mixture) + 0.5 * kl_divergence(q, mixture)
 
 
 def interference_probability(a: GaussianSummary, b: GaussianSummary) -> float:
@@ -163,20 +155,6 @@ def interference_probability(a: GaussianSummary, b: GaussianSummary) -> float:
         return 1.0 if a.mean > b.mean else 0.0
     diff = GaussianSummary(0.0, 1.0)
     return diff.cdf((a.mean - b.mean) / math.sqrt(total_var))
-
-
-def interference_probability_empirical(a: MetricSample, b: MetricSample) -> float:
-    """P(A > B) from two metric samples evaluated on shared draws.
-
-    Trial-wise comparison avoids the binning bias a histogram integral would
-    introduce; requires equal trial counts with aligned trial indices.
-    """
-    if a.values.shape != b.values.shape:
-        raise ValueError(
-            f"samples must have equal trial counts, got "
-            f"{a.values.shape} vs {b.values.shape}"
-        )
-    return float(np.mean(a.values > b.values))
 
 
 @dataclass(frozen=True)

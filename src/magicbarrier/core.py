@@ -48,7 +48,6 @@ __all__ = [
     "MetricKind",
     "variance_bounds",
     "gaussian_cdf",
-    "gaussian_pdf",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -262,16 +261,6 @@ def gaussian_cdf(g: GaussianSummary, x):
 
     z = (np.asarray(x, dtype=np.float64) - g.mean) / (g.std * _SQRT2)
     return 0.5 * erfc(-z)
-
-
-def gaussian_pdf(g: GaussianSummary, x):
-    """Density of ``g`` at ``x`` (scalar or array). Undefined for zero variance."""
-    if g.variance == 0.0:
-        raise DegenerateInputError("density undefined for zero variance")
-    x = np.asarray(x, dtype=np.float64)
-    z2 = (x - g.mean) ** 2 / (2.0 * g.variance)
-    out = np.exp(-z2) / math.sqrt(2.0 * math.pi * g.variance)
-    return float(out) if out.ndim == 0 else out
 
 
 def as_float_array(values: Iterable[float], name: str) -> np.ndarray:

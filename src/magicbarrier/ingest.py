@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -44,7 +44,6 @@ __all__ = [
     "ExponentialFit",
     "KSResult",
     "parse_tensor",
-    "serialize_tensor",
     "fit_pair_gaussians",
     "filter_nonvanishing",
     "nonzero_variance_fraction_by_item",
@@ -114,17 +113,15 @@ class KSResult:
     rejected: bool
 
 
-def parse_tensor(source: str | TextIO, scale: ScaleSpec) -> RatingTensor:
-    """Parse tensor CSV (header ``user,item,trial,rating``) into a tensor.
+def parse_tensor(source: str, scale: ScaleSpec) -> RatingTensor:
+    """Parse tensor CSV text (header ``user,item,trial,rating``) into a tensor.
 
-    Accepts a string or a text stream; LF and CRLF both work. Raises
+    LF and CRLF line endings both work. Raises
     :class:`DataFormatError` with a 1-based line number for malformed lines,
     duplicate (user, item, trial) triples, trial indices outside
     ``1..scale.num_trials``, and ratings outside the scale.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
+    reader = csv.reader(io.StringIO(source))
 
     try:
         header = next(reader)
@@ -184,18 +181,6 @@ def parse_tensor(source: str | TextIO, scale: ScaleSpec) -> RatingTensor:
         np.array(ratings, dtype=np.int64),
         scale,
     )
-
-
-def serialize_tensor(tensor: RatingTensor) -> str:
-    """Inverse of :func:`parse_tensor` on valid tensors (LF line endings)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TENSOR_HEADER)
-    for code, trial, rating in zip(
-        tensor.codes.tolist(), tensor.trials.tolist(), tensor.ratings.tolist()
-    ):
-        writer.writerow([*tensor.pair_keys[code], trial, rating])
-    return out.getvalue()
 
 
 def fit_pair_gaussians(tensor: RatingTensor) -> PairTable:
@@ -340,11 +325,9 @@ def sample_variances(
     return out
 
 
-def parse_variances(source: str | TextIO) -> np.ndarray:
-    """Parse a variance file: header ``variance``, one positive real per line."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    lines = source.read().splitlines()
+def parse_variances(source: str) -> np.ndarray:
+    """Parse variance file text: header ``variance``, one positive real per line."""
+    lines = source.splitlines()
     if not lines or lines[0].strip().lstrip("﻿").lower() != VARIANCE_HEADER:
         raise DataFormatError(f"line 1: expected header {VARIANCE_HEADER!r}")
     values: list[float] = []

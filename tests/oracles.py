@@ -6,19 +6,48 @@ the package computes another way, kept small enough to be read at a glance.
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from typing import Sequence
 
 import numpy as np
 
 from magicbarrier import (
+    DegenerateInputError,
     GaussianSummary,
     MetricKind,
+    MetricSample,
     PairTable,
     PredictorVector,
+    RatingTensor,
     gaussian_cdf,
-    gaussian_pdf,
     interference_probability,
 )
+from magicbarrier.ingest import TENSOR_HEADER
+
+
+def gaussian_pdf(g: GaussianSummary, x):
+    """Density of ``g`` at ``x`` (scalar or array). Undefined for zero variance."""
+    if g.variance == 0.0:
+        raise DegenerateInputError("density undefined for zero variance")
+    x = np.asarray(x, dtype=np.float64)
+    z2 = (x - g.mean) ** 2 / (2.0 * g.variance)
+    out = np.exp(-z2) / math.sqrt(2.0 * math.pi * g.variance)
+    return float(out) if out.ndim == 0 else out
+
+
+def serialize_tensor(tensor: RatingTensor) -> str:
+    """Tensor CSV text of ``tensor`` (LF line endings); ``parse_tensor``
+    must read it back to the same columns."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(TENSOR_HEADER)
+    for code, trial, rating in zip(
+        tensor.codes.tolist(), tensor.trials.tolist(), tensor.ratings.tolist()
+    ):
+        writer.writerow([*tensor.pair_keys[code], trial, rating])
+    return out.getvalue()
 
 
 def evaluate_metric_once(
@@ -62,6 +91,17 @@ def interference_probability_quadrature(
     x = np.linspace(lo, hi, points)
     integrand = gaussian_pdf(b, x) * (1.0 - gaussian_cdf(a, x))
     return float(np.trapezoid(integrand, x))
+
+
+def interference_probability_empirical(a: MetricSample, b: MetricSample) -> float:
+    """P(A > B) from two metric samples evaluated on shared draws, trial by
+    trial; requires equal trial counts with aligned trial indices."""
+    if a.values.shape != b.values.shape:
+        raise ValueError(
+            f"samples must have equal trial counts, got "
+            f"{a.values.shape} vs {b.values.shape}"
+        )
+    return float(np.mean(a.values > b.values))
 
 
 def interference_probability_mc(

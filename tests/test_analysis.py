@@ -15,7 +15,6 @@ from magicbarrier import (
     PredictorVector,
     improvement_criterion,
     interference_probability,
-    interference_probability_empirical,
     jsd,
     kl_divergence,
     rank_distribution,
@@ -28,7 +27,11 @@ from magicbarrier.analysis import alternating_offsets
 from magicbarrier.mc import optimal_predictors
 
 from conftest import make_dists
-from oracles import interference_probability_mc, interference_probability_quadrature
+from oracles import (
+    interference_probability_empirical,
+    interference_probability_mc,
+    interference_probability_quadrature,
+)
 
 
 def density(masses, edges=None):
@@ -92,10 +95,6 @@ class TestJSD:
 
     def test_disjoint_supports_hit_the_maximum(self):
         assert jsd(density([1.0, 0.0]), density([0.0, 1.0])) == pytest.approx(1.0)
-
-    def test_normalizer(self):
-        p, q = density([1.0, 0.0]), density([0.0, 1.0])
-        assert jsd(p, q, normalizer=2 * math.log(2)) == pytest.approx(1 / (2 * math.log(2)))
 
     @given(
         raw_p=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),

@@ -13,9 +13,10 @@ from magicbarrier import (
     PredictorVector,
     ScaleSpec,
     gaussian_cdf,
-    gaussian_pdf,
     variance_bounds,
 )
+
+from oracles import gaussian_pdf
 
 
 def brute_force_bounds(scale):

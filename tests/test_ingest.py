@@ -16,7 +16,6 @@ from magicbarrier import (
     ks_normality_test,
     parse_tensor,
     sample_variances,
-    serialize_tensor,
 )
 from magicbarrier.ingest import (
     ks_test_slices,
@@ -25,6 +24,7 @@ from magicbarrier.ingest import (
 )
 
 from conftest import make_tensor_csv, synthetic_study_tensor
+from oracles import serialize_tensor
 
 
 class TestParseTensor:
