@@ -283,6 +283,7 @@ class TestSimulate:
             ["transfer", "--rate", "0"],
             ["transfer", "--rate", "nan"],
             ["transfer", "--bounds", "1,0"],
+            ["transfer", "--bounds=-2,-1"],
             ["transfer", "--competitor-mean", "nan"],
             ["rankcurves", "--noise-scale", "nan"],
             ["rankcurves", "--deltas", "inf"],
@@ -293,9 +294,9 @@ class TestSimulate:
         ids=[
             "workers-0", "workers-neg", "seed-neg", "seed-2^64", "tau-0",
             "ingest-alpha-7", "ingest-alpha-nan", "transfer-rate-0", "transfer-rate-nan",
-            "transfer-bounds-reversed", "transfer-competitor-nan", "rankcurves-noise-nan",
-            "rankcurves-delta-inf", "sensitivity-fixed-inf", "sensitivity-grid-inf",
-            "sensitivity-fixed-nan",
+            "transfer-bounds-reversed", "transfer-bounds-massless",
+            "transfer-competitor-nan", "rankcurves-noise-nan", "rankcurves-delta-inf",
+            "sensitivity-fixed-inf", "sensitivity-grid-inf", "sensitivity-fixed-nan",
         ],
     )
     def test_mc_flags_out_of_range_are_usage_errors(
