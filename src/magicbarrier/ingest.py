@@ -116,10 +116,10 @@ class KSResult:
 def parse_tensor(source: str, scale: ScaleSpec) -> RatingTensor:
     """Parse tensor CSV text (header ``user,item,trial,rating``) into a tensor.
 
-    LF and CRLF line endings both work. Raises
-    :class:`DataFormatError` with a 1-based line number for malformed lines,
-    duplicate (user, item, trial) triples, trial indices outside
-    ``1..scale.num_trials``, and ratings outside the scale.
+    LF and CRLF line endings both work. Raises :class:`DataFormatError` with
+    a 1-based line number for malformed lines, duplicate (user, item, trial)
+    triples, trial indices outside ``1..scale.num_trials``, and ratings
+    outside the scale.
     """
     reader = csv.reader(io.StringIO(source))
 
