@@ -289,14 +289,13 @@ class TestSimulate:
             ["rankcurves", "--deltas", "inf"],
             ["sensitivity", "--axis", "variance", "--grid", "0.5", "--fixed", "inf"],
             ["sensitivity", "--axis", "n", "--grid", "inf", "--fixed", "0.5"],
-            ["sensitivity", "--axis", "n", "--grid", "10", "--fixed", "nan"],
         ],
         ids=[
             "workers-0", "workers-neg", "seed-neg", "seed-2^64", "tau-0",
             "ingest-alpha-7", "ingest-alpha-nan", "transfer-rate-0", "transfer-rate-nan",
             "transfer-bounds-reversed", "transfer-bounds-massless",
             "transfer-competitor-nan", "rankcurves-noise-nan", "rankcurves-delta-inf",
-            "sensitivity-fixed-inf", "sensitivity-grid-inf", "sensitivity-fixed-nan",
+            "sensitivity-fixed-inf", "sensitivity-grid-inf",
         ],
     )
     def test_mc_flags_out_of_range_are_usage_errors(
