@@ -453,12 +453,15 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
     try:
         fit = ingest.ExponentialFit(rate=args.rate, sample_size=0)
         variances = ingest.sample_variances(fit, args.count, bounds=bounds, seed=seed)
-        # the simplified criterion assumes comparable spreads, i.e. the
-        # competitor is compared at the barrier's own variance
-        barrier = approx.magic_barrier_rmse(variances)
-        competitor = GaussianSummary(args.competitor_mean, barrier.variance)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    barrier = approx.magic_barrier_rmse(variances)
+    # the simplified criterion assumes comparable spreads, i.e. the competitor
+    # is compared at the barrier's own variance
+    try:
+        competitor = GaussianSummary(args.competitor_mean, barrier.variance)
+    except ValueError as exc:
+        raise _UsageError(f"--competitor-mean: {exc}")
 
     config = {
         "rate": args.rate,
