@@ -17,9 +17,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict, astuple, fields
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -74,12 +77,66 @@ def _emit(args, config: dict, body: dict) -> None:
             "config": config,
             **body,
         }
-        # rows are dataclasses
-        text = json.dumps(doc, indent=2, sort_keys=True, default=asdict) + "\n"
+        # the bytes of json.dumps(doc, indent=2, sort_keys=True), written one
+        # top-level value at a time
+        text = "{\n" + ",\n".join(
+            f"  {encode_basestring_ascii(key)}: {_json_value(doc[key])}" for key in sorted(doc)
+        ) + "\n}\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text, encoding="utf-8")
+
+
+def _json_value(value) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True) renders it one level
+    deep; rows that are dataclasses become objects."""
+    rows = _row_list_json(value)
+    if rows is not None:
+        return rows
+    return json.dumps(value, indent=2, sort_keys=True, default=asdict).replace("\n", "\n  ")
+
+
+def _row_list_json(rows) -> str | None:
+    """A nonempty list of dicts with one set of str keys and str or finite
+    float values, rendered one level deep as json.dumps(indent=2,
+    sort_keys=True) would, one column at a time; None for anything else."""
+    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
+        return None
+    keys = rows[0].keys()
+    if not keys or set(map(type, keys)) != {str}:
+        return None
+    if not all(map(keys.__eq__, map(dict.keys, rows))):
+        return None
+    names = sorted(keys)
+    columns = []
+    for name in names:
+        column = list(map(itemgetter(name), rows))
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            columns.append(map(encode_basestring_ascii, column))
+        elif kinds == {float} and all(map(math.isfinite, column)):
+            columns.append(map(float.__repr__, column))
+        else:
+            return None
+    template = "    {\n" + ",\n".join(
+        f"      {encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in names
+    ) + "\n    }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+
+
+def _warn(message: str) -> None:
+    """Report a condition that does not stop the command, on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _check_output_dirs(args) -> None:
+    """Refuse an output path whose directory does not exist, before any work."""
+    for path in (args.out, getattr(args, "values_out", None)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise DataFormatError(
+                f"cannot write {path}: {Path(path).parent} is not a directory"
+            )
 
 
 def _read_text(path: str) -> str:
@@ -229,7 +286,7 @@ def _cmd_ingest(args) -> tuple[dict, dict]:
     if len(tensor):
         pairs = ingest.fit_pair_gaussians(tensor)
     else:
-        print("warning: empty tensor, nothing to fit", file=sys.stderr)
+        _warn("empty tensor, nothing to fit")
         pairs = PairTable((), (), ())
     nonvanishing = ingest.filter_nonvanishing(pairs)
     fractions = ingest.nonzero_variance_fraction_by_item(pairs)
@@ -238,10 +295,7 @@ def _cmd_ingest(args) -> tuple[dict, dict]:
     if len(nonvanishing):
         rate = ingest.fit_exponential(nonvanishing.variances).rate
     elif len(pairs):
-        print(
-            "warning: all slices constant, exponential fit unavailable",
-            file=sys.stderr,
-        )
+        _warn("all slices constant, exponential fit unavailable")
     tested, rejected = ingest.ks_test_slices(tensor, pairs, alpha=args.alpha)
 
     config = {
@@ -272,10 +326,9 @@ def _cmd_ingest(args) -> tuple[dict, dict]:
 def _cmd_estimate(args) -> tuple[dict, dict]:
     _, usable = _load_usable_pairs(args.pairs)
     if len(usable) < approx.SMALL_N_WARNING_THRESHOLD:
-        print(
-            f"warning: only {len(usable)} pairs; the Gaussian shape assumption "
-            f"for the metric weakens below {approx.SMALL_N_WARNING_THRESHOLD}",
-            file=sys.stderr,
+        _warn(
+            f"only {len(usable)} pairs; the Gaussian shape assumption "
+            f"for the metric weakens below {approx.SMALL_N_WARNING_THRESHOLD}"
         )
     metric = MetricKind(args.metric)
     if metric is MetricKind.RMSE:
@@ -598,6 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_output_dirs(args)
         _emit(args, *args.func(args))
         return EXIT_OK
     except _UsageError as exc:

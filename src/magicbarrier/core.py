@@ -28,7 +28,6 @@ Conventions fixed here and relied on by the rest of the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -220,9 +219,13 @@ class MetricKind(Enum):
 def variance_bounds(scale: ScaleSpec) -> tuple[float, float]:
     """Extreme population variances attainable by ``num_trials`` integer ratings.
 
-    Exhaustively enumerates all multisets of size ``num_trials`` drawn from the
-    scale categories (variance is permutation-invariant, so tuples add
-    nothing) and returns ``(min nonzero variance, max variance)``.
+    Returns ``(min nonzero variance, max variance)`` over all multisets of
+    ``num_trials`` scale categories. The smallest nonzero variance,
+    (t - 1)/t^2, comes only from one rating one step off the others; the
+    largest from splitting the ratings between the two scale ends as evenly
+    as possible. The variance expression is evaluated on exactly those
+    multisets, as sorted tuples, so the bounds carry the bits an exhaustive
+    enumeration of sorted multisets would give.
 
     Raises :class:`DegenerateInputError` for fewer than two trials, where no
     nonzero variance is attainable.
@@ -232,16 +235,19 @@ def variance_bounds(scale: ScaleSpec) -> tuple[float, float]:
         raise DegenerateInputError(
             f"no nonzero variance attainable with num_trials={t}"
         )
-    min_nonzero = math.inf
-    max_var = 0.0
-    for multiset in itertools.combinations_with_replacement(scale.categories, t):
+
+    def variance(multiset: tuple[int, ...]) -> float:
         m = sum(multiset) / t
-        v = sum((x - m) ** 2 for x in multiset) / t
-        if 0.0 < v < min_nonzero:
-            min_nonzero = v
-        if v > max_var:
-            max_var = v
-    return (min_nonzero, max_var)
+        return sum((x - m) ** 2 for x in multiset) / t
+
+    low, high = scale.min_category, scale.max_category
+    one_off = [
+        multiset
+        for c in range(low, high)
+        for multiset in ((c,) * (t - 1) + (c + 1,), (c,) + (c + 1,) * (t - 1))
+    ]
+    split = [(low,) * k + (high,) * (t - k) for k in {t // 2, t - t // 2}]
+    return min(map(variance, one_off)), max(map(variance, split))
 
 
 def gaussian_cdf(g: GaussianSummary, x):

@@ -11,10 +11,20 @@ all slices of one length as one block, into a :class:`PairTable`. Slices with
 zero variance carry no uncertainty signal and are filtered before any barrier
 computation.
 
+Parsing takes a block-wise fast path when the text is plain: the exact
+lower-case header, LF line endings, no blank lines, ids without quotes, NUL
+or whitespace, and trial and rating fields of ASCII digits. The text is then
+gated by one regular expression, split and converted about 64 KiB at a time
+(which bounds the per-record Python objects alive at once), and its ranges
+and duplicate triples are checked with numpy. Any other text, and any text
+that fails a check, goes through the per-line ``csv.reader`` parser, which
+owns every error message and line number.
+
 Two statistical utilities complete the module: a one-sample Kolmogorov-Smirnov
-test of the per-slice normality assumption, and an exponential fit to the
-population of positive slice variances together with a seeded sampler used to
-transfer that population onto records where no re-rating data exists.
+test of the per-slice normality assumption, run over all slices of one length
+as one block, and an exponential fit to the population of positive slice
+variances together with a seeded sampler used to transfer that population
+onto records where no re-rating data exists.
 """
 
 from __future__ import annotations
@@ -22,21 +32,22 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count, filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import kolmogorov
+from scipy.special import erfc, kolmogorov
 
 from .core import (
     DataFormatError,
     DegenerateInputError,
     PairTable,
     ScaleSpec,
-    gaussian_cdf,
     GaussianSummary,
+    _SQRT2,
 )
 
 __all__ = [
@@ -120,7 +131,76 @@ def parse_tensor(source: str, scale: ScaleSpec) -> RatingTensor:
     a 1-based line number for malformed lines, duplicate (user, item, trial)
     triples, trial indices outside ``1..scale.num_trials``, and ratings
     outside the scale.
+
+    Plain text takes a block-wise fast path; anything else, and any text the
+    fast path cannot accept whole, goes through the per-line parser, so each
+    error message and line number comes from that parser.
     """
+    tensor = _parse_blocks(source, scale)
+    return tensor if tensor is not None else _parse_lines(source, scale)
+
+
+# The fast path's gate: the exact lower-case header, then one record per
+# LF-terminated line, with ids free of quotes, NUL and whitespace (which the
+# csv module and strip() treat specially), at most 1024 characters long (well
+# inside the csv module's field-size limit), and trial and rating fields of
+# at most 18 ASCII digits (so they fit int64).
+_FAST_HEADER = ",".join(TENSOR_HEADER) + "\n"
+_FAST_ID = r'[^,"\s\x00]{1,1024}'
+_FAST_RECORDS = re.compile(rf"(?:{_FAST_ID},{_FAST_ID},[0-9]{{1,18}},[0-9]{{1,18}}\n)*")
+# text is split and converted a chunk of about this many characters at a time,
+# which bounds the per-record Python objects alive at once
+_FAST_CHUNK = 1 << 16
+
+
+def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
+    """The tensor of ``source``, parsed chunk by chunk with C-level string
+    splits and numpy checks; None where the text fails the fast-path gate or
+    any check, for the per-line parser to report."""
+    if not source.startswith(_FAST_HEADER):
+        return None
+    pair_codes: dict[tuple[str, str], int] = {}
+    codes, trials, ratings = [], [], []
+    pos = len(_FAST_HEADER)
+    while pos < len(source):
+        end = source.find("\n", pos + _FAST_CHUNK) + 1 or len(source)
+        chunk = source[pos:end]
+        pos = end
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        if _FAST_RECORDS.fullmatch(chunk) is None:
+            return None
+        # four fields per record, then the empty string after the last LF
+        fields = chunk.replace("\n", ",").split(",")
+        keys = list(zip(fields[0::4], fields[1::4]))
+        fresh = filterfalse(pair_codes.__contains__, dict.fromkeys(keys))
+        pair_codes.update(zip(fresh, count(len(pair_codes))))
+        codes.append(np.fromiter(map(pair_codes.__getitem__, keys), np.intp, len(keys)))
+        trials.append(np.fromstring(",".join(fields[2::4]), np.int64, sep=","))
+        ratings.append(np.fromstring(",".join(fields[3::4]), np.int64, sep=","))
+    if not codes:  # no records: nothing for the fast path to save
+        return None
+    codes, trials, ratings = (np.concatenate(c) for c in (codes, trials, ratings))
+    if not (
+        trials.min() >= 1
+        and trials.max() <= scale.num_trials
+        and ratings.min() >= scale.min_category
+        and ratings.max() <= scale.max_category
+    ):
+        return None
+    # duplicate (code, trial) keys, as one integer each where that fits int64
+    width = int(trials.max()) + 1
+    if len(pair_codes) * width >= 2**63:
+        return None
+    key = codes * width + trials
+    key.sort()
+    if np.any(key[1:] == key[:-1]):
+        return None
+    return RatingTensor(tuple(pair_codes), codes, trials, ratings, scale)
+
+
+def _parse_lines(source: str, scale: ScaleSpec) -> RatingTensor:
+    """The per-line parser: ``csv.reader`` with every check made line by line."""
     reader = csv.reader(io.StringIO(source))
 
     try:
@@ -243,14 +323,27 @@ def ks_normality_test(
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     ref = GaussianSummary(mu, sigma * sigma)
-    xs = np.sort(np.asarray(sample, dtype=np.float64))
-    cdf = gaussian_cdf(ref, xs)
+    block = np.asarray(sample, dtype=np.float64).reshape(1, n)
+    d, p = _ks_block(block, np.array([ref.mean], dtype=np.float64), np.array([ref.std]))
+    return KSResult(statistic=float(d[0]), p_value=float(p[0]), rejected=bool(p[0] < alpha))
+
+
+def _ks_block(
+    samples: np.ndarray, means: np.ndarray, stds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """KS statistics and p-values of each row of ``samples`` (rows of equal
+    length n >= 2) against ``N(means[i], stds[i]^2)``, as
+    :func:`ks_normality_test` defines them; each row gets the bits it would
+    get alone."""
+    n = samples.shape[1]
+    xs = np.sort(samples, axis=1)
+    # the arithmetic of gaussian_cdf, row by row
+    cdf = 0.5 * erfc(-((xs - means[:, None]) / (stds * _SQRT2)[:, None]))
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
-    d = float(max(np.max(upper - cdf), np.max(cdf - lower)))
+    d = np.maximum((upper - cdf).max(axis=1), (cdf - lower).max(axis=1))
     sqrt_n = math.sqrt(n)
-    p = float(kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d))
-    return KSResult(statistic=d, p_value=p, rejected=p < alpha)
+    return d, kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d)
 
 
 def ks_test_slices(
@@ -259,21 +352,30 @@ def ks_test_slices(
     """KS-test every nonconstant slice of ``tensor`` against its fitted Gaussian.
 
     ``pairs`` is the tensor's fit (rows by pair code, as
-    :func:`fit_pair_gaussians` returns them). Groups the tensor once and runs
-    one :func:`ks_normality_test` per slice with nonzero variance; returns
+    :func:`fit_pair_gaussians` returns them). Groups the tensor once, stacks
+    the slices with nonzero variance by length and tests each length's block
+    in one pass, with the arithmetic of :func:`ks_normality_test`; returns
     ``(tested, rejected)``.
     """
     if pairs.keys != tensor.pair_keys:
         raise ValueError("pairs must be the fit of the tensor, row by pair code")
-    tested = rejected = 0
-    # a slice with nonzero variance has at least two ratings
-    for sample, mean, variance in zip(
-        tensor.pair_slices(), pairs.means.tolist(), pairs.variances.tolist()
-    ):
-        if variance > 0.0:
-            tested += 1
-            rejected += ks_normality_test(sample, mean, math.sqrt(variance), alpha).rejected
-    return tested, rejected
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    slices = tensor.pair_slices()
+    lengths = np.fromiter(map(len, slices), np.intp, len(slices))
+    # a slice with nonzero variance has at least two ratings; the reference
+    # std is sqrt(sigma * sigma), as GaussianSummary(mu, sigma**2).std
+    tested = np.flatnonzero(pairs.variances > 0.0)
+    tested_lengths = lengths[tested]
+    sigmas = np.sqrt(pairs.variances)
+    stds = np.sqrt(sigmas * sigmas)
+    rejected = 0
+    for n in np.unique(tested_lengths).tolist():
+        rows = tested[tested_lengths == n]
+        block = np.stack([slices[row] for row in rows.tolist()], dtype=np.float64)
+        _, p = _ks_block(block, pairs.means[rows], stds[rows])
+        rejected += int(np.count_nonzero(p < alpha))
+    return int(tested.size), rejected
 
 
 def fit_exponential(variances: Iterable[float]) -> ExponentialFit:

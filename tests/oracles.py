@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from magicbarrier import (
     DegenerateInputError,
@@ -21,6 +23,7 @@ from magicbarrier import (
     PairTable,
     PredictorVector,
     RatingTensor,
+    ScaleSpec,
     gaussian_cdf,
     interference_probability,
 )
@@ -37,6 +40,23 @@ def gaussian_pdf(g: GaussianSummary, x):
     return float(out) if out.ndim == 0 else out
 
 
+def enumerated_variance_bounds(scale: ScaleSpec) -> tuple[float, float]:
+    """``(min nonzero, max)`` population variance over every multiset of
+    ``num_trials`` categories, enumerated as sorted tuples and evaluated with
+    the expression :func:`variance_bounds` applies to its extremal ones."""
+    t = scale.num_trials
+    min_nonzero = math.inf
+    max_var = 0.0
+    for multiset in itertools.combinations_with_replacement(scale.categories, t):
+        m = sum(multiset) / t
+        v = sum((x - m) ** 2 for x in multiset) / t
+        if 0.0 < v < min_nonzero:
+            min_nonzero = v
+        if v > max_var:
+            max_var = v
+    return (min_nonzero, max_var)
+
+
 def serialize_tensor(tensor: RatingTensor) -> str:
     """Tensor CSV text of ``tensor`` (LF line endings); ``parse_tensor``
     must read it back to the same columns."""
@@ -48,6 +68,17 @@ def serialize_tensor(tensor: RatingTensor) -> str:
     ):
         writer.writerow([*tensor.pair_keys[code], trial, rating])
     return out.getvalue()
+
+
+def ks_per_slice(sample, mu: float, sigma: float) -> tuple[float, float]:
+    """KS statistic and p-value of one slice against ``N(mu, sigma^2)``,
+    computed slice by slice through :func:`gaussian_cdf`."""
+    n = len(sample)
+    xs = np.sort(np.asarray(sample, dtype=np.float64))
+    cdf = gaussian_cdf(GaussianSummary(mu, sigma * sigma), xs)
+    d = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(0, n) / n)))
+    sqrt_n = math.sqrt(n)
+    return d, float(kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d))
 
 
 def evaluate_metric_once(

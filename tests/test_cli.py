@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magicbarrier import ingest
+from magicbarrier import approx, cli, ingest, mc
 from magicbarrier.cli import build_parser, main
 
 from conftest import make_tensor_csv, synthetic_study_tensor
@@ -97,6 +99,19 @@ class TestEstimate:
             encoding="utf-8",
         )
         assert main(["estimate", str(pairs)]) == 3
+
+    def test_out_in_missing_directory_is_data_error(
+        self, tmp_path, pairs_file, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimated before the output path was checked")
+
+        monkeypatch.setattr(approx, "magic_barrier_rmse", refuse)
+        out = tmp_path / "missing" / "barrier.json"
+        assert main(["estimate", str(pairs_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(out) in err
+        assert not out.parent.exists()
 
     def test_small_n_warning(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"
@@ -191,6 +206,19 @@ class TestSimulate:
         assert values.size == 500
         assert values.mean() == pytest.approx(doc["mean"], rel=1e-12)
         assert doc["values_path"] == str(raw)
+
+    def test_values_out_in_missing_directory_is_data_error(
+        self, tmp_path, pairs_file, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the output path was checked")
+
+        monkeypatch.setattr(mc, "simulate_metric", refuse)
+        raw = tmp_path / "missing" / "values.f64"
+        assert main(["simulate", str(pairs_file), "--tau", "10", "--values-out", str(raw)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(raw) in err
+        assert not raw.parent.exists()
 
     def test_explicit_predictors(self, tmp_path, pairs_file):
         doc = read_json(pairs_file)
@@ -528,6 +556,63 @@ class TestRank:
         assert main(["rank", str(pairs_file), "--predictors", *paths, "--tau", "100"]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "'sys'" in err
+
+
+# rows of one key set, each column all str or all finite float, with
+# non-ASCII text, subnormals, signed zeros and extreme magnitudes
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _rows(draw):
+    names = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from([_TEXT, _FLOAT])) for _ in names]
+    count = draw(st.integers(1, 6))
+    return [{name: draw(kind) for name, kind in zip(names, kinds)} for _ in range(count)]
+
+
+class TestJsonWriter:
+    """The column-wise row writer reproduces json.dumps(indent=2, sort_keys=True)."""
+
+    @staticmethod
+    def reference(value):
+        # a top-level value of the emitted document sits one level deep
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+    @given(rows=_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_json_dumps(self, rows):
+        assert cli._row_list_json(rows) == self.reference(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [{}],
+            [{"a": 1.0}, {"b": 1.0}],
+            [{"a": 1.0}, {"a": "x"}],
+            [{"a": math.nan}],
+            [{"a": math.inf}],
+            [{"a": 1}],
+            [{"a": True}],
+            [{"a": None}],
+            [{"a": [1.0]}],
+            [{1: 1.0}],
+        ],
+        ids=["empty", "empty-row", "keys-differ", "mixed-column", "nan", "inf",
+             "int", "bool", "null", "nested", "int-key"],
+    )
+    def test_other_values_take_json_dumps(self, rows):
+        assert cli._row_list_json(rows) is None
+        assert cli._json_value(rows) == self.reference(rows)
+
+    def test_percent_in_keys_and_values(self):
+        rows = [{"%s": "%d", "a%%": 1.5}, {"%s": "%", "a%%": -0.0}]
+        assert cli._row_list_json(rows) == self.reference(rows)
 
 
 class TestGoldenDigests:

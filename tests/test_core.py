@@ -16,7 +16,7 @@ from magicbarrier import (
     variance_bounds,
 )
 
-from oracles import gaussian_pdf
+from oracles import enumerated_variance_bounds, gaussian_pdf
 
 
 def brute_force_bounds(scale):
@@ -77,6 +77,13 @@ class TestVarianceBounds:
     def test_matches_enumeration_oracle(self, lo, hi, trials):
         scale = ScaleSpec(lo, hi, trials)
         assert variance_bounds(scale) == pytest.approx(brute_force_bounds(scale))
+
+    @pytest.mark.parametrize("hi", range(5, 11))
+    def test_bits_match_full_enumeration(self, hi):
+        # the extremal multisets alone give the bits of every multiset
+        for trials in range(2, 13):
+            scale = ScaleSpec(1, hi, trials)
+            assert variance_bounds(scale) == enumerated_variance_bounds(scale)
 
 
 class TestGaussianCdf:

@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from magicbarrier import (
     parse_tensor,
     sample_variances,
 )
+from magicbarrier import ingest
 from magicbarrier.ingest import (
     ks_test_slices,
     nonzero_variance_fraction_by_item,
@@ -24,7 +28,7 @@ from magicbarrier.ingest import (
 )
 
 from conftest import make_tensor_csv, synthetic_study_tensor
-from oracles import serialize_tensor
+from oracles import ks_per_slice, serialize_tensor
 
 
 class TestParseTensor:
@@ -85,6 +89,120 @@ class TestParseTensor:
         assert tensor.pair_keys == (("u2", "i1"), ("u1", "i1"), ("u1", "i2"))
         assert tensor.codes.tolist() == [0, 1, 0, 2, 1]
         assert [s.tolist() for s in tensor.pair_slices()] == [[3, 5], [4, 2], [1]]
+
+
+# ids the block-wise fast path takes: no comma, quote, NUL or whitespace
+_FAST_ID = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
+    lambda s: not any(c in ',"\x00' or c.isspace() for c in s)
+)
+
+
+@st.composite
+def _tensor_lines(draw, lowest=0, min_records=0):
+    """A scale and the lines of a valid tensor on it: shuffled records of
+    distinct (user, item, trial) triples, some numbers zero-padded."""
+    lo = draw(st.integers(lowest, 2))
+    scale = ScaleSpec(lo, lo + draw(st.integers(1, 5)), draw(st.integers(1, 6)))
+    pairs = draw(st.lists(st.tuples(_FAST_ID, _FAST_ID), max_size=6, unique=True))
+    records = [
+        (user, item, trial, draw(st.integers(scale.min_category, scale.max_category)))
+        for user, item in pairs
+        for trial in draw(st.sets(st.integers(1, scale.num_trials), min_size=1))
+    ]
+    if len(records) < min_records:
+        records.append(("u", "i", 1, scale.min_category))
+    width = draw(st.integers(1, 3))
+    lines = [
+        f"{u},{i},{t:0{width}d},{r:0{width}d}" for u, i, t, r in draw(st.permutations(records))
+    ]
+    return scale, ["user,item,trial,rating", *lines]
+
+
+def _outcome(read):
+    """The columns (with dtypes) of the tensor ``read()`` returns, or its
+    error message."""
+    try:
+        tensor = read()
+    except DataFormatError as exc:
+        return str(exc)
+    return tensor.pair_keys, *(
+        (column.dtype, column.tolist())
+        for column in (tensor.codes, tensor.trials, tensor.ratings)
+    )
+
+
+def _with_last(change):
+    """A mutation that rewrites the last record's (user, item, trial, rating)."""
+    def mutate(lines, scale):
+        *head, last = lines
+        return "\n".join([*head, ",".join(change(last.split(","), scale))]) + "\n"
+    return mutate
+
+
+# text outside the fast path's gate or checks: the per-line parser reads or
+# rejects it
+_MUTATIONS = {
+    "crlf": lambda lines, scale: "\r\n".join(lines) + "\r\n",
+    "quoted-ids": _with_last(lambda f, scale: [f'"{f[0]}"', f'"{f[1]}"', *f[2:]]),
+    "padded-fields": _with_last(lambda f, scale: [f" {x} " for x in f]),
+    "padded-ids": _with_last(lambda f, scale: [f"\t{f[0]}", f"{f[1]}\u2003", *f[2:]]),
+    "bom": lambda lines, scale: "\ufeff" + "\n".join(lines) + "\n",
+    "upper-header": lambda lines, scale: "\n".join([lines[0].upper(), *lines[1:]]) + "\n",
+    "blank-line": lambda lines, scale: "\n".join([*lines[:-1], "", lines[-1]]) + "\n",
+    "blank-spaces": lambda lines, scale: "\n".join([*lines[:-1], "  ", lines[-1]]) + "\n",
+    "rating-above": _with_last(lambda f, scale: [*f[:3], str(scale.max_category + 1)]),
+    "rating-below": _with_last(lambda f, scale: [*f[:3], str(scale.min_category - 1)]),
+    "trial-zero": _with_last(lambda f, scale: [*f[:2], "0", f[3]]),
+    "trial-above": _with_last(lambda f, scale: [*f[:2], str(scale.num_trials + 1), f[3]]),
+    "duplicate": lambda lines, scale: "\n".join([*lines, lines[-1]]) + "\n",
+    "long-digits": _with_last(lambda f, scale: [*f[:3], "0" * 19 + f[3]]),
+    "plus-sign": _with_last(lambda f, scale: [*f[:2], "+" + f[2], f[3]]),
+    "not-a-number": _with_last(lambda f, scale: [*f[:3], "x"]),
+    "empty-id": _with_last(lambda f, scale: ["", *f[1:]]),
+    "three-fields": _with_last(lambda f, scale: f[:3]),
+    "five-fields": _with_last(lambda f, scale: [*f, "1"]),
+}
+
+
+class TestParseFastPath:
+    """The block-wise fast path reads what the per-line parser reads, and
+    refuses the rest to it."""
+
+    @given(
+        case=_tensor_lines(min_records=1),
+        ending=st.sampled_from(["\n", ""]),
+        chunk=st.integers(1, 64),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_plain_text_takes_the_fast_path(self, case, ending, chunk):
+        scale, lines = case
+        text = "\n".join(lines) + ending
+        with mock.patch.object(ingest, "_FAST_CHUNK", chunk):
+            fast = ingest._parse_blocks(text, scale)
+        assert fast is not None
+        assert _outcome(lambda: fast) == _outcome(lambda: ingest._parse_lines(text, scale))
+
+    @given(
+        case=_tensor_lines(lowest=-3, min_records=1),
+        mutation=st.sampled_from(sorted(_MUTATIONS)),
+        chunk=st.sampled_from([1, 20, 1 << 16]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_other_text_reads_as_the_per_line_parser_reads_it(self, case, mutation, chunk):
+        scale, lines = case
+        text = _MUTATIONS[mutation](lines, scale)
+        with mock.patch.object(ingest, "_FAST_CHUNK", chunk):
+            got = _outcome(lambda: parse_tensor(text, scale))
+        assert got == _outcome(lambda: ingest._parse_lines(text, scale))
+
+    @pytest.mark.parametrize("trial", [str(2**63), "0" * 19 + "1"])
+    def test_numbers_past_18_digits_are_read_per_line(self, trial):
+        # numpy would clamp 2**63 to a trial index this scale allows
+        scale = ScaleSpec(1, 5, 2**63 - 1)
+        text = f"user,item,trial,rating\nu,i,{trial},3\n"
+        assert ingest._parse_blocks(text, scale) is None
+        got = _outcome(lambda: parse_tensor(text, scale))
+        assert got == _outcome(lambda: ingest._parse_lines(text, scale))
 
 
 class TestFitPairGaussians:
@@ -216,6 +334,41 @@ class TestKSNormality:
             if variance > 0.0
         ]
         assert (tested, rejected) == (2, sum(expected))
+
+    def test_blocks_match_per_slice_bits(self):
+        # interleaved slices of 2 to 12 ratings: each row of the length-grouped
+        # KS pass must carry the bits of the slice tested alone
+        rng = np.random.default_rng(9)
+        slices = {(f"u{k}", "i"): rng.integers(1, 6, 2 + k % 11).tolist() for k in range(600)}
+        lines = ["user,item,trial,rating"]
+        for t in range(12):
+            lines.extend(f"{u},{i},{t + 1},{r[t]}" for (u, i), r in slices.items()
+                         if t < len(r))
+        tensor = parse_tensor("\n".join(lines), ScaleSpec(1, 5, 12))
+        pairs = fit_pair_gaussians(tensor)
+        tested = [
+            (np.asarray(ratings, dtype=np.float64), mean, math.sqrt(variance))
+            for ratings, mean, variance in zip(
+                slices.values(), pairs.means.tolist(), pairs.variances.tolist()
+            )
+            if variance > 0.0
+        ]
+        expected = [ks_per_slice(*case) for case in tested]
+        for (sample, mean, sigma), bits in zip(tested, expected):
+            result = ks_normality_test(sample, mean, sigma)
+            assert (result.statistic, result.p_value) == bits
+        for n in range(2, 13):
+            rows = [k for k, (sample, _, _) in enumerate(tested) if sample.size == n]
+            d, p = ingest._ks_block(
+                np.stack([tested[k][0] for k in rows]),
+                np.array([tested[k][1] for k in rows]),
+                np.array([math.sqrt(tested[k][2] * tested[k][2]) for k in rows]),
+            )
+            assert list(zip(d.tolist(), p.tolist())) == [expected[k] for k in rows]
+        for alpha in (0.05, 0.5, 0.9):
+            rejected = sum(p < alpha for _, p in expected)
+            assert ks_test_slices(tensor, pairs, alpha) == (len(expected), rejected)
+        assert 0 < sum(p < 0.5 for _, p in expected) < len(expected)
 
     def test_slice_tally_refuses_a_foreign_fit(self, scale_5star):
         tensor = parse_tensor(make_tensor_csv({("u", "i"): [1, 2]}), scale_5star)

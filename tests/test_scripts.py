@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from magicbarrier import ingest
 from magicbarrier.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +25,18 @@ def run_script(name, *args):
 def test_synthetic_tensor_feeds_ingest(tmp_path):
     tensor = tmp_path / "tensor.csv"
     run_script("make_synthetic_tensor.py", "--users", "5", "--out", str(tensor))
+    assert main(["ingest", str(tensor), "--out", str(tmp_path / "pairs.json")]) == 0
+
+
+def test_synthetic_tensor_takes_the_fast_parse_path(tmp_path, monkeypatch):
+    # a gate that stops matching plain tensors would fall back silently
+    tensor = tmp_path / "tensor.csv"
+    run_script("make_synthetic_tensor.py", "--users", "200", "--out", str(tensor))
+
+    def refuse(source, scale):
+        raise AssertionError("plain tensor text fell back to the per-line parser")
+
+    monkeypatch.setattr(ingest, "_parse_lines", refuse)
     assert main(["ingest", str(tensor), "--out", str(tmp_path / "pairs.json")]) == 0
 
 
