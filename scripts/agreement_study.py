@@ -7,9 +7,10 @@ closed-form barrier distribution against Monte-Carlo simulation: linear
 regression of simulated on approximated moments plus the Jensen-Shannon
 divergence between the sampled histogram and the Gaussian approximation.
 
-The acceptance suite runs the same protocol at tau=1e5; this script exists to
-rerun it at other scales (tau=1e7 reproduces the published setup, budget a few
-hours) and to dump the per-configuration table for plotting.
+The acceptance suite loads this file and runs the same protocol
+(``run_study``) at tau=1e5; as a script it reruns the protocol at other
+scales (tau=1e7 reproduces the published setup, budget a few hours) and dumps
+the per-configuration table for plotting.
 """
 
 import argparse
@@ -22,9 +23,42 @@ import magicbarrier as mb
 from magicbarrier.analysis import DiscreteDensity, jsd
 
 PAIR_COUNTS = (50, 100, 150, 200, 500, 1000)
+# one study row per configuration
+COLUMNS = ("n", "approx_mean", "approx_variance", "sim_mean", "sim_variance", "jsd")
+
+
+def run_study(configs_per_count, tau, seed, workers):
+    """Yield one row (as COLUMNS) per configuration, ``configs_per_count``
+    rounds over PAIR_COUNTS; configuration (rep, n) simulates with master
+    seed ``rep * 100 + n``."""
+    rng = np.random.default_rng(seed)
+    for rep in range(configs_per_count):
+        for n in PAIR_COUNTS:
+            mus = rng.uniform(1.0, 5.0, n)
+            variances = rng.uniform(0.16, 3.84, n)
+            dists = mb.PairTable([(f"u{k}", "i") for k in range(n)], mus, variances)
+            approx = mb.magic_barrier_rmse(variances)
+            cfg = mb.MCConfig(trials=tau, master_seed=rep * 100 + n)
+            optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
+            sample = mb.simulate_metric(dists, optimal, mb.MetricKind.RMSE, cfg, workers=workers)
+            divergence = jsd(
+                DiscreteDensity.from_metric_sample(sample),
+                DiscreteDensity.from_gaussian(approx, sample.bin_edges),
+            )
+            yield (
+                n,
+                approx.mean,
+                approx.variance,
+                sample.summary.mean,
+                sample.summary.variance,
+                divergence,
+            )
 
 
 def linregress(x, y):
+    """Least-squares slope, intercept and R^2 of ``y`` on ``x``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((y - y.mean()) ** 2))
@@ -40,40 +74,16 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="per-configuration CSV")
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
     rows = []
     start = time.perf_counter()
-    for rep in range(args.configs_per_count):
-        for n in PAIR_COUNTS:
-            mus = rng.uniform(1.0, 5.0, n)
-            variances = rng.uniform(0.16, 3.84, n)
-            dists = mb.PairTable([(f"u{k}", "i") for k in range(n)], mus, variances)
-            approx = mb.magic_barrier_rmse(variances)
-            cfg = mb.MCConfig(trials=args.tau, master_seed=rep * 100 + n)
-            optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
-            sample = mb.simulate_metric(
-                dists, optimal, mb.MetricKind.RMSE, cfg, workers=args.workers
-            )
-            divergence = jsd(
-                DiscreteDensity.from_metric_sample(sample),
-                DiscreteDensity.from_gaussian(approx, sample.bin_edges),
-            )
-            rows.append(
-                (
-                    n,
-                    approx.mean,
-                    approx.variance,
-                    sample.summary.mean,
-                    sample.summary.variance,
-                    divergence,
-                )
-            )
-            print(
-                f"n={n:5d} approx=({approx.mean:.5f}, {approx.variance:.3e}) "
-                f"sim=({sample.summary.mean:.5f}, {sample.summary.variance:.3e}) "
-                f"jsd={divergence:.4f}",
-                file=sys.stderr,
-            )
+    for row in run_study(args.configs_per_count, args.tau, args.seed, args.workers):
+        n, approx_mean, approx_variance, sim_mean, sim_variance, divergence = row
+        print(
+            f"n={n:5d} approx=({approx_mean:.5f}, {approx_variance:.3e}) "
+            f"sim=({sim_mean:.5f}, {sim_variance:.3e}) jsd={divergence:.4f}",
+            file=sys.stderr,
+        )
+        rows.append(row)
     elapsed = time.perf_counter() - start
 
     arr = np.asarray(rows)
@@ -87,7 +97,7 @@ def main() -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(f"# tau={args.tau} seed={args.seed}\n")
-            fh.write("n,approx_mean,approx_variance,sim_mean,sim_variance,jsd\n")
+            fh.write(",".join(COLUMNS) + "\n")
             for row in rows:
                 fh.write(",".join(repr(v) for v in row) + "\n")
         print(f"wrote {args.out}")

@@ -25,7 +25,6 @@ from .core import (
     variance_bounds,
 )
 from .ingest import (
-    ExponentialFit,
     KSResult,
     RatingTensor,
     fit_exponential,
@@ -50,7 +49,6 @@ from .approx import (
 from .analysis import (
     DiscreteDensity,
     ImprovementDecision,
-    NoiseSweepConfig,
     improvement_criterion,
     interference_probability,
     jsd,
@@ -73,7 +71,6 @@ __all__ = [
     "variance_bounds",
     "gaussian_cdf",
     "RatingTensor",
-    "ExponentialFit",
     "KSResult",
     "parse_tensor",
     "fit_pair_gaussians",
@@ -90,7 +87,6 @@ __all__ = [
     "rmse_summary_from_offsets",
     "mae_summary_from_offsets",
     "DiscreteDensity",
-    "NoiseSweepConfig",
     "kl_divergence",
     "jsd",
     "interference_probability",

@@ -40,7 +40,6 @@ from .mc import MCConfig, MetricSample, simulate_metric_shared
 
 __all__ = [
     "DiscreteDensity",
-    "NoiseSweepConfig",
     "SweepRow",
     "RankCurvePoint",
     "kl_divergence",
@@ -268,40 +267,6 @@ def sensitivity_sweep(
 
 
 @dataclass(frozen=True)
-class NoiseSweepConfig:
-    """Grid for point-paradigm ranking-error curves.
-
-    Two copies of the optimal recommender are distorted by deterministic
-    per-pair predictor offsets: the first by ``offset * noise_scale``, the
-    second by ``(offset + delta) * noise_scale``, with alternating sign
-    across pairs so no overall mean shift is introduced. ``offset`` tunes the
-    distance from the barrier, ``delta`` the systems' relative difference.
-    """
-
-    relative_differences: tuple[float, ...]
-    offsets: tuple[float, ...]
-    base_variances: tuple[float, ...]
-    noise_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.relative_differences:
-            raise ValueError("need at least one relative difference")
-        # written as negations of the valid case so that NaN is refused too
-        if not all(0.0 <= d < math.inf for d in self.relative_differences):
-            raise ValueError("relative differences must be finite and >= 0")
-        if not self.offsets:
-            raise ValueError("need at least one offset")
-        if any(b < a for a, b in zip(self.offsets, self.offsets[1:])):
-            raise ValueError("offsets must be nondecreasing")
-        if not all(0.0 <= o < math.inf for o in self.offsets):
-            raise ValueError("offsets must be finite and >= 0")
-        if not self.base_variances:
-            raise ValueError("need at least one base variance")
-        if not 0.0 < self.noise_scale < math.inf:
-            raise ValueError(f"noise_scale must be finite and > 0, got {self.noise_scale}")
-
-
-@dataclass(frozen=True)
 class RankCurvePoint:
     delta: float
     offset: float
@@ -314,8 +279,20 @@ def alternating_offsets(level: float, n: int) -> np.ndarray:
     return level * signs
 
 
-def ranking_error_curves(cfg: NoiseSweepConfig) -> list[RankCurvePoint]:
+def ranking_error_curves(
+    base_variances: Sequence[float],
+    relative_differences: Sequence[float],
+    offsets: Sequence[float],
+    noise_scale: float = 1.0,
+) -> list[RankCurvePoint]:
     """Point-paradigm error probability per (delta, offset) grid point.
+
+    Two copies of the optimal recommender on pairs with ``base_variances``
+    are distorted by deterministic per-pair predictor offsets: the first by
+    ``offset * noise_scale``, the second by ``(offset + delta) *
+    noise_scale``, with alternating sign across pairs so no overall mean
+    shift is introduced. ``offset`` (nondecreasing over the grid) tunes the
+    distance from the barrier, ``delta`` the systems' relative difference.
 
     The second system is worse by construction, so the error probability is
     the chance its RMSE realization undercuts the first system's:
@@ -323,13 +300,28 @@ def ranking_error_curves(cfg: NoiseSweepConfig) -> list[RankCurvePoint]:
     systems (``delta = 0``) give 0.5; growing either the offset or the delta
     widens the mean gap and drives the error toward 0.
     """
-    base = as_float_array(cfg.base_variances, "base_variances")
+    if not len(relative_differences):
+        raise ValueError("need at least one relative difference")
+    # written as negations of the valid case so that NaN is refused too
+    if not all(0.0 <= d < math.inf for d in relative_differences):
+        raise ValueError("relative differences must be finite and >= 0")
+    if not len(offsets):
+        raise ValueError("need at least one offset")
+    if any(b < a for a, b in zip(offsets, offsets[1:])):
+        raise ValueError("offsets must be nondecreasing")
+    if not all(0.0 <= o < math.inf for o in offsets):
+        raise ValueError("offsets must be finite and >= 0")
+    if not len(base_variances):
+        raise ValueError("need at least one base variance")
+    if not 0.0 < noise_scale < math.inf:
+        raise ValueError(f"noise_scale must be finite and > 0, got {noise_scale}")
+    base = as_float_array(base_variances, "base_variances")
     n = base.size
     points: list[RankCurvePoint] = []
-    for delta in cfg.relative_differences:
-        for offset in cfg.offsets:
-            d1 = alternating_offsets(offset * cfg.noise_scale, n)
-            d2 = alternating_offsets((offset + delta) * cfg.noise_scale, n)
+    for delta in relative_differences:
+        for offset in offsets:
+            d1 = alternating_offsets(offset * noise_scale, n)
+            d2 = alternating_offsets((offset + delta) * noise_scale, n)
             s1 = rmse_summary_from_offsets(base, d1)
             s2 = rmse_summary_from_offsets(base, d2)
             points.append(

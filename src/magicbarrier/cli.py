@@ -14,8 +14,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric degeneracy.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -207,38 +205,11 @@ def _load_summary(
 
 def _load_predictors(path: str, pairs: PairTable) -> PredictorVector:
     """The predictions CSV at ``path``, one value per pair of ``pairs``."""
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    table: dict[tuple[str, str], float] = {}
+    text = _read_text(path)
     try:
-        header = tuple(h.strip().lstrip("\ufeff").lower() for h in next(reader, []))
-        if header != ("user", "item", "prediction"):
-            raise DataFormatError(f"{path}: line 1: expected header 'user,item,prediction'")
-        for row in reader:
-            i = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            parts = [f.strip() for f in row]
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}: line {i}: expected 3 fields")
-            try:
-                value = float(parts[2])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {i}: prediction must be a number"
-                ) from None
-            key = (parts[0], parts[1])
-            if key in table:
-                raise DataFormatError(f"{path}: line {i}: duplicate pair {key}")
-            table[key] = value
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    try:
-        values = [table[key] for key in pairs.keys]
-    except KeyError as exc:
-        raise DataFormatError(
-            f"{path}: missing prediction for pair {exc.args[0]}"
-        ) from None
-    return PredictorVector(keys=pairs.keys, values=values)
+        return ingest.parse_predictions(text, pairs)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -293,7 +264,7 @@ def _cmd_ingest(args) -> tuple[dict, dict]:
 
     rate = None
     if len(nonvanishing):
-        rate = ingest.fit_exponential(nonvanishing.variances).rate
+        rate = ingest.fit_exponential(nonvanishing.variances)
     elif len(pairs):
         _warn("all slices constant, exponential fit unavailable")
     tested, rejected = ingest.ks_test_slices(tensor, pairs, alpha=args.alpha)
@@ -442,13 +413,10 @@ def _cmd_rankcurves(args) -> tuple[dict, dict]:
         source = args.pairs
     if base.size == 0:
         raise DegenerateInputError("no positive variances available")
+    deltas = _parse_grid(args.deltas, "--deltas")
+    offsets = _parse_grid(args.offsets, "--offsets")
     try:
-        sweep = analysis.NoiseSweepConfig(
-            relative_differences=tuple(_parse_grid(args.deltas, "--deltas")),
-            offsets=tuple(_parse_grid(args.offsets, "--offsets")),
-            base_variances=tuple(base.tolist()),
-            noise_scale=args.noise_scale,
-        )
+        rows = analysis.ranking_error_curves(base, deltas, offsets, args.noise_scale)
     except ValueError as exc:
         raise _UsageError(str(exc))
     config = {
@@ -458,7 +426,7 @@ def _cmd_rankcurves(args) -> tuple[dict, dict]:
         "noise_scale": args.noise_scale,
         "pair_count": int(base.size),
     }
-    return config, {"rows": analysis.ranking_error_curves(sweep)}
+    return config, {"rows": rows}
 
 
 def _cmd_rank(args) -> tuple[dict, dict]:
@@ -504,8 +472,7 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
         bounds = (values[0], values[1])
     seed = _seed_from_args(args)
     try:
-        fit = ingest.ExponentialFit(rate=args.rate, sample_size=0)
-        variances = ingest.sample_variances(fit, args.count, bounds=bounds, seed=seed)
+        variances = ingest.sample_variances(args.rate, args.count, bounds=bounds, seed=seed)
     except ValueError as exc:
         raise _UsageError(str(exc))
     barrier = approx.magic_barrier_rmse(variances)

@@ -1,5 +1,5 @@
-"""Re-rating data ingestion: tensor parsing, per-pair Gaussian fits, normality
-checks, and the population law of rating variances.
+"""Re-rating data ingestion: tensor, predictions and variance parsing, per-pair
+Gaussian fits, normality checks, and the population law of rating variances.
 
 The on-disk format is a flat CSV with header ``user,item,trial,rating``; one
 record per observed rating, trial indices 1-based. A parsed tensor is columnar:
@@ -11,14 +11,21 @@ all slices of one length as one block, into a :class:`PairTable`. Slices with
 zero variance carry no uncertainty signal and are filtered before any barrier
 computation.
 
-Parsing takes a block-wise fast path when the text is plain: the exact
+The tensor, predictions (``user,item,prediction``) and variance
+(``variance``) files share one CSV dialect, read by one record reader: the
+header matches up to case, surrounding whitespace and a byte-order mark,
+fields may be quoted and are stripped, blank lines are skipped, LF and CRLF
+endings both work, and every malformed record, the csv module's own errors
+included, is a :class:`DataFormatError` with its 1-based line number.
+
+Tensor parsing takes a block-wise fast path when the text is plain: the exact
 lower-case header, LF line endings, no blank lines, ids without quotes, NUL
 or whitespace, and trial and rating fields of ASCII digits. The text is then
 gated by one regular expression, split and converted about 64 KiB at a time
 (which bounds the per-record Python objects alive at once), and its ranges
 and duplicate triples are checked with numpy. Any other text, and any text
-that fails a check, goes through the per-line ``csv.reader`` parser, which
-owns every error message and line number.
+that fails a check, goes through the per-line parser on the record reader,
+which owns every error message and line number.
 
 Two statistical utilities complete the module: a one-sample Kolmogorov-Smirnov
 test of the per-slice normality assumption, run over all slices of one length
@@ -36,7 +43,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, filterfalse
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erfc, kolmogorov
@@ -45,6 +52,7 @@ from .core import (
     DataFormatError,
     DegenerateInputError,
     PairTable,
+    PredictorVector,
     ScaleSpec,
     GaussianSummary,
     _SQRT2,
@@ -52,7 +60,6 @@ from .core import (
 
 __all__ = [
     "RatingTensor",
-    "ExponentialFit",
     "KSResult",
     "parse_tensor",
     "fit_pair_gaussians",
@@ -62,11 +69,13 @@ __all__ = [
     "ks_test_slices",
     "fit_exponential",
     "sample_variances",
+    "parse_predictions",
     "parse_variances",
 ]
 
 TENSOR_HEADER = ("user", "item", "trial", "rating")
-VARIANCE_HEADER = "variance"
+PREDICTIONS_HEADER = ("user", "item", "prediction")
+VARIANCE_HEADER = ("variance",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,22 +111,6 @@ class RatingTensor:
 
 
 @dataclass(frozen=True)
-class ExponentialFit:
-    """ML fit of an exponential law to a sample of positive variances."""
-
-    rate: float
-    sample_size: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-
-@dataclass(frozen=True)
 class KSResult:
     statistic: float
     p_value: float
@@ -127,10 +120,10 @@ class KSResult:
 def parse_tensor(source: str, scale: ScaleSpec) -> RatingTensor:
     """Parse tensor CSV text (header ``user,item,trial,rating``) into a tensor.
 
-    LF and CRLF line endings both work. Raises :class:`DataFormatError` with
-    a 1-based line number for malformed lines, duplicate (user, item, trial)
-    triples, trial indices outside ``1..scale.num_trials``, and ratings
-    outside the scale.
+    The text is read in the module's CSV dialect. Raises
+    :class:`DataFormatError` with a 1-based line number for malformed
+    records, duplicate (user, item, trial) triples, trial indices outside
+    ``1..scale.num_trials``, and ratings outside the scale.
 
     Plain text takes a block-wise fast path; anything else, and any text the
     fast path cannot accept whole, goes through the per-line parser, so each
@@ -199,33 +192,45 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
     return RatingTensor(tuple(pair_codes), codes, trials, ratings, scale)
 
 
-def _parse_lines(source: str, scale: ScaleSpec) -> RatingTensor:
-    """The per-line parser: ``csv.reader`` with every check made line by line."""
+def _records(source: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` for each nonblank record of CSV text
+    ``source`` after its header row, every field stripped of surrounding
+    whitespace.
+
+    The header row must equal ``header`` up to case, surrounding whitespace
+    and a byte-order mark, and each record must have ``len(header)`` fields;
+    a violation, like any ``csv.Error``, is a :class:`DataFormatError` with
+    its 1-based line number.
+    """
     reader = csv.reader(io.StringIO(source))
-
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("line 1: missing header row") from None
-    normalized = tuple(h.strip().lstrip("﻿").lower() for h in header)
-    if normalized != TENSOR_HEADER:
-        raise DataFormatError(
-            f"line 1: expected header {','.join(TENSOR_HEADER)!r}, "
-            f"got {','.join(header)!r}"
-        )
+        row = next(reader, None)
+        if row is None:
+            raise DataFormatError("line 1: missing header row")
+        if tuple(h.strip().lstrip("\ufeff").lstrip().lower() for h in row) != header:
+            raise DataFormatError(
+                f"line 1: expected header {','.join(header)!r}, got {','.join(row)!r}"
+            )
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield reader.line_num, [field.strip() for field in row]
+    except csv.Error as exc:
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
 
+
+def _parse_lines(source: str, scale: ScaleSpec) -> RatingTensor:
+    """The per-line parser: every check made record by record."""
     pair_codes: dict[tuple[str, str], int] = {}
     codes: list[int] = []
     trials: list[int] = []
     ratings: list[int] = []
     seen: set[tuple[int, int]] = set()
-    for row in reader:
-        lineno = reader.line_num
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise DataFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        user, item, trial_s, rating_s = (field.strip() for field in row)
+    for lineno, (user, item, trial_s, rating_s) in _records(source, TENSOR_HEADER):
         if not user or not item:
             raise DataFormatError(f"line {lineno}: empty user or item id")
         try:
@@ -378,39 +383,42 @@ def ks_test_slices(
     return int(tested.size), rejected
 
 
-def fit_exponential(variances: Iterable[float]) -> ExponentialFit:
-    """ML exponential fit (rate = 1 / sample mean) to positive variances."""
+def fit_exponential(variances: Iterable[float]) -> float:
+    """ML rate of an exponential law (1 / sample mean) fitted to positive
+    variances."""
     arr = np.asarray(list(variances), dtype=np.float64)
     if arr.size == 0:
         raise DegenerateInputError("exponential fit needs a nonempty sample")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DegenerateInputError("exponential support violated: values must be > 0")
-    return ExponentialFit(rate=float(1.0 / arr.mean()), sample_size=int(arr.size))
+    return float(1.0 / arr.mean())
 
 
 def sample_variances(
-    fit: ExponentialFit,
+    rate: float,
     n: int,
     bounds: tuple[float, float] | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """``n`` reproducible draws from ``Exp(fit.rate)``, optionally truncated.
+    """``n`` reproducible draws from ``Exp(rate)``, optionally truncated.
 
     Truncation is by rejection, so the draws follow the exponential law
     restricted to ``bounds``. Identical ``(seed, n, rate, bounds)`` yield an
     identical array.
     """
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if bounds is not None:
         low, high = bounds
         if not (low < high):
             raise ValueError(f"invalid bounds: need low < high, got {bounds}")
-        accept = math.exp(-fit.rate * max(low, 0.0)) - math.exp(-fit.rate * high)
+        accept = math.exp(-rate * max(low, 0.0)) - math.exp(-rate * high)
         if accept <= 0.0:
             raise ValueError(f"truncation bounds {bounds} carry no probability mass")
     rng = np.random.default_rng(seed)
-    scale = 1.0 / fit.rate
+    scale = 1.0 / rate
     if bounds is None:
         return rng.exponential(scale, size=n)
     low, high = bounds
@@ -427,21 +435,38 @@ def sample_variances(
     return out
 
 
+def parse_predictions(source: str, pairs: PairTable) -> PredictorVector:
+    """Parse predictions CSV text (header ``user,item,prediction``) into one
+    prediction per pair of ``pairs``, in its key order.
+
+    Raises :class:`DataFormatError` for a malformed or duplicate record, with
+    its 1-based line number, and for a pair without a prediction.
+    """
+    table: dict[tuple[str, str], float] = {}
+    for lineno, (user, item, value_s) in _records(source, PREDICTIONS_HEADER):
+        try:
+            value = float(value_s)
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: prediction must be a number") from None
+        if (user, item) in table:
+            raise DataFormatError(f"line {lineno}: duplicate pair {(user, item)}")
+        table[user, item] = value
+    try:
+        values = [table[key] for key in pairs.keys]
+    except KeyError as exc:
+        raise DataFormatError(f"missing prediction for pair {exc.args[0]}") from None
+    return PredictorVector(keys=pairs.keys, values=values)
+
+
 def parse_variances(source: str) -> np.ndarray:
     """Parse variance file text: header ``variance``, one positive real per line."""
-    lines = source.splitlines()
-    if not lines or lines[0].strip().lstrip("﻿").lower() != VARIANCE_HEADER:
-        raise DataFormatError(f"line 1: expected header {VARIANCE_HEADER!r}")
     values: list[float] = []
-    for i, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text:
-            continue
+    for lineno, (text,) in _records(source, VARIANCE_HEADER):
         try:
             v = float(text)
         except ValueError:
-            raise DataFormatError(f"line {i}: not a number: {text!r}") from None
+            raise DataFormatError(f"line {lineno}: not a number: {text!r}") from None
         if not (math.isfinite(v) and v > 0.0):
-            raise DataFormatError(f"line {i}: variance must be > 0, got {text}")
+            raise DataFormatError(f"line {lineno}: variance must be > 0, got {text}")
         values.append(v)
     return np.asarray(values, dtype=np.float64)

@@ -182,56 +182,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _simulate_values(
-    means: np.ndarray,
-    sigmas: np.ndarray,
-    offsets_list: Sequence[np.ndarray],
-    metric: MetricKind,
-    cfg: MCConfig,
-    workers: int,
-    clip_bounds: tuple[float, float] | None,
-) -> np.ndarray:
-    """Shared-draw simulation core; one output row per offsets entry.
-
-    ``offsets_list`` holds, per system, the vector ``means - predictions``.
-    All systems are evaluated on the same rating draws per trial (common
-    random numbers), which is what makes simulated rankings comparable.
-    The kernel works in offset space: a draw's deviation from its pair mean
-    is ``sigma * z``, and clipping the rating to ``[lo, hi]`` clips that
-    deviation to ``[lo - mean, hi - mean]``.
-    """
-    n_pairs = means.size
-    tau = cfg.trials
-    block = max(1, _BLOCK_ELEMENTS // _trial_words(n_pairs))
-    out = np.empty((len(offsets_list), tau), dtype=np.float64)
-    if clip_bounds is not None:
-        lo = clip_bounds[0] - means
-        hi = clip_bounds[1] - means
-
-    def run_task(k0: int) -> None:
-        nt = min(block, tau - k0)
-        delta = _draw_block(cfg.master_seed, k0, nt, n_pairs)
-        delta *= sigmas
-        if clip_bounds is not None:
-            np.clip(delta, lo, hi, out=delta)
-        resid = np.empty((nt, n_pairs), dtype=np.float64)
-        for row, offsets in enumerate(offsets_list):
-            np.add(delta, offsets, out=resid)
-            out[row, k0 : k0 + nt] = _metric_rows(resid, metric)
-
-    starts = range(0, tau, block)
-    # in-flight memory is one block per thread, and threads beyond the
-    # usable CPUs or the tasks only add contention
-    workers = min(workers, _usable_cpus(), len(starts))
-    if workers <= 1:
-        for k0 in starts:
-            run_task(k0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_task, starts))
-    return out
-
-
 def simulate_metric(
     dists: PairTable,
     predictors: PredictorVector,
@@ -264,7 +214,12 @@ def simulate_metric_shared(
     """Metric realizations for several systems on shared per-trial draws.
 
     Returns an array of shape ``(len(predictor_list), cfg.trials)`` where
-    column k was computed from one common draw of all pair ratings.
+    column k was computed from one common draw of all pair ratings (common
+    random numbers), which is what makes simulated rankings comparable. The
+    kernel works in offset space: a draw's deviation from its pair mean is
+    ``sigma * z``, its residual against a system adds that system's offsets
+    ``means - predictions``, and clipping the rating to ``[lo, hi]`` clips
+    the deviation to ``[lo - mean, hi - mean]``.
     """
     if not len(dists):
         raise ValueError("need at least one rating distribution")
@@ -275,6 +230,34 @@ def simulate_metric_shared(
     for p in predictor_list:
         p.check_aligned(dists)
         offsets_list.append(means - p.values)
-    return _simulate_values(
-        means, np.sqrt(dists.variances), offsets_list, metric, cfg, workers, clip_bounds
-    )
+    sigmas = np.sqrt(dists.variances)
+    n_pairs = means.size
+    tau = cfg.trials
+    block = max(1, _BLOCK_ELEMENTS // _trial_words(n_pairs))
+    out = np.empty((len(offsets_list), tau), dtype=np.float64)
+    if clip_bounds is not None:
+        lo = clip_bounds[0] - means
+        hi = clip_bounds[1] - means
+
+    def run_task(k0: int) -> None:
+        nt = min(block, tau - k0)
+        delta = _draw_block(cfg.master_seed, k0, nt, n_pairs)
+        delta *= sigmas
+        if clip_bounds is not None:
+            np.clip(delta, lo, hi, out=delta)
+        resid = np.empty((nt, n_pairs), dtype=np.float64)
+        for row, offsets in enumerate(offsets_list):
+            np.add(delta, offsets, out=resid)
+            out[row, k0 : k0 + nt] = _metric_rows(resid, metric)
+
+    starts = range(0, tau, block)
+    # in-flight memory is one block per thread, and threads beyond the
+    # usable CPUs or the tasks only add contention
+    workers = min(workers, _usable_cpus(), len(starts))
+    if workers <= 1:
+        for k0 in starts:
+            run_task(k0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_task, starts))
+    return out

@@ -7,8 +7,10 @@ point MAGICBARRIER_TENSOR at it (or drop it at data/rerating_tensor.csv) to
 enable the test, otherwise it is skipped, not failed.
 """
 
+import importlib.util
 import math
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -22,23 +24,25 @@ from oracles import interference_probability_mc, interference_probability_quadra
 
 TAU = 100_000
 STUDY_SEED = 0
-PAIR_COUNTS = (50, 100, 150, 200, 500, 1000)
 CONFIGS_PER_COUNT = 10  # 60 configurations in total
+STUDY_PATH = Path(__file__).resolve().parents[1] / "scripts" / "agreement_study.py"
+
+
+def load_study():
+    """``scripts/agreement_study.py`` as a module: the C2/C3 protocol."""
+    spec = importlib.util.spec_from_file_location("agreement_study", STUDY_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+STUDY = load_study()
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{criterion}: {detail}"
-
-
-def _linregress(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    return float(slope), float(intercept), 1.0 - ss_res / ss_tot
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,7 @@ def test_c1_experimental_record():
     dists = mb.fit_pair_gaussians(tensor)
     usable = mb.filter_nonvanishing(dists)
     variances = usable.variances
-    fit = mb.fit_exponential(variances)
+    rate = mb.fit_exponential(variances)
     barrier = mb.magic_barrier_rmse(variances)
 
     from magicbarrier.ingest import ks_test_slices, nonzero_variance_fraction_by_item
@@ -76,7 +80,7 @@ def test_c1_experimental_record():
 
     ok = (
         len(usable) == 213
-        and abs(fit.rate - 2.11) <= 0.02
+        and abs(rate - 2.11) <= 0.02
         and abs(barrier.mean - 0.733) <= 0.005
         and abs(barrier.variance - 0.003) <= 0.0005
         and rejected == 0
@@ -85,7 +89,7 @@ def test_c1_experimental_record():
     _verdict(
         "C1",
         ok,
-        f"pairs={len(usable)} rate={fit.rate:.3f} barrier=({barrier.mean:.4f}, "
+        f"pairs={len(usable)} rate={rate:.3f} barrier=({barrier.mean:.4f}, "
         f"{barrier.variance:.5f}) ks_rejected={rejected}",
     )
 
@@ -96,42 +100,21 @@ def test_c1_experimental_record():
 
 @pytest.fixture(scope="module")
 def agreement_study():
-    rng = np.random.default_rng(STUDY_SEED)
-    records = []
     start = time.perf_counter()
-    for rep in range(CONFIGS_PER_COUNT):
-        for n in PAIR_COUNTS:
-            mus = rng.uniform(1.0, 5.0, n)
-            variances = rng.uniform(0.16, 3.84, n)
-            dists = mb.PairTable([(f"u{k}", "i") for k in range(n)], mus, variances)
-            approx = mb.magic_barrier_rmse(variances)
-            cfg = mb.MCConfig(trials=TAU, master_seed=rep * 100 + n)
-            optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
-            sample = mb.simulate_metric(dists, optimal, mb.MetricKind.RMSE, cfg, workers=4)
-            divergence = jsd(
-                DiscreteDensity.from_metric_sample(sample),
-                DiscreteDensity.from_gaussian(approx, sample.bin_edges),
-            )
-            records.append(
-                {
-                    "n": n,
-                    "approx_mean": approx.mean,
-                    "approx_variance": approx.variance,
-                    "sim_mean": sample.summary.mean,
-                    "sim_variance": sample.summary.variance,
-                    "jsd": divergence,
-                }
-            )
+    records = [
+        dict(zip(STUDY.COLUMNS, row))
+        for row in STUDY.run_study(CONFIGS_PER_COUNT, TAU, STUDY_SEED, workers=4)
+    ]
     return {"records": records, "elapsed": time.perf_counter() - start}
 
 
 def test_c2_approximation_simulation_agreement(agreement_study):
     records = agreement_study["records"]
     assert len(records) >= 60
-    slope_e, intercept_e, r2_e = _linregress(
+    slope_e, intercept_e, r2_e = STUDY.linregress(
         [r["approx_mean"] for r in records], [r["sim_mean"] for r in records]
     )
-    slope_v, intercept_v, r2_v = _linregress(
+    slope_v, intercept_v, r2_v = STUDY.linregress(
         [r["approx_variance"] for r in records], [r["sim_variance"] for r in records]
     )
     ok = (
@@ -168,8 +151,7 @@ def test_c3_jsd_goodness(agreement_study):
 
 
 def test_c4_large_scale_transfer():
-    fit = mb.ExponentialFit(rate=2.11, sample_size=213)
-    variances = mb.sample_variances(fit, 2_800_000, seed=STUDY_SEED)
+    variances = mb.sample_variances(2.11, 2_800_000, seed=STUDY_SEED)
     start = time.perf_counter()
     barrier = mb.magic_barrier_rmse(variances)
     elapsed = time.perf_counter() - start
@@ -317,12 +299,11 @@ def test_c7_property_bundle(monkeypatch):
         failures.append("rank masses")
 
     # error curves: 0.5 at delta 0, strictly decreasing in delta
-    sweep = mb.NoiseSweepConfig(
+    points = mb.ranking_error_curves(
         relative_differences=(0.0, 0.05, 0.1, 0.2),
         offsets=(0.3,),
         base_variances=tuple(rng.exponential(1 / 2.11, size=51).tolist()),
     )
-    points = mb.ranking_error_curves(sweep)
     errors = [q.error_probability for q in sorted(points, key=lambda q: q.delta)]
     if errors[0] != 0.5 or not all(x > y for x, y in zip(errors, errors[1:])):
         failures.append("error-curve monotonicity")
@@ -355,12 +336,14 @@ def test_c8_qualitative_reference_points():
     # probability near the barrier; exact published curves are not targets
     rng = np.random.default_rng(88)
     base = tuple(rng.exponential(1 / 2.11, size=213).tolist())
-    sweep = mb.NoiseSweepConfig(
-        relative_differences=(0.10,),
-        offsets=(0.1, 0.5, 1.0, 2.0),
-        base_variances=base,
-    )
-    curve = [p.error_probability for p in mb.ranking_error_curves(sweep)]
+    curve = [
+        p.error_probability
+        for p in mb.ranking_error_curves(
+            relative_differences=(0.10,),
+            offsets=(0.1, 0.5, 1.0, 2.0),
+            base_variances=base,
+        )
+    ]
     if not all(x > y for x, y in zip(curve, curve[1:])):
         ok = False
     if not curve[0] > 0.05:

@@ -11,7 +11,6 @@ from magicbarrier import (
     GaussianSummary,
     MCConfig,
     MetricKind,
-    NoiseSweepConfig,
     PredictorVector,
     improvement_criterion,
     interference_probability,
@@ -245,7 +244,7 @@ class TestSensitivitySweep:
 
 def sweep_config(deltas, offsets, n=51):
     rng = np.random.default_rng(7)
-    return NoiseSweepConfig(
+    return dict(
         relative_differences=tuple(deltas),
         offsets=tuple(offsets),
         base_variances=tuple(rng.exponential(1 / 2.11, size=n).tolist()),
@@ -256,32 +255,32 @@ def sweep_config(deltas, offsets, n=51):
 class TestRankingErrorCurves:
     def test_zero_delta_is_coin_flip(self):
         cfg = sweep_config([0.0], [0.0, 0.1, 0.5, 1.0])
-        for point in ranking_error_curves(cfg):
+        for point in ranking_error_curves(**cfg):
             assert point.error_probability == 0.5
 
     def test_decreasing_in_delta_at_fixed_offset(self):
         deltas = [0.0, 0.05, 0.1, 0.2, 0.4]
         cfg = sweep_config(deltas, [0.3])
-        points = ranking_error_curves(cfg)
+        points = ranking_error_curves(**cfg)
         errors = [p.error_probability for p in sorted(points, key=lambda p: p.delta)]
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
     def test_decreasing_in_offset_at_fixed_delta(self):
         offsets = [0.0, 0.25, 0.5, 1.0, 2.0]
         cfg = sweep_config([0.1], offsets)
-        points = ranking_error_curves(cfg)
+        points = ranking_error_curves(**cfg)
         errors = [p.error_probability for p in sorted(points, key=lambda p: p.offset)]
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
     def test_range(self):
         cfg = sweep_config([0.0, 0.1, 0.3], [0.0, 0.5, 1.5])
-        for point in ranking_error_curves(cfg):
+        for point in ranking_error_curves(**cfg):
             assert 0.0 < point.error_probability <= 0.5
 
     def test_error_probability_against_independent_simulation(self):
         cfg = sweep_config([0.10], [0.25], n=51)
-        point = ranking_error_curves(cfg)[0]
-        base = np.asarray(cfg.base_variances)
+        point = ranking_error_curves(**cfg)[0]
+        base = np.asarray(cfg["base_variances"])
         n = base.size
         means = np.full(n, 3.0)
         dists = make_dists(base, means=means)
@@ -301,9 +300,9 @@ class TestRankingErrorCurves:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="nondecreasing"):
-            sweep_config([0.1], [0.5, 0.2])
+            ranking_error_curves(**sweep_config([0.1], [0.5, 0.2]))
         with pytest.raises(ValueError):
-            NoiseSweepConfig(
+            ranking_error_curves(
                 relative_differences=(0.1,),
                 offsets=(0.0,),
                 base_variances=(),

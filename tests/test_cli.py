@@ -285,8 +285,11 @@ class TestSimulate:
                 + ",i0,4\n",
                 "line 3: field larger than field limit",
             ),
+            ("", "line 1: missing header row"),
+            ('user,item,prediction\n"u0\nx",i0,3\nu1,i0,y\n', "line 4: prediction must be"),
         ],
-        ids=["header", "fields", "number", "duplicate", "overlong-id"],
+        ids=["header", "fields", "number", "duplicate", "overlong-id", "empty",
+             "two-line-id"],
     )
     def test_predictions_errors_name_the_line(
         self, tmp_path, pairs_file, capsys, body, message
@@ -556,6 +559,34 @@ class TestRank:
         assert main(["rank", str(pairs_file), "--predictors", *paths, "--tau", "100"]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "'sys'" in err
+
+
+class TestCsvInputs:
+    """The tensor, predictions and variance files share one record reader."""
+
+    LONG = "u" * 140_000  # over csv.field_size_limit()
+
+    @pytest.mark.parametrize("kind", ["tensor", "predictions", "variances"])
+    def test_overlong_field_is_data_error_with_line(
+        self, tmp_path, pairs_file, capsys, kind
+    ):
+        path = tmp_path / f"{kind}.csv"
+        header, record, argv = {
+            "tensor": ("user,item,trial,rating", f"{self.LONG},i,1,3", ["ingest", str(path)]),
+            "predictions": (
+                "user,item,prediction", f"{self.LONG},i0,4",
+                ["simulate", str(pairs_file), "--predictors", str(path), "--tau", "10"],
+            ),
+            "variances": (
+                "variance", self.LONG,
+                ["rankcurves", "--variances", str(path), "--deltas", "0.1", "--offsets", "0"],
+            ),
+        }[kind]
+        path.write_text(f"{header}\n{record}\n", encoding="utf-8")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert "line 2: field larger than field limit" in err
 
 
 # rows of one key set, each column all str or all finite float, with

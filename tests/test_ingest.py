@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,6 @@ from scipy import stats
 from magicbarrier import (
     DataFormatError,
     DegenerateInputError,
-    ExponentialFit,
     PairTable,
     ScaleSpec,
     filter_nonvanishing,
@@ -24,6 +24,7 @@ from magicbarrier import ingest
 from magicbarrier.ingest import (
     ks_test_slices,
     nonzero_variance_fraction_by_item,
+    parse_predictions,
     parse_variances,
 )
 
@@ -379,9 +380,9 @@ class TestKSNormality:
 
 class TestExponentialFit:
     def test_rate_is_inverse_mean(self):
-        fit = fit_exponential([0.5, 0.5, 0.5])
-        assert fit.rate == pytest.approx(2.0)
-        assert fit.sample_size == 3
+        rate = fit_exponential([0.5, 0.5, 0.5])
+        assert rate == pytest.approx(2.0)
+        assert type(rate) is float
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DegenerateInputError, match="exponential support"):
@@ -392,46 +393,44 @@ class TestExponentialFit:
             fit_exponential([])
 
     def test_recovers_rate_from_sampler(self):
-        fit = ExponentialFit(rate=2.11, sample_size=213)
-        draws = sample_variances(fit, 100_000, seed=42)
+        draws = sample_variances(2.11, 100_000, seed=42)
         refit = fit_exponential(draws)
-        assert refit.rate == pytest.approx(2.11, rel=0.02)
+        assert refit == pytest.approx(2.11, rel=0.02)
 
 
 class TestSampleVariances:
     def test_deterministic_per_seed(self):
-        fit = ExponentialFit(rate=2.11, sample_size=0)
-        a = sample_variances(fit, 1000, seed=9)
-        b = sample_variances(fit, 1000, seed=9)
+        a = sample_variances(2.11, 1000, seed=9)
+        b = sample_variances(2.11, 1000, seed=9)
         assert np.array_equal(a, b)
-        c = sample_variances(fit, 1000, seed=10)
+        c = sample_variances(2.11, 1000, seed=10)
         assert not np.array_equal(a, c)
 
     def test_single_draw_positive(self):
-        fit = ExponentialFit(rate=2.11, sample_size=0)
-        assert sample_variances(fit, 1, seed=0)[0] > 0.0
+        assert sample_variances(2.11, 1, seed=0)[0] > 0.0
 
     def test_bounds_respected(self):
-        fit = ExponentialFit(rate=2.11, sample_size=0)
-        draws = sample_variances(fit, 5000, bounds=(0.16, 3.84), seed=1)
+        draws = sample_variances(2.11, 5000, bounds=(0.16, 3.84), seed=1)
         assert draws.size == 5000
         assert np.all((draws >= 0.16) & (draws <= 3.84))
 
     def test_bounds_deterministic(self):
-        fit = ExponentialFit(rate=2.11, sample_size=0)
-        a = sample_variances(fit, 2000, bounds=(0.16, 3.84), seed=3)
-        b = sample_variances(fit, 2000, bounds=(0.16, 3.84), seed=3)
+        a = sample_variances(2.11, 2000, bounds=(0.16, 3.84), seed=3)
+        b = sample_variances(2.11, 2000, bounds=(0.16, 3.84), seed=3)
         assert np.array_equal(a, b)
 
     def test_mean_matches_analytic(self):
-        fit = ExponentialFit(rate=2.11, sample_size=0)
-        draws = sample_variances(fit, 400_000, seed=8)
+        draws = sample_variances(2.11, 400_000, seed=8)
         assert draws.mean() == pytest.approx(1 / 2.11, rel=0.005)
 
     def test_invalid_bounds(self):
-        fit = ExponentialFit(rate=2.11, sample_size=0)
         with pytest.raises(ValueError):
-            sample_variances(fit, 10, bounds=(2.0, 1.0), seed=0)
+            sample_variances(2.11, 10, bounds=(2.0, 1.0), seed=0)
+
+    @pytest.mark.parametrize("rate", [0.0, -2.11, math.nan, math.inf])
+    def test_invalid_rate(self, rate):
+        with pytest.raises(ValueError, match="rate must be finite and > 0"):
+            sample_variances(rate, 10, seed=0)
 
 
 class TestVarianceFile:
@@ -446,3 +445,63 @@ class TestVarianceFile:
     def test_nonpositive_rejected(self):
         with pytest.raises(DataFormatError, match="line 3"):
             parse_variances("variance\n0.5\n-1.0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: missing header row"),
+            ("var\n0.5\n", "line 1: expected header 'variance', got 'var'"),
+            ("variance\n0.5,1\n", "line 2: expected 1 fields, got 2"),
+            ("variance\n\n0.5\n  \nx\n", "line 5: not a number: 'x'"),
+        ],
+        ids=["empty", "header", "fields", "after-blank-lines"],
+    )
+    def test_errors_name_the_line(self, text, message):
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            parse_variances(text)
+
+
+def dialect_variants(plain):
+    """``plain`` CSV text rewritten in each form the shared record reader
+    accepts, every one of which must read the same values."""
+    lines = plain.splitlines()
+    header, records = lines[0], lines[1:]
+
+    def rows(fmt, lines=lines):
+        return "".join(",".join(fmt % f for f in line.split(",")) + "\n" for line in lines)
+
+    return {
+        "crlf": plain.replace("\n", "\r\n"),
+        "bom": "\ufeff" + plain,
+        "upper-header": header.upper() + "\n" + rows("%s", records),
+        "padded-header": "\ufeff " + header.replace(",", "\t, ") + " \n" + rows("%s", records),
+        "blank-lines": "\n".join([header, "", *records, "   ", "\t", ""]) + "\n",
+        "quoted": rows('"%s"'),
+        "padded": rows("  %s\t"),
+        "no-final-newline": plain.rstrip("\n"),
+        "all-at-once": "\ufeff" + header.upper() + "\r\n\r\n"
+        + rows('"%s"', records).replace("\n", "\r\n \r\n"),
+    }
+
+
+PLAIN_PREDICTIONS = "user,item,prediction\nu0,i0,3.5\nu1,i0,-0.25\nu2,i1,1e-3\n"
+PREDICTED_PAIRS = PairTable([("u2", "i1"), ("u0", "i0"), ("u1", "i0")], [3, 3, 3], [1, 1, 1])
+PLAIN_VARIANCES = "variance\n0.5\n1.25\n3e-2\n"
+
+
+class TestRecordDialect:
+    @pytest.mark.parametrize("name", list(dialect_variants(PLAIN_PREDICTIONS)))
+    def test_predictions_read_alike(self, name):
+        text = dialect_variants(PLAIN_PREDICTIONS)[name]
+        expected = parse_predictions(PLAIN_PREDICTIONS, PREDICTED_PAIRS).values
+        assert expected.tolist() == [1e-3, 3.5, -0.25]
+        got = parse_predictions(text, PREDICTED_PAIRS)
+        assert got.keys == PREDICTED_PAIRS.keys
+        assert np.array_equal(got.values, expected)
+
+    @pytest.mark.parametrize("name", list(dialect_variants(PLAIN_VARIANCES)))
+    def test_variances_read_alike(self, name):
+        text = dialect_variants(PLAIN_VARIANCES)[name]
+        expected = parse_variances(PLAIN_VARIANCES)
+        assert expected.tolist() == [0.5, 1.25, 3e-2]
+        assert np.array_equal(parse_variances(text), expected)
