@@ -83,7 +83,7 @@ def _emit(args, config: dict, body: dict) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_file(args.out, lambda path: Path(path).write_text(text, encoding="utf-8"))
 
 
 def _json_value(value) -> str:
@@ -129,12 +129,25 @@ def _warn(message: str) -> None:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse an output path whose directory does not exist, before any work."""
+    """Refuse an output path that is a directory or whose directory does not
+    exist, before any work."""
     for path in (args.out, getattr(args, "values_out", None)):
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise DataFormatError(f"cannot write {path}: it is a directory")
+        if not Path(path).parent.is_dir():
             raise DataFormatError(
                 f"cannot write {path}: {Path(path).parent} is not a directory"
             )
+
+
+def _write_file(path: str, write) -> None:
+    """``write(path)``, with an OSError as a data error naming ``path``."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_text(path: str) -> str:
@@ -335,7 +348,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         clip_bounds=clip_bounds,
     )
     if args.values_out is not None:
-        sample.values.astype("<f8").tofile(args.values_out)
+        _write_file(args.values_out, sample.values.astype("<f8").tofile)
     config = {
         "pairs": args.pairs,
         "predictors": predictor_source,

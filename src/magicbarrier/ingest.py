@@ -439,8 +439,8 @@ def parse_predictions(source: str, pairs: PairTable) -> PredictorVector:
     """Parse predictions CSV text (header ``user,item,prediction``) into one
     prediction per pair of ``pairs``, in its key order.
 
-    Raises :class:`DataFormatError` for a malformed or duplicate record, with
-    its 1-based line number, and for a pair without a prediction.
+    Raises :class:`DataFormatError` for a malformed, non-finite or duplicate
+    record, with its 1-based line number, and for a pair without a prediction.
     """
     table: dict[tuple[str, str], float] = {}
     for lineno, (user, item, value_s) in _records(source, PREDICTIONS_HEADER):
@@ -448,6 +448,8 @@ def parse_predictions(source: str, pairs: PairTable) -> PredictorVector:
             value = float(value_s)
         except ValueError:
             raise DataFormatError(f"line {lineno}: prediction must be a number") from None
+        if not math.isfinite(value):
+            raise DataFormatError(f"line {lineno}: prediction must be finite")
         if (user, item) in table:
             raise DataFormatError(f"line {lineno}: duplicate pair {(user, item)}")
         table[user, item] = value

@@ -27,9 +27,15 @@ Trials are simulated in blocks, one block per task. A block holds
 temporaries stays near ``_BLOCK_ELEMENTS`` float64 values (2 MiB,
 cache-sized) whatever the pair count N. Memory is therefore O(N + K*tau)
 for the per-pair vectors and the K systems' tau metric values, plus one
-block per worker thread. The block size never changes a value: draws are
-counter-addressed per trial and every reduction runs along one trial's row,
-so each trial's metric depends on that trial alone.
+draw block per worker thread, and one residual block per thread only when
+several systems share the draws: the last system of a block, and so the
+only one of a one-system run, works in the draw block itself. A system
+whose offsets are all exactly zero (the optimal predictor) reduces straight
+from the draws, with no add: ``x + 0.0`` differs from ``x`` only in the sign
+of a zero, which the square and the absolute value drop. The block size
+never changes a value: draws are counter-addressed per trial and every
+reduction runs along one trial's row, so each trial's metric depends on that
+trial alone.
 """
 
 from __future__ import annotations
@@ -166,12 +172,13 @@ def _draw_block(
     return ndtri(u, out=u)
 
 
-def _metric_rows(resid: np.ndarray, metric: MetricKind) -> np.ndarray:
-    """Per-row metric of ``resid``; overwrites ``resid``."""
+def _metric_rows(src: np.ndarray, dst: np.ndarray, metric: MetricKind) -> np.ndarray:
+    """Per-row metric of the residuals ``src``; overwrites ``dst``, which may
+    be ``src``."""
     if metric is MetricKind.RMSE:
-        return np.sqrt(np.mean(np.square(resid, out=resid), axis=1))
+        return np.sqrt(np.mean(np.square(src, out=dst), axis=1))
     if metric is MetricKind.MAE:
-        return np.mean(np.abs(resid, out=resid), axis=1)
+        return np.mean(np.abs(src, out=dst), axis=1)
     raise ValueError(f"unknown metric: {metric!r}")
 
 
@@ -229,12 +236,15 @@ def simulate_metric_shared(
     offsets_list = []
     for p in predictor_list:
         p.check_aligned(dists)
-        offsets_list.append(means - p.values)
+        offsets = means - p.values
+        # None marks a zero-offset system, whose residual is the draw itself
+        offsets_list.append(offsets if offsets.any() else None)
     sigmas = np.sqrt(dists.variances)
     n_pairs = means.size
     tau = cfg.trials
     block = max(1, _BLOCK_ELEMENTS // _trial_words(n_pairs))
     out = np.empty((len(offsets_list), tau), dtype=np.float64)
+    last = len(offsets_list) - 1
     if clip_bounds is not None:
         lo = clip_bounds[0] - means
         hi = clip_bounds[1] - means
@@ -245,13 +255,16 @@ def simulate_metric_shared(
         delta *= sigmas
         if clip_bounds is not None:
             np.clip(delta, lo, hi, out=delta)
-        resid = np.empty((nt, n_pairs), dtype=np.float64)
+        # the draws must survive every system but the last, which works in
+        # the draw block itself
+        resid = np.empty((nt, n_pairs), dtype=np.float64) if last else None
         for row, offsets in enumerate(offsets_list):
-            np.add(delta, offsets, out=resid)
-            out[row, k0 : k0 + nt] = _metric_rows(resid, metric)
+            dst = resid if row < last else delta
+            src = delta if offsets is None else np.add(delta, offsets, out=dst)
+            out[row, k0 : k0 + nt] = _metric_rows(src, dst, metric)
 
     starts = range(0, tau, block)
-    # in-flight memory is one block per thread, and threads beyond the
+    # in-flight memory is one or two blocks per thread, and threads beyond the
     # usable CPUs or the tasks only add contention
     workers = min(workers, _usable_cpus(), len(starts))
     if workers <= 1:

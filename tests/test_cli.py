@@ -113,6 +113,28 @@ class TestEstimate:
         assert err.startswith("data error: ") and str(out) in err
         assert not out.parent.exists()
 
+    def test_out_is_directory_is_data_error(self, tmp_path, pairs_file, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimated before the output path was checked")
+
+        monkeypatch.setattr(approx, "magic_barrier_rmse", refuse)
+        assert main(["estimate", str(pairs_file), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: cannot write {tmp_path}: it is a directory\n"
+
+    def test_failed_write_is_data_error(self, tmp_path, pairs_file, capsys, monkeypatch):
+        out = tmp_path / "barrier.json"
+        estimate = approx.magic_barrier_rmse
+
+        def then_block_the_path(*args, **kwargs):
+            out.mkdir()
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "magic_barrier_rmse", then_block_the_path)
+        assert main(["estimate", str(pairs_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write {out}: ") and "Traceback" not in err
+
     def test_small_n_warning(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"
         pairs.write_text(
@@ -220,6 +242,65 @@ class TestSimulate:
         assert err.startswith("data error: ") and str(raw) in err
         assert not raw.parent.exists()
 
+    def test_values_out_is_directory_is_data_error(
+        self, tmp_path, pairs_file, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the output path was checked")
+
+        monkeypatch.setattr(mc, "simulate_metric", refuse)
+        assert main(
+            ["simulate", str(pairs_file), "--tau", "10", "--values-out", str(tmp_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: cannot write {tmp_path}: it is a directory\n"
+
+    def test_failed_values_write_is_data_error(
+        self, tmp_path, pairs_file, capsys, monkeypatch
+    ):
+        raw = tmp_path / "values.f64"
+        simulate = mc.simulate_metric
+
+        def then_block_the_path(*args, **kwargs):
+            raw.mkdir()
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "simulate_metric", then_block_the_path)
+        assert main(
+            ["simulate", str(pairs_file), "--tau", "10", "--values-out", str(raw)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write {raw}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--metric", "mae", "--clip", "--workers", "2"]], ids=["rmse", "mae-clip"]
+    )
+    def test_means_as_predictors_match_the_optimal_system(
+        self, tmp_path, pairs_file, flags
+    ):
+        doc = read_json(pairs_file)
+        means = tmp_path / "means.csv"
+        means.write_text(
+            "user,item,prediction\n"
+            + "".join(
+                f"{p['user']},{p['item']},{p['mean']!r}\n"
+                for p in doc["pairs"]
+                if p["variance"] > 0
+            ),
+            encoding="utf-8",
+        )
+        outputs = []
+        for predictors in ([], ["--predictors", str(means)]):
+            out = tmp_path / "sample.json"
+            assert main(
+                ["simulate", str(pairs_file), "--tau", "3000", "--seed", "4",
+                 *flags, *predictors, "--out", str(out)]
+            ) == 0
+            outputs.append(out.read_bytes())
+        optimal, from_file = outputs
+        assert from_file != optimal
+        assert from_file.replace(json.dumps(str(means)).encode(), b'"optimal"') == optimal
+
     def test_explicit_predictors(self, tmp_path, pairs_file):
         doc = read_json(pairs_file)
         usable = [p for p in doc["pairs"] if p["variance"] > 0]
@@ -287,9 +368,12 @@ class TestSimulate:
             ),
             ("", "line 1: missing header row"),
             ('user,item,prediction\n"u0\nx",i0,3\nu1,i0,y\n', "line 4: prediction must be"),
+            ("user,item,prediction\nu0,i0,3\nu1,i0,nan\n", "line 3: prediction must be finite"),
+            ("user,item,prediction\nu0,i0,inf\n", "line 2: prediction must be finite"),
+            ("user,item,prediction\nu0,i0,-Infinity\n", "line 2: prediction must be finite"),
         ],
         ids=["header", "fields", "number", "duplicate", "overlong-id", "empty",
-             "two-line-id"],
+             "two-line-id", "nan", "inf", "minus-infinity"],
     )
     def test_predictions_errors_name_the_line(
         self, tmp_path, pairs_file, capsys, body, message
@@ -542,6 +626,31 @@ class TestRank:
         orderings = read_json(out)["orderings"]
         assert sum(orderings.values()) == pytest.approx(1.0, abs=1e-12)
         assert orderings.get("optimal>shifted", 0) > 0.99
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_prediction_is_data_error(self, tmp_path, pairs_file, capsys, bad):
+        doc = read_json(pairs_file)
+        usable = [p for p in doc["pairs"] if p["variance"] > 0]
+        good = tmp_path / "good.csv"
+        good.write_text(
+            "user,item,prediction\n"
+            + "".join(f"{p['user']},{p['item']},{p['mean']}\n" for p in usable),
+            encoding="utf-8",
+        )
+        broken = tmp_path / "broken.csv"
+        broken.write_text(
+            "user,item,prediction\n"
+            + "".join(
+                f"{p['user']},{p['item']},{bad if k == 3 else p['mean']}\n"
+                for k, p in enumerate(usable)
+            ),
+            encoding="utf-8",
+        )
+        assert main(
+            ["rank", str(pairs_file), "--predictors", str(good), str(broken), "--tau", "100"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {broken}: line 5: prediction must be finite\n"
 
     def test_duplicate_labels_refused(self, tmp_path, pairs_file, capsys):
         doc = read_json(pairs_file)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,3 +351,67 @@ class TestBlockContract:
         )
         assert sum(blocks) == tau
         assert max(blocks) * mc._trial_words(n) <= mc._BLOCK_ELEMENTS
+
+
+class TestZeroOffsetSystems:
+    """A system whose predictions equal the pair means reduces straight from
+    the draws; its rows keep the bits of the add-then-reduce arithmetic."""
+
+    N = 37  # not a multiple of 4, so the draw block is a padded view
+
+    def _reference(self, dists, offsets, metric, cfg, clip_bounds):
+        delta = mc._draw_block(cfg.master_seed, 0, cfg.trials, self.N)
+        delta = delta * np.sqrt(dists.variances)
+        if clip_bounds is not None:
+            np.clip(delta, clip_bounds[0] - dists.means, clip_bounds[1] - dists.means,
+                    out=delta)
+        resid = delta + offsets
+        if metric is MetricKind.RMSE:
+            return np.sqrt(np.mean(np.square(resid), axis=1))
+        return np.mean(np.abs(resid), axis=1)
+
+    @pytest.mark.parametrize("metric", [MetricKind.RMSE, MetricKind.MAE])
+    @pytest.mark.parametrize("clip_bounds", [None, (1.0, 5.0)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_match_one_system_runs(self, monkeypatch, metric, clip_bounds, workers):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        dists = make_dists(
+            np.linspace(0.2, 2.0, self.N), means=np.linspace(1.2, 4.8, self.N)
+        )
+        means = PredictorVector(keys=dists.keys, values=dists.means.copy())
+        others = [
+            PredictorVector(keys=dists.keys, values=dists.means + 0.3),
+            PredictorVector(keys=dists.keys, values=dists.means - 0.2),
+        ]
+        cfg = MCConfig(trials=200, master_seed=42)
+        zero = self._reference(dists, np.zeros(self.N), metric, cfg, clip_bounds)
+        for position in range(3):
+            systems = others[:position] + [means] + others[position:]
+            shared = simulate_metric_shared(
+                dists, systems, metric, cfg, workers=workers, clip_bounds=clip_bounds
+            )
+            for row, system in enumerate(systems):
+                alone = simulate_metric_shared(
+                    dists, [system], metric, cfg, workers=workers, clip_bounds=clip_bounds
+                )
+                assert np.array_equal(shared[row], alone[0])
+            assert np.array_equal(shared[position], zero)
+
+    @pytest.mark.parametrize("systems, blocks", [(1, 1.5), (2, 2.5)])
+    def test_residual_block_only_for_shared_draws(self, systems, blocks):
+        n, tau = 5001, 520
+        dists = make_dists(np.full(n, 0.5))
+        p = optimal_predictors(dists, MetricKind.RMSE)
+        predictors = [p] + [
+            PredictorVector(keys=p.keys, values=p.values + 0.1 * k) for k in range(1, systems)
+        ]
+        tracemalloc.start()
+        try:
+            simulate_metric_shared(
+                dists, predictors, MetricKind.RMSE, MCConfig(trials=tau, master_seed=3)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < blocks * mc._BLOCK_ELEMENTS * 8
