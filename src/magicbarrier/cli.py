@@ -19,6 +19,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict, astuple, fields
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -88,17 +89,25 @@ def _emit(args, config: dict, body: dict) -> None:
 
 def _json_value(value) -> str:
     """``value`` as json.dumps(indent=2, sort_keys=True) renders it one level
-    deep; rows that are dataclasses become objects."""
-    rows = _row_list_json(value)
-    if rows is not None:
-        return rows
+    deep; rows that are dataclasses become objects, and a :class:`PairTable`
+    is the list of its ``user``, ``item``, ``mean`` and ``variance`` rows."""
+    if isinstance(value, PairTable):
+        text = _columns_json({
+            "user": list(map(itemgetter(0), value.keys)),
+            "item": list(map(itemgetter(1), value.keys)),
+            "mean": value.means.tolist(),
+            "variance": value.variances.tolist(),
+        })
+    else:
+        text = _row_list_json(value)
+    if text is not None:
+        return text
     return json.dumps(value, indent=2, sort_keys=True, default=asdict).replace("\n", "\n  ")
 
 
 def _row_list_json(rows) -> str | None:
     """A nonempty list of dicts with one set of str keys and str or finite
-    float values, rendered one level deep as json.dumps(indent=2,
-    sort_keys=True) would, one column at a time; None for anything else."""
+    float values, rendered by :func:`_columns_json`; None for anything else."""
     if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
         return None
     keys = rows[0].keys()
@@ -106,21 +115,39 @@ def _row_list_json(rows) -> str | None:
         return None
     if not all(map(keys.__eq__, map(dict.keys, rows))):
         return None
-    names = sorted(keys)
-    columns = []
-    for name in names:
-        column = list(map(itemgetter(name), rows))
+    return _columns_json({name: list(map(itemgetter(name), rows)) for name in keys})
+
+
+def _columns_json(columns: dict[str, list]) -> str | None:
+    """The rows whose fields are ``columns`` (name to equal-length column),
+    rendered one level deep as json.dumps(indent=2, sort_keys=True) renders
+    the list of row objects, one column at a time; None unless every column
+    is all str or all finite float."""
+    # a row is each field's separator and value; the first separator also
+    # closes the previous row, which the first row has not
+    close = "\n    },\n"
+    pieces = []
+    for i, name in enumerate(sorted(columns)):
+        column = columns[name]
         kinds = set(map(type, column))
-        if kinds == {str}:
-            columns.append(map(encode_basestring_ascii, column))
+        if kinds <= {str}:
+            values = map(encode_basestring_ascii, column)
         elif kinds == {float} and all(map(math.isfinite, column)):
-            columns.append(map(float.__repr__, column))
+            values = _float_reprs(column)
         else:
             return None
-    template = "    {\n" + ",\n".join(
-        f"      {encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in names
-    ) + "\n    }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+        opening = ",\n" if i else close + "    {\n"
+        pieces += [repeat(f"{opening}      {encode_basestring_ascii(name)}: "), values]
+    rows = "".join(chain.from_iterable(zip(*pieces)))
+    return "[\n" + rows[len(close):] + "\n    }\n  ]" if rows else "[]"
+
+
+def _float_reprs(column: list[float]) -> list[str]:
+    """``repr`` of each float of ``column``, computed once per distinct bit
+    pattern: the fits of a few integer ratings take few distinct values."""
+    bits, index = np.unique(np.array(column).view(np.int64), return_inverse=True)
+    reprs = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return list(map(reprs.__getitem__, index.tolist()))
 
 
 def _warn(message: str) -> None:
@@ -291,12 +318,7 @@ def _cmd_ingest(args) -> tuple[dict, dict]:
     }
     return config, {
         "scale": asdict(scale),
-        "pairs": [
-            {"user": user, "item": item, "mean": mean, "variance": variance}
-            for (user, item), mean, variance in zip(
-                pairs.keys, pairs.means.tolist(), pairs.variances.tolist()
-            )
-        ],
+        "pairs": pairs,
         "summary": {
             "pair_count": len(pairs),
             "nonvanishing_count": len(nonvanishing),

@@ -138,9 +138,9 @@ class PairTable:
 class PredictorVector:
     """One recommender system: a real-valued prediction per user-item pair.
 
-    ``values`` is a read-only float64 array aligned with ``keys``;
-    ``check_aligned`` enforces that the keys match a :class:`PairTable`'s
-    before any metric evaluation.
+    ``values`` is a read-only array of finite float64 predictions aligned
+    with ``keys``; ``check_aligned`` enforces that the keys match a
+    :class:`PairTable`'s before any metric evaluation.
     """
 
     keys: tuple[tuple[str, str], ...]
@@ -153,6 +153,8 @@ class PredictorVector:
                 f"keys and values must have equal length, got "
                 f"{len(self.keys)} vs {values.size}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         object.__setattr__(self, "keys", tuple(self.keys))
         object.__setattr__(self, "values", values)
 

@@ -14,7 +14,8 @@ computation.
 The tensor, predictions (``user,item,prediction``) and variance
 (``variance``) files share one CSV dialect, read by one record reader: the
 header matches up to case, surrounding whitespace and a byte-order mark,
-fields may be quoted and are stripped, blank lines are skipped, LF and CRLF
+fields may be quoted (a quoted field may span lines, and must be closed
+before the text ends) and are stripped, blank lines are skipped, LF and CRLF
 endings both work, and every malformed record, the csv module's own errors
 included, is a :class:`DataFormatError` with its 1-based line number.
 
@@ -23,9 +24,15 @@ lower-case header, LF line endings, no blank lines, ids without quotes, NUL
 or whitespace, and trial and rating fields of ASCII digits. The text is then
 gated by one regular expression, split and converted about 64 KiB at a time
 (which bounds the per-record Python objects alive at once), and its ranges
-and duplicate triples are checked with numpy. Any other text, and any text
-that fails a check, goes through the per-line parser on the record reader,
-which owns every error message and line number.
+and duplicate triples are checked with numpy. One dict pass records the index
+of the record each pair first appears in; the ranks of those indices are the
+pair codes. Any other text, and any text that fails a check, goes through the
+per-line parser on the record reader, which owns every error message and line
+number.
+
+A tensor is grouped by pair once, on first use, by one stable sort of its
+records; the fit and the KS pass both gather their per-length blocks from
+that one group-by by fancy indexing.
 
 Two statistical utilities complete the module: a one-sample Kolmogorov-Smirnov
 test of the per-slice normality assumption, run over all slices of one length
@@ -42,7 +49,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, filterfalse
+from functools import cached_property
+from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,6 +111,20 @@ class RatingTensor:
         counts = np.bincount(self.codes, minlength=len(self.pair_keys))
         return self.ratings[order], counts
 
+    @cached_property
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ratings as float64, sorted by pair code, with each pair's
+        rating count and start in them: the one group-by of a tensor, which
+        the fit and the KS pass share."""
+        ratings, counts = self._ratings_by_pair()
+        return ratings.astype(np.float64), counts, np.cumsum(counts) - counts
+
+    def _length_block(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """The ratings of pairs ``rows``, each of length ``n``, as a float64
+        (rows, n) block, every row in record order."""
+        ratings, _, starts = self._grouped
+        return ratings[starts[rows, None] + np.arange(n)]
+
     def pair_slices(self) -> list[np.ndarray]:
         """Each pair's ratings in record order, indexed by pair code."""
         ratings, counts = self._ratings_by_pair()
@@ -152,8 +174,10 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
     any check, for the per-line parser to report."""
     if not source.startswith(_FAST_HEADER):
         return None
-    pair_codes: dict[tuple[str, str], int] = {}
-    codes, trials, ratings = [], [], []
+    # each pair's key and the index of the record it first appears in
+    first_seen: dict[tuple[str, str], int] = {}
+    firsts, trials, ratings = [], [], []
+    records = 0
     pos = len(_FAST_HEADER)
     while pos < len(source):
         end = source.find("\n", pos + _FAST_CHUNK) + 1 or len(source)
@@ -165,15 +189,18 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
             return None
         # four fields per record, then the empty string after the last LF
         fields = chunk.replace("\n", ",").split(",")
-        keys = list(zip(fields[0::4], fields[1::4]))
-        fresh = filterfalse(pair_codes.__contains__, dict.fromkeys(keys))
-        pair_codes.update(zip(fresh, count(len(pair_codes))))
-        codes.append(np.fromiter(map(pair_codes.__getitem__, keys), np.intp, len(keys)))
+        n = len(fields) // 4
+        keys = zip(fields[0::4], fields[1::4])
+        firsts.append(np.fromiter(map(first_seen.setdefault, keys, count(records)), np.intp, n))
+        records += n
         trials.append(np.fromstring(",".join(fields[2::4]), np.int64, sep=","))
         ratings.append(np.fromstring(",".join(fields[3::4]), np.int64, sep=","))
-    if not codes:  # no records: nothing for the fast path to save
+    if not records:  # no records: nothing for the fast path to save
         return None
-    codes, trials, ratings = (np.concatenate(c) for c in (codes, trials, ratings))
+    first, trials, ratings = (np.concatenate(c) for c in (firsts, trials, ratings))
+    # first-appearance indices sort in appearance order, so their ranks are
+    # the pair codes
+    _, codes = np.unique(first, return_inverse=True)
     if not (
         trials.min() >= 1
         and trials.max() <= scale.num_trials
@@ -183,13 +210,13 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
         return None
     # duplicate (code, trial) keys, as one integer each where that fits int64
     width = int(trials.max()) + 1
-    if len(pair_codes) * width >= 2**63:
+    if len(first_seen) * width >= 2**63:
         return None
     key = codes * width + trials
     key.sort()
     if np.any(key[1:] == key[:-1]):
         return None
-    return RatingTensor(tuple(pair_codes), codes, trials, ratings, scale)
+    return RatingTensor(tuple(first_seen), codes, trials, ratings, scale)
 
 
 def _records(source: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -198,29 +225,41 @@ def _records(source: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[s
     whitespace.
 
     The header row must equal ``header`` up to case, surrounding whitespace
-    and a byte-order mark, and each record must have ``len(header)`` fields;
-    a violation, like any ``csv.Error``, is a :class:`DataFormatError` with
-    its 1-based line number.
+    and a byte-order mark, each record must have ``len(header)`` fields, and
+    a quoted field must be closed before the text ends; a violation, like any
+    ``csv.Error``, is a :class:`DataFormatError` with its 1-based line number.
     """
-    reader = csv.reader(io.StringIO(source))
+    # the reader asks for a line past the last one only to go on with a
+    # quoted field that the text leaves open
+    past_end = False
+
+    def lines() -> Iterator[str]:
+        nonlocal past_end
+        yield from io.StringIO(source)
+        past_end = True
+
+    reader = csv.reader(lines())
+    start = 1  # the line the next row starts on
     try:
-        row = next(reader, None)
-        if row is None:
-            raise DataFormatError("line 1: missing header row")
-        if tuple(h.strip().lstrip("\ufeff").lstrip().lower() for h in row) != header:
-            raise DataFormatError(
-                f"line 1: expected header {','.join(header)!r}, got {','.join(row)!r}"
-            )
         for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield reader.line_num, [field.strip() for field in row]
+            if past_end:
+                raise DataFormatError(f"line {start}: quoted field not closed at end of text")
+            if start == 1:
+                if tuple(h.strip().lstrip("\ufeff").lstrip().lower() for h in row) != header:
+                    raise DataFormatError(
+                        f"line 1: expected header {','.join(header)!r}, got {','.join(row)!r}"
+                    )
+            elif row and (len(row) > 1 or row[0].strip()):
+                if len(row) != len(header):
+                    raise DataFormatError(
+                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield reader.line_num, [field.strip() for field in row]
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+    if start == 1:
+        raise DataFormatError("line 1: missing header row")
 
 
 def _parse_lines(source: str, scale: ScaleSpec) -> RatingTensor:
@@ -279,14 +318,12 @@ def fit_pair_gaussians(tensor: RatingTensor) -> PairTable:
     """
     if not len(tensor):
         raise DegenerateInputError("cannot fit an empty tensor")
-    ratings, counts = tensor._ratings_by_pair()
-    ratings = ratings.astype(np.float64)
-    starts = np.cumsum(counts) - counts
+    _, counts, _ = tensor._grouped
     means = np.empty(counts.size)
     variances = np.empty(counts.size)
-    for n in np.unique(counts):
+    for n in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == n)
-        block = ratings[starts[rows, None] + np.arange(n)]
+        block = tensor._length_block(rows, n)
         means[rows] = block.mean(axis=1)
         variances[rows] = block.var(axis=1)
     return PairTable(tensor.pair_keys, means, variances)
@@ -357,28 +394,26 @@ def ks_test_slices(
     """KS-test every nonconstant slice of ``tensor`` against its fitted Gaussian.
 
     ``pairs`` is the tensor's fit (rows by pair code, as
-    :func:`fit_pair_gaussians` returns them). Groups the tensor once, stacks
-    the slices with nonzero variance by length and tests each length's block
-    in one pass, with the arithmetic of :func:`ks_normality_test`; returns
-    ``(tested, rejected)``.
+    :func:`fit_pair_gaussians` returns them). Gathers the slices with nonzero
+    variance by length from the tensor's one group-by, the one the fit uses,
+    and tests each length's block in one pass, with the arithmetic of
+    :func:`ks_normality_test`; returns ``(tested, rejected)``.
     """
     if pairs.keys != tensor.pair_keys:
         raise ValueError("pairs must be the fit of the tensor, row by pair code")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    slices = tensor.pair_slices()
-    lengths = np.fromiter(map(len, slices), np.intp, len(slices))
     # a slice with nonzero variance has at least two ratings; the reference
     # std is sqrt(sigma * sigma), as GaussianSummary(mu, sigma**2).std
+    _, counts, _ = tensor._grouped
     tested = np.flatnonzero(pairs.variances > 0.0)
-    tested_lengths = lengths[tested]
+    tested_lengths = counts[tested]
     sigmas = np.sqrt(pairs.variances)
     stds = np.sqrt(sigmas * sigmas)
     rejected = 0
     for n in np.unique(tested_lengths).tolist():
         rows = tested[tested_lengths == n]
-        block = np.stack([slices[row] for row in rows.tolist()], dtype=np.float64)
-        _, p = _ks_block(block, pairs.means[rows], stds[rows])
+        _, p = _ks_block(tensor._length_block(rows, n), pairs.means[rows], stds[rows])
         rejected += int(np.count_nonzero(p < alpha))
     return int(tested.size), rejected
 

@@ -338,6 +338,16 @@ class TestRankDistribution:
         assert ranking == counter_rank_distribution(systems, dists, MetricKind.RMSE, cfg)
         assert all(type(i) is int for ordering in ranking for i in ordering)
 
+    def test_nonfinite_predictions_refused(self):
+        # a nan system used to be ranked last in every trial
+        dists = make_dists([0.5, 0.9])
+        optimal = optimal_predictors(dists, MetricKind.RMSE)
+        with pytest.raises(ValueError, match="values must be finite"):
+            rank_distribution(
+                [optimal, PredictorVector(dists.keys, [3.0, math.nan])], dists,
+                MetricKind.RMSE, MCConfig(trials=100, master_seed=1),
+            )
+
     def test_single_system(self):
         dists = make_dists([0.5, 0.9])
         systems = [optimal_predictors(dists, MetricKind.RMSE)]

@@ -16,6 +16,7 @@ from magicbarrier import approx, cli, ingest, mc
 from magicbarrier.cli import build_parser, main
 
 from conftest import make_tensor_csv, synthetic_study_tensor
+from oracles import ks_per_slice
 
 
 @pytest.fixture
@@ -71,16 +72,84 @@ class TestIngest:
         assert main(["ingest", "/nonexistent/tensor.csv"]) == 2
 
     def test_one_group_by_per_ingest(self, tmp_path, tensor_file, monkeypatch):
+        # the fit and the KS pass share one sort of the tensor by pair
         calls = []
-        group = ingest.RatingTensor.pair_slices
+        group = ingest.RatingTensor._ratings_by_pair
 
         def counted(tensor):
             calls.append(tensor)
             return group(tensor)
 
-        monkeypatch.setattr(ingest.RatingTensor, "pair_slices", counted)
+        monkeypatch.setattr(ingest.RatingTensor, "_ratings_by_pair", counted)
         assert main(["ingest", str(tensor_file), "--out", str(tmp_path / "p.json")]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "records, pairs",
+        [
+            ("", []),
+            (
+                "u1,i1,1,3\nu1,i1,2,3\nu2,i1,1,4\n",
+                [
+                    {"item": "i1", "mean": 3.0, "user": "u1", "variance": 0.0},
+                    {"item": "i1", "mean": 4.0, "user": "u2", "variance": 0.0},
+                ],
+            ),
+        ],
+        ids=["empty", "all-constant"],
+    )
+    def test_pairs_of_a_tensor_without_variance(self, tmp_path, records, pairs):
+        path = tmp_path / "tensor.csv"
+        path.write_text("user,item,trial,rating\n" + records, encoding="utf-8")
+        out = tmp_path / "pairs.json"
+        assert main(["ingest", str(path), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert doc["pairs"] == pairs
+        assert doc["summary"]["ks"]["tested"] == 0
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_fast_path_ingest_matches_the_per_line_parser(self, tmp_path, monkeypatch):
+        # shuffled records of slices of 1 to 5 ratings, so that pairs straddle
+        # the block parser's chunk boundaries and the KS pass sees blocks of
+        # several lengths
+        rng = np.random.default_rng(29)
+        header, *records = synthetic_study_tensor(seed=7, users=800, items=5).splitlines()
+        kept = [records[k] for k in rng.permutation(len(records)) if rng.random() < 0.8]
+        text = "\n".join([header, *kept]) + "\n"
+        assert len(text) > 2 * ingest._FAST_CHUNK
+        path = tmp_path / "tensor.csv"
+        path.write_text(text, encoding="utf-8")
+
+        def ingest_bytes(name):
+            out = tmp_path / name
+            assert main(["ingest", str(path), "--alpha", "0.5", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        blocks = ingest._parse_blocks
+        parsed = []
+
+        def spied(source, scale):
+            parsed.append(blocks(source, scale))
+            return parsed[-1]
+
+        monkeypatch.setattr(ingest, "_parse_blocks", spied)
+        fast = ingest_bytes("fast.json")
+        assert len(parsed) == 1 and parsed[0] is not None
+        monkeypatch.setattr(ingest, "_parse_blocks", lambda source, scale: None)
+        assert ingest_bytes("lines.json") == fast
+
+        doc = json.loads(fast)
+        tensor = parsed[0]
+        tested = rejected = 0
+        for ratings, pair in zip(tensor.pair_slices(), doc["pairs"]):
+            if pair["variance"] > 0.0:
+                _, p = ks_per_slice(ratings, pair["mean"], math.sqrt(pair["variance"]))
+                tested += 1
+                rejected += p < 0.5
+        assert {len(s) for s in tensor.pair_slices()} == {1, 2, 3, 4, 5}
+        assert 0 < rejected < tested
+        assert doc["summary"]["ks"] == {"alpha": 0.5, "tested": tested, "rejected": rejected}
 
 
 class TestEstimate:
@@ -371,9 +440,10 @@ class TestSimulate:
             ("user,item,prediction\nu0,i0,3\nu1,i0,nan\n", "line 3: prediction must be finite"),
             ("user,item,prediction\nu0,i0,inf\n", "line 2: prediction must be finite"),
             ("user,item,prediction\nu0,i0,-Infinity\n", "line 2: prediction must be finite"),
+            ('user,item,prediction\nu0,i0,3\n"u1,i0,4\n', "line 3: quoted field not closed"),
         ],
         ids=["header", "fields", "number", "duplicate", "overlong-id", "empty",
-             "two-line-id", "nan", "inf", "minus-infinity"],
+             "two-line-id", "nan", "inf", "minus-infinity", "unterminated-quote"],
     )
     def test_predictions_errors_name_the_line(
         self, tmp_path, pairs_file, capsys, body, message

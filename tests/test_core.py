@@ -190,3 +190,8 @@ class TestDomainTypes:
     def test_predictor_length_consistency(self):
         with pytest.raises(ValueError):
             PredictorVector(keys=(("u", "i"),), values=(1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_predictor_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            PredictorVector(keys=(("u1", "i"), ("u2", "i")), values=(3.0, bad))

@@ -505,3 +505,42 @@ class TestRecordDialect:
         expected = parse_variances(PLAIN_VARIANCES)
         assert expected.tolist() == [0.5, 1.25, 3e-2]
         assert np.array_equal(parse_variances(text), expected)
+
+    @pytest.mark.parametrize(
+        "read, text, line",
+        [
+            (
+                lambda text: parse_tensor(text, ScaleSpec(1, 5, 5)),
+                'user,item,trial,rating\nu1,i1,1,3\n"u2,i1,1,4\n',
+                3,
+            ),
+            (
+                lambda text: parse_predictions(text, PREDICTED_PAIRS),
+                'user,item,prediction\nu0,i0,3.5\nu1,i0,-0.25\nu2,i1,"1e-3\n',
+                4,
+            ),
+            (parse_variances, 'variance\n"0.5\n', 2),
+            (parse_variances, 'variance\n0.5\n\n"1.25\n\n', 4),
+            (parse_variances, 'variance\n"0.5\n""', 2),
+            (parse_variances, '"variance\n', 1),
+        ],
+        ids=["tensor", "predictions", "variances", "after-blank-line", "escaped-quote",
+             "header"],
+    )
+    def test_unterminated_quote_names_its_line(self, read, text, line):
+        with pytest.raises(DataFormatError, match=f"line {line}: quoted field not closed"):
+            read(text)
+
+    def test_quoted_fields_may_span_lines(self):
+        # a field after a closing quote is still read, as the dialect's
+        # non-strict mode allows
+        tensor = parse_tensor(
+            'user,item,trial,rating\n"u\n1",i1,1,3\n"u2" ,i1,1,4\n', ScaleSpec(1, 5, 5)
+        )
+        assert tensor.pair_keys == (("u\n1", "i1"), ("u2", "i1"))
+        predictions = parse_predictions(
+            'user,item,prediction\nu0,i0,"3.5\n"\nu1,i0,-0.25\n"u2" ,i1,1e-3\n',
+            PREDICTED_PAIRS,
+        )
+        assert predictions.values.tolist() == [1e-3, 3.5, -0.25]
+        assert parse_variances('variance\n"0.5\n\n"\n1.25\n').tolist() == [0.5, 1.25]

@@ -139,6 +139,15 @@ class TestSimulate:
         se = math.sqrt(HALF_NORMAL_VAR / tau)
         assert sample.summary.mean == pytest.approx(HALF_NORMAL_MEAN, abs=3 * se)
 
+    def test_nonfinite_predictions_refused(self):
+        # a nan prediction used to fail deep inside np.histogram
+        dists = make_dists([0.5, 0.9])
+        with pytest.raises(ValueError, match="values must be finite"):
+            simulate_metric(
+                dists, PredictorVector(dists.keys, [3.0, math.nan]), MetricKind.RMSE,
+                MCConfig(trials=100, master_seed=1),
+            )
+
 
 class TestDeterminism:
     def test_bit_identical_across_runs_and_workers(self, monkeypatch):
