@@ -339,7 +339,6 @@ class TestRankDistribution:
         assert all(type(i) is int for ordering in ranking for i in ordering)
 
     def test_nonfinite_predictions_refused(self):
-        # a nan system used to be ranked last in every trial
         dists = make_dists([0.5, 0.9])
         optimal = optimal_predictors(dists, MetricKind.RMSE)
         with pytest.raises(ValueError, match="values must be finite"):

@@ -140,7 +140,6 @@ class TestSimulate:
         assert sample.summary.mean == pytest.approx(HALF_NORMAL_MEAN, abs=3 * se)
 
     def test_nonfinite_predictions_refused(self):
-        # a nan prediction used to fail deep inside np.histogram
         dists = make_dists([0.5, 0.9])
         with pytest.raises(ValueError, match="values must be finite"):
             simulate_metric(
