@@ -429,6 +429,12 @@ def fit_exponential(variances: Iterable[float]) -> float:
     return float(1.0 / arr.mean())
 
 
+# rejection sampling draws at most this many values per batch, and refuses a
+# window that would take more than _MAX_REJECTION_DRAWS draws on average
+_REJECTION_BATCH = 1 << 16
+_MAX_REJECTION_DRAWS = 1 << 30
+
+
 def sample_variances(
     rate: float,
     n: int,
@@ -438,7 +444,10 @@ def sample_variances(
     """``n`` reproducible draws from ``Exp(rate)``, optionally truncated.
 
     Truncation is by rejection, so the draws follow the exponential law
-    restricted to ``bounds``. Identical ``(seed, n, rate, bounds)`` yield an
+    restricted to ``bounds``: the result is the first ``n`` draws of the
+    seeded stream that fall in ``bounds``, whatever the batch sizes. A window
+    so improbable that ``n`` accepted draws would take more than 2^30 draws
+    on average is refused. Identical ``(seed, n, rate, bounds)`` yield an
     identical array.
     """
     if not (math.isfinite(rate) and rate > 0.0):
@@ -452,6 +461,12 @@ def sample_variances(
         accept = math.exp(-rate * max(low, 0.0)) - math.exp(-rate * high)
         if accept <= 0.0:
             raise ValueError(f"truncation bounds {bounds} carry no probability mass")
+        if n > accept * _MAX_REJECTION_DRAWS:
+            raise ValueError(
+                f"truncation bounds {bounds} have acceptance {accept:.3g} under "
+                f"Exp({rate}): {n} values would take more than "
+                f"{_MAX_REJECTION_DRAWS} draws"
+            )
     rng = np.random.default_rng(seed)
     scale = 1.0 / rate
     if bounds is None:
@@ -460,9 +475,11 @@ def sample_variances(
     out = np.empty(n, dtype=np.float64)
     filled = 0
     while filled < n:
-        # oversample by the analytic acceptance rate to keep iterations few
+        # oversample by the analytic acceptance rate to keep iterations few,
+        # and cap the batch to keep its memory small
         want = n - filled
-        batch = rng.exponential(scale, size=max(int(want / accept * 1.1) + 16, want))
+        size = min(int(want / accept * 1.1) + 16, _REJECTION_BATCH)
+        batch = rng.exponential(scale, size=size)
         kept = batch[(batch >= low) & (batch <= high)]
         take = min(kept.size, want)
         out[filled : filled + take] = kept[:take]

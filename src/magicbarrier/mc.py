@@ -24,24 +24,27 @@ Block sizing
 ------------
 Trials are simulated in blocks, one block per task. A block holds
 ``max(1, _BLOCK_ELEMENTS // (4 * ceil(N/4)))`` trials, so each of its
-temporaries stays near ``_BLOCK_ELEMENTS`` float64 values (2 MiB,
-cache-sized) whatever the pair count N. Memory is therefore O(N + K*tau)
-for the per-pair vectors and the K systems' tau metric values, plus one
-draw block per worker thread, and one residual block per thread only when
-several systems share the draws: the last system of a block, and so the
-only one of a one-system run, works in the draw block itself. A system
-whose offsets are all exactly zero (the optimal predictor) reduces straight
-from the draws, with no add: ``x + 0.0`` differs from ``x`` only in the sign
-of a zero, which the square and the absolute value drop. The block size
-never changes a value: draws are counter-addressed per trial and every
-reduction runs along one trial's row, so each trial's metric depends on that
-trial alone.
+buffers stays near ``_BLOCK_ELEMENTS`` float64 values (2 MiB, cache-sized)
+whatever the pair count N. Each thread allocates its buffers once, sized for
+``min(block, tau)`` trials, and runs every block in views of them, so a fresh
+process does not page-fault through new temporaries block after block.
+Memory is therefore O(N + K*tau) for the per-pair vectors and the K
+systems' tau metric values, plus one draw buffer per worker thread, and one
+residual buffer per thread only when several systems share the draws: the
+last system of a block, and so the only one of a one-system run, works in
+the draw buffer itself. A system whose offsets are all exactly zero (the
+optimal predictor) reduces straight from the draws, with no add: ``x + 0.0``
+differs from ``x`` only in the sign of a zero, which the square and the
+absolute value drop. The block size never changes a value: draws are
+counter-addressed per trial and every reduction runs along one trial's row,
+so each trial's metric depends on that trial alone.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -154,19 +157,27 @@ def _trial_words(n_pairs: int) -> int:
 
 
 def _draw_block(
-    master_seed: int, k0: int, n_trials: int, n_pairs: int
+    master_seed: int,
+    k0: int,
+    n_trials: int,
+    n_pairs: int,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Standard-normal draws for trials k0..k0+n_trials-1, shape (n_trials, N).
 
-    The result is a writable view into one padded buffer; callers may
-    transform it in place.
+    The result is a writable view into one padded buffer: the first
+    ``n_trials * ceil(N/4)*4`` values of ``out`` (a contiguous float64
+    vector) when given, else a new array. Callers may transform it in place.
     """
     words = _trial_words(n_pairs)
     bg = np.random.Philox(
         key=np.array([master_seed, 0], dtype=np.uint64),
         counter=k0 * (words // 4),
     )
-    u = np.random.Generator(bg).random(n_trials * words)
+    if out is not None:
+        out = out[: n_trials * words]
+    u = np.random.Generator(bg).random(n_trials * words, out=out)
     u = u.reshape(n_trials, words)[:, :n_pairs]
     np.maximum(u, _MIN_UNIFORM, out=u)
     return ndtri(u, out=u)
@@ -243,21 +254,27 @@ def simulate_metric_shared(
     n_pairs = means.size
     tau = cfg.trials
     block = max(1, _BLOCK_ELEMENTS // _trial_words(n_pairs))
+    rows = min(block, tau)
     out = np.empty((len(offsets_list), tau), dtype=np.float64)
     last = len(offsets_list) - 1
     if clip_bounds is not None:
         lo = clip_bounds[0] - means
         hi = clip_bounds[1] - means
+    # each thread's buffers, allocated on its first block and reused by the rest
+    local = threading.local()
 
     def run_task(k0: int) -> None:
         nt = min(block, tau - k0)
-        delta = _draw_block(cfg.master_seed, k0, nt, n_pairs)
+        if not hasattr(local, "draws"):
+            local.draws = np.empty(rows * _trial_words(n_pairs), dtype=np.float64)
+            # the draws must survive every system but the last, which works
+            # in the draw block itself
+            local.resid = np.empty(rows * n_pairs, dtype=np.float64) if last else None
+        delta = _draw_block(cfg.master_seed, k0, nt, n_pairs, out=local.draws)
         delta *= sigmas
         if clip_bounds is not None:
             np.clip(delta, lo, hi, out=delta)
-        # the draws must survive every system but the last, which works in
-        # the draw block itself
-        resid = np.empty((nt, n_pairs), dtype=np.float64) if last else None
+        resid = local.resid[: nt * n_pairs].reshape(nt, n_pairs) if last else None
         for row, offsets in enumerate(offsets_list):
             dst = resid if row < last else delta
             src = delta if offsets is None else np.add(delta, offsets, out=dst)

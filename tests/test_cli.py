@@ -469,6 +469,8 @@ class TestSimulate:
             ["transfer", "--rate", "nan"],
             ["transfer", "--bounds", "1,0"],
             ["transfer", "--bounds=-2,-1"],
+            ["transfer", "--bounds", "340,350"],
+            ["transfer", "--bounds", "50,60"],
             ["transfer", "--competitor-mean", "nan"],
             ["rankcurves", "--noise-scale", "nan"],
             ["rankcurves", "--deltas", "inf"],
@@ -479,6 +481,7 @@ class TestSimulate:
             "workers-0", "workers-neg", "seed-neg", "seed-2^64", "tau-0",
             "ingest-alpha-7", "ingest-alpha-nan", "transfer-rate-0", "transfer-rate-nan",
             "transfer-bounds-reversed", "transfer-bounds-massless",
+            "transfer-bounds-hopeless-subnormal", "transfer-bounds-hopeless",
             "transfer-competitor-nan", "rankcurves-noise-nan", "rankcurves-delta-inf",
             "sensitivity-fixed-inf", "sensitivity-grid-inf",
         ],

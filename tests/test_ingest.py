@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -431,6 +432,37 @@ class TestSampleVariances:
     def test_invalid_rate(self, rate):
         with pytest.raises(ValueError, match="rate must be finite and > 0"):
             sample_variances(rate, 10, seed=0)
+
+    @pytest.mark.parametrize("batch", [64, 1024, None])
+    @pytest.mark.parametrize(
+        "n, bounds, seed", [(5000, (0.16, 3.84), 3), (3000, (0.5, 0.6), 1), (10, (2.0, 3.0), 9)]
+    )
+    def test_bounded_draws_are_first_accepted_of_stream(
+        self, monkeypatch, n, bounds, seed, batch
+    ):
+        if batch is not None:
+            monkeypatch.setattr(ingest, "_REJECTION_BATCH", batch)
+        stream = np.random.default_rng(seed).exponential(1 / 2.11, size=2_000_000)
+        expected = stream[(stream >= bounds[0]) & (stream <= bounds[1])][:n]
+        assert expected.size == n
+        assert np.array_equal(sample_variances(2.11, n, bounds=bounds, seed=seed), expected)
+
+    def test_narrow_window_memory_stays_small(self):
+        # acceptance ~7.4e-7: about 1.4e7 draws for 10 values, in capped batches
+        tracemalloc.start()
+        try:
+            draws = sample_variances(2.11, 10, bounds=(6.5, 7.0), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.size == 10
+        assert np.all((draws >= 6.5) & (draws <= 7.0))
+        assert peak < 4 * ingest._REJECTION_BATCH * 8
+
+    @pytest.mark.parametrize("bounds", [(340.0, 350.0), (50.0, 60.0)])
+    def test_hopeless_window_refused(self, bounds):
+        with pytest.raises(ValueError, match="acceptance .* under Exp"):
+            sample_variances(2.11, 2_800_000, bounds=bounds, seed=0)
 
 
 class TestVarianceFile:

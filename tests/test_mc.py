@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -345,9 +346,9 @@ class TestBlockContract:
         blocks = []
         draw_block = mc._draw_block
 
-        def recording(master_seed, k0, n_trials, n_pairs):
+        def recording(master_seed, k0, n_trials, n_pairs, **kwargs):
             blocks.append(n_trials)
-            return draw_block(master_seed, k0, n_trials, n_pairs)
+            return draw_block(master_seed, k0, n_trials, n_pairs, **kwargs)
 
         monkeypatch.setattr(mc, "_draw_block", recording)
         dists = make_dists(np.full(n, 0.5))
@@ -359,6 +360,50 @@ class TestBlockContract:
         )
         assert sum(blocks) == tau
         assert max(blocks) * mc._trial_words(n) <= mc._BLOCK_ELEMENTS
+
+    def test_one_draw_buffer_per_thread(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        dists = self._dists()
+        systems = self._systems(dists) + [
+            PredictorVector(keys=dists.keys, values=dists.means - 0.2)
+        ]
+        cfg = MCConfig(trials=200, master_seed=42)
+        serial = simulate_metric_shared(dists, systems, MetricKind.RMSE, cfg)
+        roots = {}
+        draw_block = mc._draw_block
+
+        def recording(*args, **kwargs):
+            draws = draw_block(*args, **kwargs)
+            root = draws
+            while root.base is not None:
+                root = root.base
+            # holding every root keeps its id from being reused by a later block
+            roots.setdefault(threading.get_ident(), []).append(root)
+            return draws
+
+        monkeypatch.setattr(mc, "_draw_block", recording)
+        threaded = simulate_metric_shared(dists, systems, MetricKind.RMSE, cfg, workers=2)
+        assert sum(len(seen) for seen in roots.values()) == math.ceil(200 / 7)
+        for seen in roots.values():
+            assert len({id(root) for root in seen}) == 1
+        assert np.array_equal(threaded, serial)
+
+    def test_small_run_buffers_sized_by_tau(self):
+        # tau = 3 trials of N = 5001 pairs: a full block would hold 52
+        n, tau = 5001, 3
+        dists = make_dists(np.full(n, 0.5))
+        p = optimal_predictors(dists, MetricKind.RMSE)
+        predictors = [p, PredictorVector(keys=p.keys, values=p.values + 0.1)]
+        tracemalloc.start()
+        try:
+            simulate_metric_shared(
+                dists, predictors, MetricKind.RMSE, MCConfig(trials=tau, master_seed=3)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mc._BLOCK_ELEMENTS * 8 / 4
 
 
 class TestZeroOffsetSystems:
