@@ -35,7 +35,7 @@ from .core import (
     gaussian_cdf,
     variance_bounds,
 )
-from .approx import magic_barrier_rmse, rmse_summary_from_offsets
+from .approx import rmse_summary_from_offsets
 from .mc import MCConfig, MetricSample, simulate_metric_shared
 
 __all__ = [
@@ -228,7 +228,8 @@ def sensitivity_sweep(
     ``axis="variance"`` varies the homogeneous variance at the fixed N. Each
     row also carries the envelope attainable on the scale: the barrier
     computed at the scale's minimum and maximum nonzero variance for the
-    row's pair count.
+    row's pair count. N pairs of one variance v have the closed form mean
+    sqrt(v) and variance v/(2N), so no row builds a per-pair array.
     """
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
@@ -249,18 +250,15 @@ def sensitivity_sweep(
             raise ValueError(f"pair count must be >= 1, got {n}")
         if variance <= 0.0:
             raise ValueError(f"homogeneous variance must be > 0, got {variance}")
-        summary = magic_barrier_rmse(np.full(n, variance))
-        env_low = magic_barrier_rmse(np.full(n, var_min))
-        env_high = magic_barrier_rmse(np.full(n, var_max))
         rows.append(
             SweepRow(
                 axis_value=float(value),
-                mean=summary.mean,
-                variance=summary.variance,
-                envelope_min_mean=env_low.mean,
-                envelope_max_mean=env_high.mean,
-                envelope_min_variance=env_low.variance,
-                envelope_max_variance=env_high.variance,
+                mean=math.sqrt(variance),
+                variance=variance / (2.0 * n),
+                envelope_min_mean=math.sqrt(var_min),
+                envelope_max_mean=math.sqrt(var_max),
+                envelope_min_variance=var_min / (2.0 * n),
+                envelope_max_variance=var_max / (2.0 * n),
             )
         )
     return rows

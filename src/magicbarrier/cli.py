@@ -98,24 +98,9 @@ def _json_value(value) -> str:
             "mean": value.means.tolist(),
             "variance": value.variances.tolist(),
         })
-    else:
-        text = _row_list_json(value)
-    if text is not None:
-        return text
+        if text is not None:
+            return text
     return json.dumps(value, indent=2, sort_keys=True, default=asdict).replace("\n", "\n  ")
-
-
-def _row_list_json(rows) -> str | None:
-    """A nonempty list of dicts with one set of str keys and str or finite
-    float values, rendered by :func:`_columns_json`; None for anything else."""
-    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
-        return None
-    keys = rows[0].keys()
-    if not keys or set(map(type, keys)) != {str}:
-        return None
-    if not all(map(keys.__eq__, map(dict.keys, rows))):
-        return None
-    return _columns_json({name: list(map(itemgetter(name), rows)) for name in keys})
 
 
 def _columns_json(columns: dict[str, list]) -> str | None:
@@ -510,6 +495,7 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
         variances = ingest.sample_variances(args.rate, args.count, bounds=bounds, seed=seed)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    analytic = ingest._truncated_mean(args.rate, bounds)
     barrier = approx.magic_barrier_rmse(variances)
     # the simplified criterion assumes comparable spreads, i.e. the competitor
     # is compared at the barrier's own variance
@@ -528,8 +514,8 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
     return config, {
         "barrier": barrier.to_json_dict(),
         "sampled_variance_mean": float(np.mean(variances)),
-        "analytic_variance_mean": 1.0 / args.rate,
-        "analytic_barrier_mean": float(np.sqrt(1.0 / args.rate)),
+        "analytic_variance_mean": analytic,
+        "analytic_barrier_mean": math.sqrt(analytic),
         "competitor_mean": args.competitor_mean,
         **_verdict(analysis.improvement_criterion(barrier, competitor)),
     }

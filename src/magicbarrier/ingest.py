@@ -37,8 +37,9 @@ that one group-by by fancy indexing.
 Two statistical utilities complete the module: a one-sample Kolmogorov-Smirnov
 test of the per-slice normality assumption, run over all slices of one length
 as one block, and an exponential fit to the population of positive slice
-variances together with a seeded sampler used to transfer that population
-onto records where no re-rating data exists.
+variances together with a seeded inverse-CDF sampler, on any window of its
+support, used to transfer that population onto records where no re-rating
+data exists.
 """
 
 from __future__ import annotations
@@ -429,10 +430,36 @@ def fit_exponential(variances: Iterable[float]) -> float:
     return float(1.0 / arr.mean())
 
 
-# rejection sampling draws at most this many values per batch, and refuses a
-# window that would take more than _MAX_REJECTION_DRAWS draws on average
-_REJECTION_BATCH = 1 << 16
-_MAX_REJECTION_DRAWS = 1 << 30
+def _window(rate: float, bounds: tuple[float, float] | None) -> tuple[float, float]:
+    """The window [a, b] = [max(low, 0), high] of ``Exp(rate)`` that
+    ``bounds`` leave, [0, inf) without bounds.
+
+    Refuses a rate that is not finite and positive, ``low >= high``, and a
+    window below the support (``high <= 0``).
+    """
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
+    if bounds is None:
+        return 0.0, math.inf
+    low, high = bounds
+    if not (low < high):
+        raise ValueError(f"invalid bounds: need low < high, got {bounds}")
+    if high <= 0.0:
+        raise ValueError(f"truncation bounds {bounds} lie below the support [0, inf)")
+    return max(0.0, low), high
+
+
+def _truncated_mean(rate: float, bounds: tuple[float, float] | None) -> float:
+    """Mean of ``Exp(rate)`` on the window [a, b] of ``bounds``:
+    a + 1/rate - w/expm1(rate·w) with w = b - a, which is 1/rate without
+    bounds."""
+    a, b = _window(rate, bounds)
+    x = rate * (b - a)
+    if x > 700.0:  # w/expm1(x) = (x/rate)/expm1(x) is nil next to 1/rate
+        return a + 1.0 / rate
+    if x < 1e-6:  # the closed form cancels; its series is w·(1/2 - x/12 + O(x^3))
+        return a + (b - a) * (0.5 - x / 12.0)
+    return a + 1.0 / rate - (b - a) / math.expm1(x)
 
 
 def sample_variances(
@@ -443,48 +470,23 @@ def sample_variances(
 ) -> np.ndarray:
     """``n`` reproducible draws from ``Exp(rate)``, optionally truncated.
 
-    Truncation is by rejection, so the draws follow the exponential law
-    restricted to ``bounds``: the result is the first ``n`` draws of the
-    seeded stream that fall in ``bounds``, whatever the batch sizes. A window
-    so improbable that ``n`` accepted draws would take more than 2^30 draws
-    on average is refused. Identical ``(seed, n, rate, bounds)`` yield an
-    identical array.
+    The draws follow the exponential law restricted to the window [a, b] =
+    [max(low, 0), high] of ``bounds``, or [0, inf) without bounds. They are
+    drawn by inverting the truncated CDF, which is exact because the law is
+    memoryless: one uniform u in [0, 1) per draw gives
+    a - log1p(-u·(1 - e^(-rate·(b - a))))/rate, clamped at b against
+    rounding. Every window with b > a costs O(n), however far out it lies.
+    Identical ``(seed, n, rate, bounds)`` yield an identical array.
     """
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be finite and > 0, got {rate}")
+    a, b = _window(rate, bounds)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if bounds is not None:
-        low, high = bounds
-        if not (low < high):
-            raise ValueError(f"invalid bounds: need low < high, got {bounds}")
-        accept = math.exp(-rate * max(low, 0.0)) - math.exp(-rate * high)
-        if accept <= 0.0:
-            raise ValueError(f"truncation bounds {bounds} carry no probability mass")
-        if n > accept * _MAX_REJECTION_DRAWS:
-            raise ValueError(
-                f"truncation bounds {bounds} have acceptance {accept:.3g} under "
-                f"Exp({rate}): {n} values would take more than "
-                f"{_MAX_REJECTION_DRAWS} draws"
-            )
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / rate
-    if bounds is None:
-        return rng.exponential(scale, size=n)
-    low, high = bounds
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    while filled < n:
-        # oversample by the analytic acceptance rate to keep iterations few,
-        # and cap the batch to keep its memory small
-        want = n - filled
-        size = min(int(want / accept * 1.1) + 16, _REJECTION_BATCH)
-        batch = rng.exponential(scale, size=size)
-        kept = batch[(batch >= low) & (batch <= high)]
-        take = min(kept.size, want)
-        out[filled : filled + take] = kept[:take]
-        filled += take
-    return out
+    draws = np.random.default_rng(seed).random(n)
+    draws *= math.expm1(-rate * (b - a))
+    np.log1p(draws, out=draws)
+    draws /= -rate
+    draws += a
+    return np.minimum(draws, b, out=draws)
 
 
 def parse_predictions(source: str, pairs: PairTable) -> PredictorVector:

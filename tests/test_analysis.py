@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +14,7 @@ from magicbarrier import (
     MCConfig,
     MetricKind,
     PredictorVector,
+    ScaleSpec,
     improvement_criterion,
     interference_probability,
     jsd,
@@ -240,6 +243,28 @@ class TestSensitivitySweep:
     def test_empty_grid_rejected(self, scale_5star):
         with pytest.raises(ValueError):
             sensitivity_sweep("pair_count", [], 1.0, scale_5star)
+
+    @pytest.mark.parametrize("axis", ["pair_count", "variance"])
+    def test_memory_does_not_grow_with_pair_count(self, scale_5star, axis):
+        peaks = []
+        for n in (1, 1_000, 4_000_000):
+            grid, fixed = ([n], 0.5) if axis == "pair_count" else ([0.5], n)
+            tracemalloc.start()
+            try:
+                sensitivity_sweep(axis, grid, fixed, scale_5star)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1 << 14, peaks
+
+    @given(value=st.floats(1.0, sys.float_info.max))
+    @settings(max_examples=100, deadline=None)
+    def test_every_finite_count_answers(self, value):
+        for axis, grid, fixed in (("pair_count", [value], 0.5), ("variance", [0.5], value)):
+            row = sensitivity_sweep(axis, grid, fixed, ScaleSpec(1, 5, 5))[0]
+            assert row.mean == math.sqrt(0.5)
+            assert 0.0 <= row.variance <= 0.25
+            assert 0.0 <= row.envelope_min_variance <= row.envelope_max_variance
 
 
 def sweep_config(deltas, offsets, n=51):

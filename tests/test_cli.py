@@ -469,8 +469,6 @@ class TestSimulate:
             ["transfer", "--rate", "nan"],
             ["transfer", "--bounds", "1,0"],
             ["transfer", "--bounds=-2,-1"],
-            ["transfer", "--bounds", "340,350"],
-            ["transfer", "--bounds", "50,60"],
             ["transfer", "--competitor-mean", "nan"],
             ["rankcurves", "--noise-scale", "nan"],
             ["rankcurves", "--deltas", "inf"],
@@ -481,7 +479,6 @@ class TestSimulate:
             "workers-0", "workers-neg", "seed-neg", "seed-2^64", "tau-0",
             "ingest-alpha-7", "ingest-alpha-nan", "transfer-rate-0", "transfer-rate-nan",
             "transfer-bounds-reversed", "transfer-bounds-massless",
-            "transfer-bounds-hopeless-subnormal", "transfer-bounds-hopeless",
             "transfer-competitor-nan", "rankcurves-noise-nan", "rankcurves-delta-inf",
             "sensitivity-fixed-inf", "sensitivity-grid-inf",
         ],
@@ -627,6 +624,20 @@ class TestSensitivity:
         assert main(
             ["sensitivity", "--axis", "n", "--grid", "abc", "--fixed", "1.0"]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--axis", "n", "--grid", "4e6,1e308", "--fixed", "0.5"],
+         ["--axis", "variance", "--grid", "0.5", "--fixed", "1.7976931348623157e308"]],
+        ids=["grid", "fixed"],
+    )
+    def test_huge_pair_count_answers(self, tmp_path, capsys, argv):
+        out = tmp_path / "sweep.json"
+        assert main(["sensitivity", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_json(out)["rows"]
+        assert rows[-1]["mean"] == math.sqrt(0.5)
+        assert 0.0 <= rows[-1]["variance"] < 1e-300
 
 
 class TestRankCurves:
@@ -789,17 +800,22 @@ def _rows(draw):
 
 
 class TestJsonWriter:
-    """The column-wise row writer reproduces json.dumps(indent=2, sort_keys=True)."""
+    """The column-wise row writer reproduces json.dumps(indent=2, sort_keys=True);
+    every other value goes through json.dumps itself."""
 
     @staticmethod
     def reference(value):
         # a top-level value of the emitted document sits one level deep
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
+    @staticmethod
+    def columns(rows):
+        return {name: [row[name] for row in rows] for name in rows[0]}
+
     @given(rows=_rows())
     @settings(max_examples=200, deadline=None)
     def test_rows_match_json_dumps(self, rows):
-        assert cli._row_list_json(rows) == self.reference(rows)
+        assert cli._columns_json(self.columns(rows)) == self.reference(rows)
 
     @pytest.mark.parametrize(
         "rows",
@@ -820,12 +836,19 @@ class TestJsonWriter:
              "int", "bool", "null", "nested", "int-key"],
     )
     def test_other_values_take_json_dumps(self, rows):
-        assert cli._row_list_json(rows) is None
         assert cli._json_value(rows) == self.reference(rows)
+
+    @pytest.mark.parametrize(
+        "column",
+        [[1.0, "x"], [math.nan], [1.0, math.inf], [1], [True], [None], [[1.0]]],
+        ids=["mixed", "nan", "inf", "int", "bool", "null", "nested"],
+    )
+    def test_other_columns_refused(self, column):
+        assert cli._columns_json({"a": ["x"] * len(column), "b": column}) is None
 
     def test_percent_in_keys_and_values(self):
         rows = [{"%s": "%d", "a%%": 1.5}, {"%s": "%", "a%%": -0.0}]
-        assert cli._row_list_json(rows) == self.reference(rows)
+        assert cli._columns_json(self.columns(rows)) == self.reference(rows)
 
 
 class TestGoldenDigests:
@@ -907,11 +930,11 @@ class TestGoldenDigests:
             ),
             (
                 ["transfer", "--count", "5000", "--seed", "3", "--bounds", "0.16,3.84"],
-                "5c1a0a7a2285b23350d4248b934bd35d940668ddffcd3194252fc1f4ea8b3e68",
+                "a3e041875c1a25b6181b11ebef1116e053a375a2a3cf9df58f8b174e404f1bab",
             ),
             (
                 ["sensitivity", "--axis", "n", "--grid", "1,7,50,333", "--fixed", "0.7"],
-                "5aec641388aac1c64eaba6a32c52e7f85354837979e77460864507f51480f296",
+                "f326220429dd38c119321c68d56da67335c3ca6ec0279a2fe1f7fe6f72c7cacf",
             ),
             (
                 ["rankcurves", "--pairs", "pairs.json", "--deltas", "0.0,0.05,0.1",
@@ -937,7 +960,7 @@ class TestGoldenDigests:
         [
             (
                 ["sensitivity", "--axis", "n", "--grid", "1,7,50,333", "--fixed", "0.7"],
-                "b9ca14e905b3c1b9026bc842a23172f3ad5774249144d77584bce381d51355df",
+                "0ace1dde7e4b05455554c1ef3b6a2345a8e9876f653613fefc7c98e23a22ed86",
             ),
             (
                 ["rankcurves", "--pairs", "pairs.json", "--deltas", "0.0,0.05,0.1",
@@ -997,6 +1020,36 @@ class TestTransfer:
         doc = read_json(out)
         # truncating away the mass below 0.16 raises the mean variance
         assert doc["sampled_variance_mean"] > 1 / 2.11
+
+    @pytest.mark.parametrize(
+        "bounds, low, high",
+        [(None, 0.0, math.inf), ("2,3", 2.0, 3.0), ("-2,0.3", 0.0, 0.3),
+         ("2,inf", 2.0, math.inf)],
+        ids=["unbounded", "2-3", "negative-low", "open-high"],
+    )
+    def test_analytic_fields_follow_bounds(self, tmp_path, bounds, low, high):
+        out = tmp_path / "t.json"
+        argv = ["transfer", "--count", "5000", "--seed", "3", "--out", str(out)]
+        assert main(argv + ([] if bounds is None else [f"--bounds={bounds}"])) == 0
+        doc = read_json(out)
+        mean = doc["analytic_variance_mean"]
+        assert low < mean < high
+        assert doc["analytic_barrier_mean"] == math.sqrt(mean)
+        assert mean == pytest.approx(doc["sampled_variance_mean"], rel=0.05)
+        if bounds is None:
+            assert mean == 1.0 / 2.11
+
+    @pytest.mark.parametrize("bounds", ["340,350", "50,60"], ids=["340-350", "50-60"])
+    def test_far_window_succeeds(self, tmp_path, capsys, bounds):
+        out = tmp_path / "t.json"
+        assert main(
+            ["transfer", "--count", "10", "--bounds", bounds, "--out", str(out)]
+        ) == 0
+        assert capsys.readouterr().err == ""
+        low, high = map(float, bounds.split(","))
+        doc = read_json(out)
+        assert low <= doc["sampled_variance_mean"] <= high
+        assert low < doc["analytic_variance_mean"] < high
 
 
 class TestUsage:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -433,22 +433,8 @@ class TestSampleVariances:
         with pytest.raises(ValueError, match="rate must be finite and > 0"):
             sample_variances(rate, 10, seed=0)
 
-    @pytest.mark.parametrize("batch", [64, 1024, None])
-    @pytest.mark.parametrize(
-        "n, bounds, seed", [(5000, (0.16, 3.84), 3), (3000, (0.5, 0.6), 1), (10, (2.0, 3.0), 9)]
-    )
-    def test_bounded_draws_are_first_accepted_of_stream(
-        self, monkeypatch, n, bounds, seed, batch
-    ):
-        if batch is not None:
-            monkeypatch.setattr(ingest, "_REJECTION_BATCH", batch)
-        stream = np.random.default_rng(seed).exponential(1 / 2.11, size=2_000_000)
-        expected = stream[(stream >= bounds[0]) & (stream <= bounds[1])][:n]
-        assert expected.size == n
-        assert np.array_equal(sample_variances(2.11, n, bounds=bounds, seed=seed), expected)
-
     def test_narrow_window_memory_stays_small(self):
-        # acceptance ~7.4e-7: about 1.4e7 draws for 10 values, in capped batches
+        # mass ~7.4e-7: the inverse CDF needs no more draws here than anywhere
         tracemalloc.start()
         try:
             draws = sample_variances(2.11, 10, bounds=(6.5, 7.0), seed=0)
@@ -457,12 +443,73 @@ class TestSampleVariances:
             tracemalloc.stop()
         assert draws.size == 10
         assert np.all((draws >= 6.5) & (draws <= 7.0))
-        assert peak < 4 * ingest._REJECTION_BATCH * 8
+        assert peak < 1 << 16
 
-    @pytest.mark.parametrize("bounds", [(340.0, 350.0), (50.0, 60.0)])
-    def test_hopeless_window_refused(self, bounds):
-        with pytest.raises(ValueError, match="acceptance .* under Exp"):
-            sample_variances(2.11, 2_800_000, bounds=bounds, seed=0)
+    @pytest.mark.parametrize(
+        "bounds", [(340.0, 350.0), (50.0, 60.0)], ids=["340-350", "50-60"]
+    )
+    def test_far_window_sampled(self, bounds):
+        # mass 2.7e-312 and 1.6e-46 under Exp(2.11): no draw is wasted
+        draws = sample_variances(2.11, 2_800_000, bounds=bounds, seed=0)
+        assert draws.size == 2_800_000
+        assert np.all((draws >= bounds[0]) & (draws <= bounds[1]))
+
+    @pytest.mark.parametrize(
+        "bounds", [(-1.0, 0.0), (0.0, 0.0), (math.nan, 1.0)], ids=["below", "empty", "nan"]
+    )
+    def test_empty_window_refused(self, bounds):
+        with pytest.raises(ValueError, match="bounds"):
+            sample_variances(2.11, 10, bounds=bounds, seed=0)
+
+    @given(
+        rate=st.floats(1e-3, 1e3),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+        low=st.one_of(
+            st.floats(-10.0, 10.0),
+            st.floats(100.0, 1e6),
+            st.just(-math.inf),
+            st.sampled_from([0.0, -0.0, 5e-324, 340.0]),
+        ),
+        width=st.one_of(
+            st.floats(1e-12, 1e-9),
+            st.floats(1e-9, 1e3),
+            st.just(math.inf),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_draws_stay_in_window(self, rate, n, seed, low, width):
+        high = max(low, 0.0) + width
+        assume(high > max(low, 0.0))
+        draws = sample_variances(rate, n, bounds=(low, high), seed=seed)
+        assert draws.shape == (n,) and draws.dtype == np.float64
+        assert np.all((draws >= max(low, 0.0)) & (draws <= high))
+        assert np.array_equal(draws, sample_variances(rate, n, (low, high), seed))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [None, (0.16, 3.84), (2.0, 3.0), (2.0, math.inf), (-2.0, 0.3), (340.0, 350.0),
+         (0.0, 1e-3)],
+    )
+    def test_matches_truncated_cdf(self, bounds):
+        rate = 2.11
+        a, b = ingest._window(rate, bounds)
+        draws = sample_variances(rate, 20_000, bounds=bounds, seed=12)
+
+        def cdf(x):
+            return np.expm1(-rate * (x - a)) / np.expm1(-rate * (b - a))
+
+        assert stats.kstest(draws, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.16, 3.84), (2.0, 3.0), (2.0, math.inf), (-2.0, 0.3), (340.0, 350.0),
+         (0.0, 1e-3), (1.0, 1.0 + 1e-7)],
+    )
+    def test_analytic_mean_within_4_se(self, bounds):
+        draws = sample_variances(2.11, 50_000, bounds=bounds, seed=5)
+        se = draws.std() / math.sqrt(draws.size)
+        assert abs(ingest._truncated_mean(2.11, bounds) - draws.mean()) <= 4 * se
 
 
 class TestVarianceFile:
