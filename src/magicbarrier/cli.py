@@ -492,11 +492,20 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
         bounds = (values[0], values[1])
     seed = _seed_from_args(args)
     try:
-        variances = ingest.sample_variances(args.rate, args.count, bounds=bounds, seed=seed)
+        # a tiny rate draws variances whose squares, or the draws themselves,
+        # overflow float64
+        with np.errstate(over="raise"):
+            variances = ingest.sample_variances(
+                args.rate, args.count, bounds=bounds, seed=seed
+            )
+            barrier = approx.magic_barrier_rmse(variances)
+    except FloatingPointError:
+        raise _UsageError(
+            f"--rate {args.rate!r} is too small: the sampled variances overflow float64"
+        ) from None
     except ValueError as exc:
         raise _UsageError(str(exc))
     analytic = ingest._truncated_mean(args.rate, bounds)
-    barrier = approx.magic_barrier_rmse(variances)
     # the simplified criterion assumes comparable spreads, i.e. the competitor
     # is compared at the barrier's own variance
     try:

@@ -29,14 +29,26 @@ whatever the pair count N. Each thread allocates its buffers once, sized for
 ``min(block, tau)`` trials, and runs every block in views of them, so a fresh
 process does not page-fault through new temporaries block after block.
 Memory is therefore O(N + K*tau) for the per-pair vectors and the K
-systems' tau metric values, plus one draw buffer per worker thread, and one
-residual buffer per thread only when several systems share the draws: the
-last system of a block, and so the only one of a one-system run, works in
-the draw buffer itself. A system whose offsets are all exactly zero (the
-optimal predictor) reduces straight from the draws, with no add: ``x + 0.0``
-differs from ``x`` only in the sign of a zero, which the square and the
-absolute value drop. The block size never changes a value: draws are
-counter-addressed per trial and every reduction runs along one trial's row,
+systems' tau metric values, plus one draw buffer per worker thread.
+
+Unclipped RMSE scores every system from that buffer alone, through
+``sum((d + o)^2) = sum(d^2) + 2*d.o + sum(o^2)`` for a trial's deviations d
+and a system's offsets o: per block, one ``einsum`` (not a BLAS product,
+whose sums may depend on the row count) gives the cross terms of the K'
+systems with nonzero offsets, ``d`` is squared and averaged in place once,
+and each value is ``sqrt(max(mean(d^2) + (2*d.o + sum(o^2))/N, 0))``, the
+clamp covering the rounding of residuals that all but cancel. A system whose
+offsets are all exactly zero (the optimal predictor) takes
+``sqrt(mean(d^2))``, the bits of the residual formula: ``d + 0.0`` differs
+from ``d`` only in the sign of a zero. MAE has no such expansion, and
+clipped deviations have atoms at the scale ends, where a prediction at a
+scale end leaves a residual of exactly zero that the expansion would reach
+only through cancellation; both keep the residual formula, and with several
+systems one residual buffer per thread, as the draws must survive every
+system but the last, which works in the draw buffer itself.
+
+The block size never changes a value: draws are counter-addressed per trial
+and every reduction, the cross term included, runs along one trial's row,
 so each trial's metric depends on that trial alone.
 """
 
@@ -237,26 +249,33 @@ def simulate_metric_shared(
     kernel works in offset space: a draw's deviation from its pair mean is
     ``sigma * z``, its residual against a system adds that system's offsets
     ``means - predictions``, and clipping the rating to ``[lo, hi]`` clips
-    the deviation to ``[lo - mean, hi - mean]``.
+    the deviation to ``[lo - mean, hi - mean]``. Unclipped RMSE expands each
+    system's mean square around the deviations' own, so all systems share
+    one square pass and one cross-term product per block; MAE and clipped
+    runs form each system's residuals, in a per-thread residual buffer when
+    several systems share the draws (see the module notes).
     """
     if not len(dists):
         raise ValueError("need at least one rating distribution")
     if not predictor_list:
         raise ValueError("need at least one predictor vector")
-    means = dists.means
-    offsets_list = []
     for p in predictor_list:
         p.check_aligned(dists)
-        offsets = means - p.values
-        # None marks a zero-offset system, whose residual is the draw itself
-        offsets_list.append(offsets if offsets.any() else None)
+    means = dists.means
+    offsets = means - np.array([p.values for p in predictor_list])
+    # a system whose offsets are all zero scores the draws themselves
+    moved = offsets.any(axis=1)
     sigmas = np.sqrt(dists.variances)
     n_pairs = means.size
     tau = cfg.trials
     block = max(1, _BLOCK_ELEMENTS // _trial_words(n_pairs))
     rows = min(block, tau)
-    out = np.empty((len(offsets_list), tau), dtype=np.float64)
-    last = len(offsets_list) - 1
+    out = np.empty((len(offsets), tau), dtype=np.float64)
+    last = len(offsets) - 1
+    expand = metric is MetricKind.RMSE and clip_bounds is None
+    if expand:
+        shifts = offsets[moved]
+        shift_squares = np.einsum("ij,ij->i", shifts, shifts)
     if clip_bounds is not None:
         lo = clip_bounds[0] - means
         hi = clip_bounds[1] - means
@@ -267,17 +286,29 @@ def simulate_metric_shared(
         nt = min(block, tau - k0)
         if not hasattr(local, "draws"):
             local.draws = np.empty(rows * _trial_words(n_pairs), dtype=np.float64)
-            # the draws must survive every system but the last, which works
-            # in the draw block itself
-            local.resid = np.empty(rows * n_pairs, dtype=np.float64) if last else None
+            # the draws must survive every residual pass but the last, which
+            # works in the draw block itself
+            local.resid = (
+                np.empty(rows * n_pairs, dtype=np.float64) if last and not expand else None
+            )
         delta = _draw_block(cfg.master_seed, k0, nt, n_pairs, out=local.draws)
         delta *= sigmas
+        if expand:
+            # einsum, not BLAS matmul: its sums do not depend on the row count
+            terms = np.einsum("ij,kj->ik", delta, shifts)
+            msq = np.mean(np.square(delta, out=delta), axis=1)
+            out[~moved, k0 : k0 + nt] = np.sqrt(msq)
+            # mean((d + o)^2) = mean(d^2) + (2 d.o + o.o)/N, clamped at 0
+            # against rounding where d + o nearly cancels
+            terms = msq[:, None] + (2.0 * terms + shift_squares) / n_pairs
+            out[moved, k0 : k0 + nt] = np.sqrt(np.maximum(terms, 0.0)).T
+            return
         if clip_bounds is not None:
             np.clip(delta, lo, hi, out=delta)
         resid = local.resid[: nt * n_pairs].reshape(nt, n_pairs) if last else None
-        for row, offsets in enumerate(offsets_list):
+        for row in range(len(offsets)):
             dst = resid if row < last else delta
-            src = delta if offsets is None else np.add(delta, offsets, out=dst)
+            src = np.add(delta, offsets[row], out=dst) if moved[row] else delta
             out[row, k0 : k0 + nt] = _metric_rows(src, dst, metric)
 
     starts = range(0, tau, block)

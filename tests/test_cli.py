@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 from pathlib import Path
 
@@ -916,6 +917,11 @@ class TestGoldenDigests:
                 "e62bf062b2ec8e16b0d54e507115f95d2a8f223e97ffadb00d0b5ef206dd5020",
             ),
             (
+                ["simulate", "pairs.json", "--predictors", "far.csv", "--tau", "3000",
+                 "--seed", "17"],
+                "e9982b24dffc4be4864531aa27847740c838a8f135fad2bc9ab4600ce4fdda6c",
+            ),
+            (
                 ["rank", "pairs.json", "--predictors", "best.csv", "near.csv",
                  "far.csv", "--tau", "3000", "--seed", "5", "--workers", "2"],
                 "a705f7d0bbe2fddd2aa9b4c6396a4324bb8c977d71939c98f8637d954af2d1d7",
@@ -947,7 +953,7 @@ class TestGoldenDigests:
             ),
         ],
         ids=[
-            "simulate", "simulate-mae-clip", "rank", "estimate-rmse", "estimate-mae",
+            "simulate", "simulate-mae-clip", "simulate-far", "rank", "estimate-rmse", "estimate-mae",
             "transfer", "sensitivity", "rankcurves", "ingest",
         ],
     )
@@ -1050,6 +1056,32 @@ class TestTransfer:
         doc = read_json(out)
         assert low <= doc["sampled_variance_mean"] <= high
         assert low < doc["analytic_variance_mean"] < high
+
+    @pytest.mark.parametrize("rate", ["1e-310", "1e-300"])
+    def test_tiny_rate_is_usage_error(self, tmp_path, capsys, rate):
+        # 1e-310 overflows the draws themselves, 1e-300 their squares
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["transfer", "--count", "10", "--rate", rate,
+                 "--out", str(tmp_path / "t.json")]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert f"--rate {float(rate)!r}" in err
+        assert not (tmp_path / "t.json").exists()
+
+    def test_tiny_rate_in_narrow_window_succeeds(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["transfer", "--count", "10", "--rate", "1e-310", "--bounds", "0,1",
+                 "--out", str(out)]
+            ) == 0
+        assert capsys.readouterr().err == ""
+        assert 0.0 < read_json(out)["sampled_variance_mean"] < 1.0
 
 
 class TestUsage:

@@ -280,7 +280,8 @@ class TestBlockContract:
     def _systems(self, dists):
         p = optimal_predictors(dists, MetricKind.RMSE)
         q = PredictorVector(keys=p.keys, values=p.values + 0.3)
-        return [p, q]
+        r = PredictorVector(keys=p.keys, values=p.values - 0.45)
+        return [p, q, r]
 
     def _run(self, metric, clip_bounds, workers=1):
         dists = self._dists()
@@ -311,6 +312,14 @@ class TestBlockContract:
         serial = self._run(MetricKind.RMSE, (1.0, 5.0), workers=1)
         for workers in (2, 3):
             threaded = self._run(MetricKind.RMSE, (1.0, 5.0), workers=workers)
+            assert np.array_equal(threaded, serial)
+
+    def test_unclipped_rmse_values_independent_of_workers(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        serial = self._run(MetricKind.RMSE, None, workers=1)
+        for workers in (2, 3):
+            threaded = self._run(MetricKind.RMSE, None, workers=workers)
             assert np.array_equal(threaded, serial)
 
     @pytest.mark.parametrize(
@@ -451,7 +460,8 @@ class TestZeroOffsetSystems:
                 assert np.array_equal(shared[row], alone[0])
             assert np.array_equal(shared[position], zero)
 
-    @pytest.mark.parametrize("systems, blocks", [(1, 1.5), (2, 2.5)])
+    # unclipped RMSE scores any number of systems from the draw block alone
+    @pytest.mark.parametrize("systems, blocks", [(1, 1.5), (2, 2.5), (4, 1.5)])
     def test_residual_block_only_for_shared_draws(self, systems, blocks):
         n, tau = 5001, 520
         dists = make_dists(np.full(n, 0.5))
@@ -468,3 +478,87 @@ class TestZeroOffsetSystems:
         finally:
             tracemalloc.stop()
         assert peak < blocks * mc._BLOCK_ELEMENTS * 8
+
+
+class TestRmseExpansion:
+    """Unclipped RMSE scores a system with offsets o from the draws' deviations
+    d as sqrt(mean(d^2) + (2 d.o + o.o)/N), which the direct residual formula
+    sqrt(mean((d + o)^2)) matches up to the rounding of those three terms."""
+
+    SCALES = [0.0, 0.3, 0.0, -0.15, 0.7]
+
+    def _case(self, n, tau, seed):
+        dists = make_dists(np.linspace(0.2, 2.0, n), means=np.linspace(1.2, 4.8, n))
+        alternating = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        systems = [
+            PredictorVector(keys=dists.keys, values=dists.means - scale * alternating)
+            for scale in self.SCALES
+        ]
+        cfg = MCConfig(trials=tau, master_seed=seed)
+        values = simulate_metric_shared(dists, systems, MetricKind.RMSE, cfg)
+        delta = mc._draw_block(seed, 0, tau, n) * np.sqrt(dists.variances)
+        offsets = [dists.means - p.values for p in systems]
+        return values, delta, offsets
+
+    @staticmethod
+    def _within_rounding(values, delta, offsets):
+        """Assert the rounding bound of each system's values and return the
+        direct ones.
+
+        Each sum of N products carries at most about N*eps of its absolute
+        terms, in both formulas, and every other step a few eps, so the two
+        mean squares differ by at most (2N + 16)*eps*T with
+        T = (sum d^2 + 2 sum |d o| + sum o^2)/N per trial; the square roots
+        then differ by at most min(sqrt(B), B/(v + v')).
+        """
+        n = delta.shape[1]
+        eps = np.finfo(np.float64).eps
+        direct = np.empty_like(values)
+        for row, o in enumerate(offsets):
+            direct[row] = np.sqrt(np.mean(np.square(delta + o), axis=1))
+            terms = (
+                np.sum(delta**2, axis=1) + 2.0 * np.abs(delta) @ np.abs(o) + o @ o
+            ) / n
+            bound = (2 * n + 16) * eps * terms
+            total = values[row] + direct[row]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                allowed = np.minimum(
+                    np.sqrt(bound), np.where(total > 0, bound / total, np.inf)
+                )
+            assert np.all(np.abs(values[row] - direct[row]) <= allowed)
+        return direct
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_matches_direct_residuals(self, n):
+        values, delta, offsets = self._case(n, 2000, 31)
+        assert not np.isnan(values).any()
+        direct = self._within_rounding(values, delta, offsets)
+        for row, scale in enumerate(self.SCALES):
+            if scale == 0.0:
+                # zero-offset systems take no cross term: the same bits
+                assert np.array_equal(values[row], direct[row])
+
+    def test_orderings_match_direct_residuals(self):
+        values, delta, offsets = self._case(500, 2000, 31)
+        direct = self._within_rounding(values, delta, offsets)
+        assert np.array_equal(
+            np.argsort(values, axis=0, kind="stable"),
+            np.argsort(direct, axis=0, kind="stable"),
+        )
+
+    def test_cancelling_prediction_stays_finite(self):
+        # trial 0's rating lands on the prediction, so d + o is zero up to the
+        # rounding of the prediction, and the expansion cancels
+        seed, tau = 22, 64
+        dists = make_dists([0.7], means=[3.3])
+        delta = mc._draw_block(seed, 0, tau, 1) * np.sqrt(dists.variances)
+        hit = PredictorVector(keys=dists.keys, values=dists.means + delta[0])
+        offsets = [dists.means - hit.values]
+        d, o = delta[0, 0], offsets[0][0]
+        assert d * d + (2.0 * d * o + o * o) < 0.0  # unclamped, it goes negative
+        values = simulate_metric_shared(
+            dists, [optimal_predictors(dists, MetricKind.RMSE), hit], MetricKind.RMSE,
+            MCConfig(trials=tau, master_seed=seed),
+        )
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        self._within_rounding(values[1:], delta, offsets)
