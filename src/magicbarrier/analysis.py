@@ -36,7 +36,10 @@ from .core import (
     variance_bounds,
 )
 from .approx import rmse_summary_from_offsets
-from .mc import MCConfig, MetricSample, simulate_metric_shared
+from .mc import MCConfig, MetricSample, _metric_blocks
+# not called here since rank_distribution counts block by block; the
+# benchmark tracer (bench/spans.py) still wraps it at this name
+from .mc import simulate_metric_shared  # noqa: F401
 
 __all__ = [
     "DiscreteDensity",
@@ -345,24 +348,32 @@ def rank_distribution(
     ratings (the comparison is between systems serving the same users and
     items, so outcome noise must be shared). The returned map sends an
     ordering, best system first by metric value, to its relative frequency;
-    values sum to 1. Ties within a trial, a measure-zero event for
-    nonconstant draws, are broken by system index.
+    values sum to 1, and orderings come in lexicographic order. Ties within
+    a trial, a measure-zero event for nonconstant draws, are broken by
+    system index.
+
+    Each block of trials is reduced to ordering counts as the simulation
+    yields it, so memory holds the blocks in flight and one count per
+    distinct ordering, never the K x tau metric values.
     """
     if not systems:
         raise ValueError("need at least one system")
-    values = simulate_metric_shared(dists, systems, metric, cfg, workers=workers)
-    order = np.argsort(values, axis=0, kind="stable")
     k = len(systems)
-    if k**k <= np.iinfo(np.intp).max:
-        # one integer code per trial's ordering: a 1-D unique over codes is
-        # ~100x faster than np.unique(axis=1) at 4 systems x 200k trials
-        codes = np.ravel_multi_index(tuple(order), (k,) * k)
-        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-        orderings = order[:, first]
-    else:
-        orderings, counts = np.unique(order, axis=1, return_counts=True)
+    counts: dict[tuple[int, ...], int] = {}
+    for values in _metric_blocks(dists, systems, metric, cfg, workers):
+        order = np.argsort(values, axis=0, kind="stable")
+        if k**k <= np.iinfo(np.intp).max:
+            # one integer code per trial's ordering: a 1-D unique over codes
+            # is ~100x faster than np.unique(axis=1) at 4 systems x 200k trials
+            codes = np.ravel_multi_index(tuple(order), (k,) * k)
+            _, first, block_counts = np.unique(
+                codes, return_index=True, return_counts=True
+            )
+            orderings = order[:, first]
+        else:
+            orderings, block_counts = np.unique(order, axis=1, return_counts=True)
+        for column, count in zip(orderings.T, block_counts):
+            ordering = tuple(column.tolist())
+            counts[ordering] = counts.get(ordering, 0) + int(count)
     tau = cfg.trials
-    return {
-        tuple(column.tolist()): int(count) / tau
-        for column, count in zip(orderings.T, counts)
-    }
+    return {ordering: count / tau for ordering, count in sorted(counts.items())}

@@ -500,9 +500,11 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
             )
             barrier = approx.magic_barrier_rmse(variances)
     except FloatingPointError:
-        raise _UsageError(
-            f"--rate {args.rate!r} is too small: the sampled variances overflow float64"
-        ) from None
+        # with a window, its upper end bounds the draws as much as the rate
+        cause = f"--rate {args.rate!r} is too small"
+        if bounds is not None:
+            cause = f"--bounds {args.bounds} with --rate {args.rate!r}"
+        raise _UsageError(f"{cause}: the sampled variances overflow float64") from None
     except ValueError as exc:
         raise _UsageError(str(exc))
     analytic = ingest._truncated_mean(args.rate, bounds)

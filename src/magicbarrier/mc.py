@@ -28,8 +28,12 @@ buffers stays near ``_BLOCK_ELEMENTS`` float64 values (2 MiB, cache-sized)
 whatever the pair count N. Each thread allocates its buffers once, sized for
 ``min(block, tau)`` trials, and runs every block in views of them, so a fresh
 process does not page-fault through new temporaries block after block.
-Memory is therefore O(N + K*tau) for the per-pair vectors and the K
-systems' tau metric values, plus one draw buffer per worker thread.
+Each block's K metric rows come out as a new (K, trials in block) array, in
+trial order; threads work at most two blocks per thread ahead of the
+consumer. :func:`simulate_metric_shared` copies them into its K x tau
+result, so it holds O(N + K*tau); ``analysis.rank_distribution`` reduces
+each block to ordering counts as it arrives, so it holds only the blocks in
+flight. Both add one draw buffer per worker thread.
 
 Unclipped RMSE scores every system from that buffer alone, through
 ``sum((d + o)^2) = sum(d^2) + 2*d.o + sum(o^2)`` for a trial's deviations d
@@ -57,9 +61,10 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -255,6 +260,27 @@ def simulate_metric_shared(
     runs form each system's residuals, in a per-thread residual buffer when
     several systems share the draws (see the module notes).
     """
+    out = np.empty((len(predictor_list), cfg.trials), dtype=np.float64)
+    k0 = 0
+    for values in _metric_blocks(
+        dists, predictor_list, metric, cfg, workers, clip_bounds
+    ):
+        out[:, k0 : k0 + values.shape[1]] = values
+        k0 += values.shape[1]
+    return out
+
+
+def _metric_blocks(
+    dists: PairTable,
+    predictor_list: Sequence[PredictorVector],
+    metric: MetricKind,
+    cfg: MCConfig,
+    workers: int = 1,
+    clip_bounds: tuple[float, float] | None = None,
+) -> Iterator[np.ndarray]:
+    """The metric values of :func:`simulate_metric_shared`, one new
+    ``(len(predictor_list), trials in block)`` array per block, in trial
+    order."""
     if not len(dists):
         raise ValueError("need at least one rating distribution")
     if not predictor_list:
@@ -270,7 +296,6 @@ def simulate_metric_shared(
     tau = cfg.trials
     block = max(1, _BLOCK_ELEMENTS // _trial_words(n_pairs))
     rows = min(block, tau)
-    out = np.empty((len(offsets), tau), dtype=np.float64)
     last = len(offsets) - 1
     expand = metric is MetricKind.RMSE and clip_bounds is None
     if expand:
@@ -282,7 +307,7 @@ def simulate_metric_shared(
     # each thread's buffers, allocated on its first block and reused by the rest
     local = threading.local()
 
-    def run_task(k0: int) -> None:
+    def run_task(k0: int) -> np.ndarray:
         nt = min(block, tau - k0)
         if not hasattr(local, "draws"):
             local.draws = np.empty(rows * _trial_words(n_pairs), dtype=np.float64)
@@ -291,25 +316,27 @@ def simulate_metric_shared(
             local.resid = (
                 np.empty(rows * n_pairs, dtype=np.float64) if last and not expand else None
             )
+        values = np.empty((len(offsets), nt), dtype=np.float64)
         delta = _draw_block(cfg.master_seed, k0, nt, n_pairs, out=local.draws)
         delta *= sigmas
         if expand:
             # einsum, not BLAS matmul: its sums do not depend on the row count
             terms = np.einsum("ij,kj->ik", delta, shifts)
             msq = np.mean(np.square(delta, out=delta), axis=1)
-            out[~moved, k0 : k0 + nt] = np.sqrt(msq)
+            values[~moved] = np.sqrt(msq)
             # mean((d + o)^2) = mean(d^2) + (2 d.o + o.o)/N, clamped at 0
             # against rounding where d + o nearly cancels
             terms = msq[:, None] + (2.0 * terms + shift_squares) / n_pairs
-            out[moved, k0 : k0 + nt] = np.sqrt(np.maximum(terms, 0.0)).T
-            return
+            values[moved] = np.sqrt(np.maximum(terms, 0.0)).T
+            return values
         if clip_bounds is not None:
             np.clip(delta, lo, hi, out=delta)
         resid = local.resid[: nt * n_pairs].reshape(nt, n_pairs) if last else None
         for row in range(len(offsets)):
             dst = resid if row < last else delta
             src = np.add(delta, offsets[row], out=dst) if moved[row] else delta
-            out[row, k0 : k0 + nt] = _metric_rows(src, dst, metric)
+            values[row] = _metric_rows(src, dst, metric)
+        return values
 
     starts = range(0, tau, block)
     # in-flight memory is one or two blocks per thread, and threads beyond the
@@ -317,8 +344,15 @@ def simulate_metric_shared(
     workers = min(workers, _usable_cpus(), len(starts))
     if workers <= 1:
         for k0 in starts:
-            run_task(k0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_task, starts))
-    return out
+            yield run_task(k0)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # a window of 2 blocks per thread keeps every thread busy while the
+        # consumer works, without queueing the whole run (pool.map would)
+        pending = deque()
+        for k0 in starts:
+            pending.append(pool.submit(run_task, k0))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()

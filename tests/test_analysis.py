@@ -25,6 +25,7 @@ from magicbarrier import (
     simulate_metric,
     simulate_metric_shared,
 )
+from magicbarrier import mc
 from magicbarrier.analysis import alternating_offsets
 from magicbarrier.mc import optimal_predictors
 
@@ -342,16 +343,29 @@ def counter_rank_distribution(systems, dists, metric, cfg):
     return {ordering: count / cfg.trials for ordering, count in counts.items()}
 
 
+RANK_SHIFTS = [
+    (0.0, 0.05, 0.1),
+    (0.0, 0.0, 0.02, -0.02),  # two identical systems: ties by index
+    tuple(0.01 * k for k in range(16)),  # K**K overflows the code space
+]
+
+
 class TestRankDistribution:
+    # the default block holds all 3000 trials at N = 20; blocks of 400 trials
+    # give seven full blocks and a short last one, whose counts must merge
     @pytest.mark.parametrize(
-        "shifts",
-        [
-            (0.0, 0.05, 0.1),
-            (0.0, 0.0, 0.02, -0.02),  # two identical systems: ties by index
-            tuple(0.01 * k for k in range(16)),  # K**K overflows the code space
+        "shifts, block_trials, workers",
+        [pytest.param(s, None, 1, id=f"shifts{i}") for i, s in enumerate(RANK_SHIFTS)]
+        + [
+            pytest.param(s, 400, w, id=f"shifts{i}-blocks400-workers{w}")
+            for i, s in enumerate(RANK_SHIFTS)
+            for w in (1, 2, 3)
         ],
     )
-    def test_matches_counter_reference(self, shifts):
+    def test_matches_counter_reference(self, monkeypatch, shifts, block_trials, workers):
+        if block_trials is not None:
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_trials * mc._trial_words(20))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         dists = make_dists(np.linspace(0.3, 1.5, 20))
         base = optimal_predictors(dists, MetricKind.RMSE)
         systems = [
@@ -359,9 +373,33 @@ class TestRankDistribution:
             for s in shifts
         ]
         cfg = MCConfig(trials=3000, master_seed=12)
-        ranking = rank_distribution(systems, dists, MetricKind.RMSE, cfg)
-        assert ranking == counter_rank_distribution(systems, dists, MetricKind.RMSE, cfg)
+        ranking = rank_distribution(systems, dists, MetricKind.RMSE, cfg, workers=workers)
+        expected = counter_rank_distribution(systems, dists, MetricKind.RMSE, cfg)
+        assert ranking == expected
+        assert list(ranking) == sorted(expected)
         assert all(type(i) is int for ordering in ranking for i in ordering)
+
+    def test_memory_flat_in_tau(self, monkeypatch):
+        # orderings are counted block by block: no K x tau array is held
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        dists = make_dists(np.linspace(0.3, 1.5, 500))
+        base = optimal_predictors(dists, MetricKind.RMSE)
+        systems = [
+            PredictorVector(keys=base.keys, values=base.values + s)
+            for s in (0.0, 0.02, 0.04, 0.06)
+        ]
+        peaks = []
+        for tau in (20_000, 400_000):
+            tracemalloc.start()
+            try:
+                rank_distribution(
+                    systems, dists, MetricKind.RMSE,
+                    MCConfig(trials=tau, master_seed=1), workers=2,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 << 20, peaks
 
     def test_nonfinite_predictions_refused(self):
         dists = make_dists([0.5, 0.9])

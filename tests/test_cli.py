@@ -1068,8 +1068,28 @@ class TestTransfer:
             )
         assert code == 1
         err = capsys.readouterr().err
+        assert err == (
+            f"usage error: --rate {float(rate)!r} is too small: "
+            "the sampled variances overflow float64\n"
+        )
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize(
+        "rate, bounds", [("1", "1e300,1e301"), ("1e-310", "5,1e300")]
+    )
+    def test_overflow_in_window_names_bounds(self, tmp_path, capsys, rate, bounds):
+        # the window decides the overflow as much as the rate does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["transfer", "--count", "10", "--rate", rate, "--bounds", bounds,
+                 "--out", str(tmp_path / "t.json")]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
         assert err.startswith("usage error: ")
-        assert f"--rate {float(rate)!r}" in err
+        assert f"--bounds {bounds}" in err and f"--rate {float(rate)!r}" in err
+        assert "too small" not in err
         assert not (tmp_path / "t.json").exists()
 
     def test_tiny_rate_in_narrow_window_succeeds(self, tmp_path, capsys):

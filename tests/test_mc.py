@@ -398,6 +398,36 @@ class TestBlockContract:
             assert len({id(root) for root in seen}) == 1
         assert np.array_equal(threaded, serial)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_are_new_arrays_submitted_in_a_window(self, monkeypatch, workers):
+        submitted = []
+
+        class RecordingPool(mc.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        dists = self._dists()
+        systems = self._systems(dists)
+        cfg = MCConfig(trials=200, master_seed=42)
+        blocks = mc._metric_blocks(dists, systems, MetricKind.RMSE, cfg, workers)
+        ahead = []
+        values = []
+        for block in blocks:
+            ahead.append(len(submitted) - len(values))
+            # never a view of a thread's reused buffers
+            assert block.flags.owndata and block.shape == (3, min(7, 200 - 7 * len(values)))
+            values.append(block)
+        assert len(values) == math.ceil(200 / 7)
+        assert max(ahead) <= (2 * workers if workers > 1 else 0)
+        assert np.array_equal(
+            np.concatenate(values, axis=1),
+            simulate_metric_shared(dists, systems, MetricKind.RMSE, cfg),
+        )
+
     def test_small_run_buffers_sized_by_tau(self):
         # tau = 3 trials of N = 5001 pairs: a full block would hold 52
         n, tau = 5001, 3
