@@ -195,6 +195,8 @@ def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
         keys = [(str(p["user"]), str(p["item"])) for p in entries]
         means = [float(p["mean"]) for p in entries]
         variances = [float(p["variance"]) for p in entries]
+        # free the parsed document before the table copies the columns
+        del doc, entries
         return scale, PairTable(keys, means, variances)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed pair entry: {exc}") from exc

@@ -130,6 +130,17 @@ class PairTable:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
 
+    @classmethod
+    def _valid(cls, keys, means: np.ndarray, variances: np.ndarray) -> "PairTable":
+        """A table from columns known to pass the checks above (a tuple of
+        unique keys, two new float64 arrays), kept without a copy or a check."""
+        table = object.__new__(cls)
+        for name, column in (("keys", keys), ("means", means), ("variances", variances)):
+            object.__setattr__(table, name, column)
+        means.setflags(write=False)
+        variances.setflags(write=False)
+        return table
+
     def __len__(self) -> int:
         return len(self.keys)
 

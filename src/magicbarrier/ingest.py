@@ -327,13 +327,15 @@ def fit_pair_gaussians(tensor: RatingTensor) -> PairTable:
         block = tensor._length_block(rows, n)
         means[rows] = block.mean(axis=1)
         variances[rows] = block.var(axis=1)
-    return PairTable(tensor.pair_keys, means, variances)
+    # parsed keys are unique; in-scale ratings fit finite means, variances >= 0
+    return PairTable._valid(tensor.pair_keys, means, variances)
 
 
 def filter_nonvanishing(pairs: PairTable) -> PairTable:
     """Keep only pairs with strictly positive variance, order preserved."""
     keep = pairs.variances > 0.0
-    return PairTable(
+    # a subset of a valid table is valid
+    return PairTable._valid(
         tuple(compress(pairs.keys, keep)), pairs.means[keep], pairs.variances[keep]
     )
 

@@ -9,23 +9,22 @@ resulting sample with moments and a normed histogram.
 Reproducibility contract
 ------------------------
 Results are bit-identical across runs and across worker counts for a fixed
-:class:`MCConfig`. Each trial owns a fixed, counter-addressed slice of a
-single Philox stream keyed by ``master_seed``: trial k consumes exactly
-``ceil(N/4)*4`` stream outputs starting at output index ``k * ceil(N/4) * 4``
-(Philox counters address blocks of four 64-bit outputs, hence the padding).
-Uniform outputs are mapped to normals through the inverse CDF, whose
-consumption is fixed per draw, so a trial's draws depend only on
-``(master_seed, k, N)`` and never on batching, scheduling, or thread count.
-
-Uniform draws of exactly 0.0 (probability 2^-53 per draw) are clipped to
-2^-53 before the inverse CDF to keep normals finite.
+:class:`MCConfig`. Each block of trials (see below) draws from its own
+Philox stream (Salmon et al. 2011), keyed by ``master_seed`` with counter
+``k0 * 2^64`` for its first trial k0: the first ``n_trials * N`` ziggurat
+normals (Marsaglia & Tsang 2000), row by row. Blocks start at multiples of
+the block size, so no two streams overlap, a trial's draws depend only on
+``(master_seed, k, N)``, and a run of tau trials is the first tau trials of
+any longer run. Ziggurat consumes a varying number of outputs per normal,
+so the block size is part of the stream definition: changing
+``_BLOCK_ELEMENTS`` changes the values.
 
 Block sizing
 ------------
 Trials are simulated in blocks, one block per task. A block holds
-``max(1, _BLOCK_ELEMENTS // (4 * ceil(N/4)))`` trials, so each of its
-buffers stays near ``_BLOCK_ELEMENTS`` float64 values (2 MiB, cache-sized)
-whatever the pair count N. Each thread allocates its buffers once, sized for
+``max(1, _BLOCK_ELEMENTS // N)`` trials, so each of its buffers stays near
+``_BLOCK_ELEMENTS`` float64 values (2 MiB, cache-sized) whatever the pair
+count N. Each thread allocates its buffers once, sized for
 ``min(block, tau)`` trials, and runs every block in views of them, so a fresh
 process does not page-fault through new temporaries block after block.
 Each block's K metric rows come out as a new (K, trials in block) array, in
@@ -50,10 +49,6 @@ scale end leaves a residual of exactly zero that the expansion would reach
 only through cancellation; both keep the residual formula, and with several
 systems one residual buffer per thread, as the draws must survive every
 system but the last, which works in the draw buffer itself.
-
-The block size never changes a value: draws are counter-addressed per trial
-and every reduction, the cross term included, runs along one trial's row,
-so each trial's metric depends on that trial alone.
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import GaussianSummary, MetricKind, PairTable, PredictorVector
 
@@ -80,9 +74,8 @@ __all__ = [
 ]
 
 MAX_DEFAULT_BINS = 512
-# float64 elements per block temporary; trials per block follow from N
+# float64 elements per block temporary, which fixes the streams (module notes)
 _BLOCK_ELEMENTS = 1 << 18
-_MIN_UNIFORM = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -167,12 +160,6 @@ def optimal_predictors(dists: PairTable, metric: MetricKind) -> PredictorVector:
     return PredictorVector(keys=dists.keys, values=dists.means)
 
 
-def _trial_words(n_pairs: int) -> int:
-    # Philox counters address 4-output blocks; pad each trial's budget so
-    # every trial starts on a block boundary.
-    return 4 * ((n_pairs + 3) // 4)
-
-
 def _draw_block(
     master_seed: int,
     k0: int,
@@ -181,23 +168,20 @@ def _draw_block(
     *,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Standard-normal draws for trials k0..k0+n_trials-1, shape (n_trials, N).
-
-    The result is a writable view into one padded buffer: the first
-    ``n_trials * ceil(N/4)*4`` values of ``out`` (a contiguous float64
-    vector) when given, else a new array. Callers may transform it in place.
-    """
-    words = _trial_words(n_pairs)
+    """Standard-normal draws for the block of trials k0..k0+n_trials-1, shape
+    (n_trials, N): the first ``n_trials * N`` normals of the Philox stream
+    keyed by ``master_seed`` at counter ``k0 * 2^64``, written to the start of
+    ``out`` (a contiguous float64 vector) when given. Callers may transform
+    them in place."""
     bg = np.random.Philox(
         key=np.array([master_seed, 0], dtype=np.uint64),
-        counter=k0 * (words // 4),
+        counter=np.array([0, k0, 0, 0], dtype=np.uint64),
     )
-    if out is not None:
-        out = out[: n_trials * words]
-    u = np.random.Generator(bg).random(n_trials * words, out=out)
-    u = u.reshape(n_trials, words)[:, :n_pairs]
-    np.maximum(u, _MIN_UNIFORM, out=u)
-    return ndtri(u, out=u)
+    size = n_trials * n_pairs
+    z = np.random.Generator(bg).standard_normal(
+        size, out=None if out is None else out[:size]
+    )
+    return z.reshape(n_trials, n_pairs)
 
 
 def _metric_rows(src: np.ndarray, dst: np.ndarray, metric: MetricKind) -> np.ndarray:
@@ -294,7 +278,7 @@ def _metric_blocks(
     sigmas = np.sqrt(dists.variances)
     n_pairs = means.size
     tau = cfg.trials
-    block = max(1, _BLOCK_ELEMENTS // _trial_words(n_pairs))
+    block = max(1, _BLOCK_ELEMENTS // n_pairs)
     rows = min(block, tau)
     last = len(offsets) - 1
     expand = metric is MetricKind.RMSE and clip_bounds is None
@@ -310,7 +294,7 @@ def _metric_blocks(
     def run_task(k0: int) -> np.ndarray:
         nt = min(block, tau - k0)
         if not hasattr(local, "draws"):
-            local.draws = np.empty(rows * _trial_words(n_pairs), dtype=np.float64)
+            local.draws = np.empty(rows * n_pairs, dtype=np.float64)
             # the draws must survive every residual pass but the last, which
             # works in the draw block itself
             local.resid = (

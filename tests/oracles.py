@@ -27,6 +27,7 @@ from magicbarrier import (
     gaussian_cdf,
     interference_probability,
 )
+from magicbarrier import mc
 from magicbarrier.ingest import TENSOR_HEADER
 
 
@@ -79,6 +80,20 @@ def ks_per_slice(sample, mu: float, sigma: float) -> tuple[float, float]:
     d = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(0, n) / n)))
     sqrt_n = math.sqrt(n)
     return d, float(kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d))
+
+
+def block_draws(master_seed: int, tau: int, n_pairs: int) -> np.ndarray:
+    """The Monte-Carlo kernel's standard-normal draws for trials 0..tau-1,
+    shape (tau, N), drawn block by block: block b is ``mc._draw_block`` at
+    its first trial ``b * block``, with ``block = max(1, _BLOCK_ELEMENTS // N)``
+    read at call time, so a patched block size applies."""
+    block = max(1, mc._BLOCK_ELEMENTS // n_pairs)
+    return np.concatenate(
+        [
+            mc._draw_block(master_seed, k0, min(block, tau - k0), n_pairs)
+            for k0 in range(0, tau, block)
+        ]
+    )
 
 
 def evaluate_metric_once(

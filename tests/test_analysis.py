@@ -364,7 +364,7 @@ class TestRankDistribution:
     )
     def test_matches_counter_reference(self, monkeypatch, shifts, block_trials, workers):
         if block_trials is not None:
-            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_trials * mc._trial_words(20))
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_trials * 20)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         dists = make_dists(np.linspace(0.3, 1.5, 20))
         base = optimal_predictors(dists, MetricKind.RMSE)

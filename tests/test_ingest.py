@@ -253,6 +253,20 @@ class TestFitPairGaussians:
         assert fits1.means == pytest.approx(fits0.means + shift)
         assert fits1.variances == pytest.approx(fits0.variances)
 
+    def test_fits_skip_table_revalidation(self, scale_5star, monkeypatch):
+        # the parser's keys are unique and in-scale ratings fit finite columns
+        tensor = parse_tensor(
+            make_tensor_csv({("u1", "i1"): [1, 2, 1], ("u2", "i1"): [4, 4, 4]}), scale_5star
+        )
+        monkeypatch.setattr(PairTable, "__post_init__", _refuse_revalidation)
+        fits = fit_pair_gaussians(tensor)
+        assert fits.keys == (("u1", "i1"), ("u2", "i1"))
+        assert not fits.means.flags.writeable and not fits.variances.flags.writeable
+
+
+def _refuse_revalidation(table):
+    raise AssertionError("re-validated a table already known valid")
+
 
 class TestFilterNonvanishing:
     def test_mixed_list_keeps_order(self):
@@ -267,6 +281,16 @@ class TestFilterNonvanishing:
         from conftest import make_dists
 
         assert len(filter_nonvanishing(make_dists([0.0, 0.0]))) == 0
+
+    def test_subset_skips_table_revalidation(self, monkeypatch):
+        from conftest import make_dists
+
+        dists = make_dists([0.3, 0.0, 1.2], means=[1.0, 2.0, 3.0])
+        monkeypatch.setattr(PairTable, "__post_init__", _refuse_revalidation)
+        kept = filter_nonvanishing(dists)
+        assert kept.keys == (dists.keys[0], dists.keys[2])
+        assert kept.means.tolist() == [1.0, 3.0] and kept.variances.tolist() == [0.3, 1.2]
+        assert not kept.means.flags.writeable and not kept.variances.flags.writeable
 
     def test_item_fractions(self):
         dists = PairTable(

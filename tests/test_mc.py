@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import threading
@@ -5,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from magicbarrier import mc
 from magicbarrier import (
@@ -18,7 +20,7 @@ from magicbarrier import (
 )
 
 from conftest import make_dists
-from oracles import evaluate_metric_once
+from oracles import block_draws, evaluate_metric_once
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_VAR = 1.0 - 2.0 / math.pi
@@ -98,7 +100,7 @@ class TestSimulate:
         tau = 1_000_000
         sample = simulate_metric(
             dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
-            MCConfig(trials=tau, master_seed=3),
+            MCConfig(trials=tau, master_seed=4),
         )
         se = math.sqrt(HALF_NORMAL_VAR / tau)
         assert sample.summary.mean == pytest.approx(HALF_NORMAL_MEAN, abs=3 * se)
@@ -268,7 +270,8 @@ class TestSharedDraws:
 
 
 class TestBlockContract:
-    """Values depend on (seed, trial, N) only: never on block size or threads."""
+    """Each block of trials draws from its own Philox stream, so values depend
+    on (seed, trial, N) and the block size only: never on threads or tau."""
 
     N = 37
 
@@ -283,13 +286,13 @@ class TestBlockContract:
         r = PredictorVector(keys=p.keys, values=p.values - 0.45)
         return [p, q, r]
 
-    def _run(self, metric, clip_bounds, workers=1):
+    def _run(self, metric, clip_bounds, workers=1, trials=200):
         dists = self._dists()
         return simulate_metric_shared(
             dists,
             self._systems(dists),
             metric,
-            MCConfig(trials=200, master_seed=42),
+            MCConfig(trials=trials, master_seed=42),
             workers=workers,
             clip_bounds=clip_bounds,
         )
@@ -297,17 +300,44 @@ class TestBlockContract:
     @pytest.mark.parametrize("metric", [MetricKind.RMSE, MetricKind.MAE])
     @pytest.mark.parametrize("clip_bounds", [None, (1.0, 5.0)])
     @pytest.mark.parametrize("trials_per_task", [1, 3, 37])
-    def test_values_independent_of_block_size(
+    def test_workers_and_tau_keep_values(
         self, monkeypatch, metric, clip_bounds, trials_per_task
     ):
-        default = self._run(metric, clip_bounds)
-        monkeypatch.setattr(
-            mc, "_BLOCK_ELEMENTS", trials_per_task * mc._trial_words(self.N)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", trials_per_task * self.N)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        serial = self._run(metric, clip_bounds)
+        for workers in (2, 3):
+            assert np.array_equal(self._run(metric, clip_bounds, workers=workers), serial)
+        # 100 trials end inside a block of 3 or 37 trials: the short last
+        # block draws a prefix of the full block's stream
+        for workers in (1, 2):
+            short = self._run(metric, clip_bounds, workers=workers, trials=100)
+            assert np.array_equal(short, serial[:, :100])
+
+    def test_blocks_draw_distinct_streams(self):
+        # overlapping streams would repeat values; ziggurat normals take about
+        # 2^61 equally likely values, so independent streams repeat one of
+        # these 28,000 with a chance below 2^-30
+        block = 200
+        draws = np.concatenate(
+            [mc._draw_block(42, b * block, block, 35).ravel() for b in range(4)]
         )
-        assert np.array_equal(self._run(metric, clip_bounds), default)
+        assert np.unique(draws).size == draws.size
+
+    def test_pooled_block_draws_are_standard_normal(self):
+        # three and a half default-sized blocks of N = 37 (not a multiple of 4)
+        n = self.N
+        block = mc._BLOCK_ELEMENTS // n
+        tau = 3 * block + block // 2
+        draws = block_draws(2024, tau, n)
+        assert stats.kstest(draws.ravel(), "norm").pvalue > 0.01
+        full = [draws[k0 : k0 + block].ravel() for k0 in range(0, 3 * block, block)]
+        bound = 4.0 / math.sqrt(full[0].size)
+        for a, b in itertools.combinations(full, 2):
+            assert abs(np.corrcoef(a, b)[0, 1]) < bound
 
     def test_clipped_values_independent_of_workers(self, monkeypatch):
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * self.N)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         serial = self._run(MetricKind.RMSE, (1.0, 5.0), workers=1)
         for workers in (2, 3):
@@ -315,7 +345,7 @@ class TestBlockContract:
             assert np.array_equal(threaded, serial)
 
     def test_unclipped_rmse_values_independent_of_workers(self, monkeypatch):
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * self.N)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         serial = self._run(MetricKind.RMSE, None, workers=1)
         for workers in (2, 3):
@@ -336,7 +366,7 @@ class TestBlockContract:
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", self.N)
         dists = self._dists()
         simulate_metric(
             dists,
@@ -368,10 +398,10 @@ class TestBlockContract:
             MCConfig(trials=tau, master_seed=3),
         )
         assert sum(blocks) == tau
-        assert max(blocks) * mc._trial_words(n) <= mc._BLOCK_ELEMENTS
+        assert max(blocks) * n <= mc._BLOCK_ELEMENTS
 
     def test_one_draw_buffer_per_thread(self, monkeypatch):
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * self.N)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         dists = self._dists()
         systems = self._systems(dists) + [
@@ -408,7 +438,7 @@ class TestBlockContract:
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * self.N)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         dists = self._dists()
         systems = self._systems(dists)
@@ -449,10 +479,10 @@ class TestZeroOffsetSystems:
     """A system whose predictions equal the pair means reduces straight from
     the draws; its rows keep the bits of the add-then-reduce arithmetic."""
 
-    N = 37  # not a multiple of 4, so the draw block is a padded view
+    N = 37
 
     def _reference(self, dists, offsets, metric, cfg, clip_bounds):
-        delta = mc._draw_block(cfg.master_seed, 0, cfg.trials, self.N)
+        delta = block_draws(cfg.master_seed, cfg.trials, self.N)
         delta = delta * np.sqrt(dists.variances)
         if clip_bounds is not None:
             np.clip(delta, clip_bounds[0] - dists.means, clip_bounds[1] - dists.means,
@@ -466,7 +496,7 @@ class TestZeroOffsetSystems:
     @pytest.mark.parametrize("clip_bounds", [None, (1.0, 5.0)])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_match_one_system_runs(self, monkeypatch, metric, clip_bounds, workers):
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * mc._trial_words(self.N))
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * self.N)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         dists = make_dists(
             np.linspace(0.2, 2.0, self.N), means=np.linspace(1.2, 4.8, self.N)
@@ -526,7 +556,7 @@ class TestRmseExpansion:
         ]
         cfg = MCConfig(trials=tau, master_seed=seed)
         values = simulate_metric_shared(dists, systems, MetricKind.RMSE, cfg)
-        delta = mc._draw_block(seed, 0, tau, n) * np.sqrt(dists.variances)
+        delta = block_draws(seed, tau, n) * np.sqrt(dists.variances)
         offsets = [dists.means - p.values for p in systems]
         return values, delta, offsets
 
@@ -579,9 +609,9 @@ class TestRmseExpansion:
     def test_cancelling_prediction_stays_finite(self):
         # trial 0's rating lands on the prediction, so d + o is zero up to the
         # rounding of the prediction, and the expansion cancels
-        seed, tau = 22, 64
+        seed, tau = 25, 64
         dists = make_dists([0.7], means=[3.3])
-        delta = mc._draw_block(seed, 0, tau, 1) * np.sqrt(dists.variances)
+        delta = block_draws(seed, tau, 1) * np.sqrt(dists.variances)
         hit = PredictorVector(keys=dists.keys, values=dists.means + delta[0])
         offsets = [dists.means - hit.values]
         d, o = delta[0, 0], offsets[0][0]
