@@ -9,15 +9,17 @@ resulting sample with moments and a normed histogram.
 Reproducibility contract
 ------------------------
 Results are bit-identical across runs and across worker counts for a fixed
-:class:`MCConfig`. Each block of trials (see below) draws from its own
-Philox stream (Salmon et al. 2011), keyed by ``master_seed`` with counter
-``k0 * 2^64`` for its first trial k0: the first ``n_trials * N`` ziggurat
-normals (Marsaglia & Tsang 2000), row by row. Blocks start at multiples of
-the block size, so no two streams overlap, a trial's draws depend only on
-``(master_seed, k, N)``, and a run of tau trials is the first tau trials of
-any longer run. Ziggurat consumes a varying number of outputs per normal,
-so the block size is part of the stream definition: changing
-``_BLOCK_ELEMENTS`` changes the values.
+:class:`MCConfig`. Each block of trials (see below) draws from its own SFC64
+stream, seeded by ``SeedSequence(master_seed, spawn_key=(k0,))`` for its
+first trial k0: the first ``n_trials * N`` ziggurat normals (Marsaglia &
+Tsang 2000), row by row. Blocks start at multiples of the block size, so a
+trial's draws depend only on ``(master_seed, k, N)``, and a run of tau
+trials is the first tau trials of any longer run. The streams are
+independent as numpy's spawned streams are (seed and key hashed into a
+256-bit state), not disjoint by construction; unlike a flat ``[seed, k0]``
+list, a spawn key cannot alias two keys. Ziggurat consumes a varying
+number of outputs per normal, so the block size is part of the stream
+definition: changing ``_BLOCK_ELEMENTS`` changes the values.
 
 Block sizing
 ------------
@@ -169,14 +171,11 @@ def _draw_block(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Standard-normal draws for the block of trials k0..k0+n_trials-1, shape
-    (n_trials, N): the first ``n_trials * N`` normals of the Philox stream
-    keyed by ``master_seed`` at counter ``k0 * 2^64``, written to the start of
-    ``out`` (a contiguous float64 vector) when given. Callers may transform
-    them in place."""
-    bg = np.random.Philox(
-        key=np.array([master_seed, 0], dtype=np.uint64),
-        counter=np.array([0, k0, 0, 0], dtype=np.uint64),
-    )
+    (n_trials, N): the first ``n_trials * N`` normals of the SFC64 stream
+    seeded by ``SeedSequence(master_seed, spawn_key=(k0,))``, written to the
+    start of ``out`` (a contiguous float64 vector) when given. Callers may
+    transform them in place."""
+    bg = np.random.SFC64(np.random.SeedSequence(master_seed, spawn_key=(k0,)))
     size = n_trials * n_pairs
     z = np.random.Generator(bg).standard_normal(
         size, out=None if out is None else out[:size]

@@ -890,7 +890,8 @@ class TestGoldenDigests:
     release alone does not move them. The digests hold for the numpy and
     scipy versions the suite is pinned against (numpy 2.4, scipy 1.17); the
     Monte-Carlo bits (simulate, rank, compare) come from numpy's ziggurat
-    normals on Philox, not from scipy's ``ndtri``.
+    normals on SFC64 streams seeded through ``SeedSequence`` spawn keys, not
+    from scipy.
     """
 
     @pytest.fixture
@@ -940,23 +941,23 @@ class TestGoldenDigests:
         [
             (
                 ["simulate", "pairs.json", "--tau", "3000", "--seed", "17"],
-                "e8ce6f626346d409b3a6843247a2a1955c1962a2e753a8561c4a797a4deb5e85",
+                "183dc7a15dcf6b050e6bff868a269f5e3425abd2ef9c1da3fa8d157d929ab7e7",
             ),
             (
                 ["simulate", "pairs.json", "--tau", "3000", "--seed", "17",
                  "--metric", "mae", "--predictors", "near.csv", "--clip",
                  "--workers", "2"],
-                "1d3b2c0891ad4669fde5d5eda61b3b077739afd0ef93467025f9c3697dbe17eb",
+                "e4101b7e55465303213258713ed27cead6ce0aab1b6041e0e72bc8031a8b80f2",
             ),
             (
                 ["simulate", "pairs.json", "--predictors", "far.csv", "--tau", "3000",
                  "--seed", "17"],
-                "9ec7947a68291878bfa57321e94d8c019fd62fa1a3c6ca4f20539ec717ffda1f",
+                "af56426f07618c607502b60e32ccdf8cd7591d42cf074b5c565669a6f3e631c1",
             ),
             (
                 ["rank", "pairs.json", "--predictors", "best.csv", "near.csv",
                  "far.csv", "--tau", "3000", "--seed", "5", "--workers", "2"],
-                "61072652bf90d3a09f75b802197a96d5960ae3ce9de3042fd5a1f900c56ffae9",
+                "af9c812d9914b36bfa5bbc6a7f60e935d4dcad472e70a3f15aa1aded4b03b2ba",
             ),
             (
                 ["estimate", "pairs.json"],
@@ -1023,7 +1024,7 @@ class TestGoldenDigests:
         assert main(["simulate", "pairs.json", "--tau", "3000", "--seed", "17",
                      "--out", "mc.json"]) == 0
         assert main(["compare", "barrier.json", "mc.json", "--out", "out.json"]) == 0
-        expected = "1158ab6b82804573becbc149042bd40acdeba6ec0bfc8c8f580fddc2fa409be9"
+        expected = "a6f1ccdaf9003562ae012cb05cec41082c3e8e6bcd49fcab62e1ec29271af1d8"
         assert self.digest("out.json") == expected
 
 

@@ -25,6 +25,29 @@ from oracles import block_draws, evaluate_metric_once
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_VAR = 1.0 - 2.0 / math.pi
 
+# The mean checks of TestSimulate pool POOLED_SEEDS and allow Z_POOLED
+# standard errors: 3.891 is the two-sided normal quantile of 1e-4, so a change
+# of the MC streams makes each check fail by chance at most once in 10,000.
+# Four seeds of tau trials halve the standard error of one, so the bound is
+# 0.65 of a 3-SE bound on one seed: its power is at least that check's at
+# every bias above 0.89 single-seed SE, below which the 3-SE check fires
+# under 2% of the time.
+Z_POOLED = 3.891
+POOLED_SEEDS = (4, 5, 11, 17)
+
+
+def pooled_values(dists, metric, tau, workers=1):
+    """Metric values of the optimal predictor, tau trials per pooled seed."""
+    p = optimal_predictors(dists, metric)
+    return np.concatenate(
+        [
+            simulate_metric(
+                dists, p, metric, MCConfig(trials=tau, master_seed=seed), workers
+            ).values
+            for seed in POOLED_SEEDS
+        ]
+    )
+
 
 class TestMCConfig:
     def test_default_bins(self):
@@ -98,22 +121,16 @@ class TestSimulate:
         # so the exact mean and variance are known without any approximation
         dists = make_dists([1.0])
         tau = 1_000_000
-        sample = simulate_metric(
-            dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
-            MCConfig(trials=tau, master_seed=4),
-        )
-        se = math.sqrt(HALF_NORMAL_VAR / tau)
-        assert sample.summary.mean == pytest.approx(HALF_NORMAL_MEAN, abs=3 * se)
+        values = pooled_values(dists, MetricKind.RMSE, tau)
+        se = math.sqrt(HALF_NORMAL_VAR / values.size)
+        assert values.mean() == pytest.approx(HALF_NORMAL_MEAN, abs=Z_POOLED * se)
 
     def test_homogeneous_1000_pairs_against_closed_form(self):
         n, s2, tau = 1000, 0.5, 100_000
         dists = make_dists(np.full(n, s2))
-        sample = simulate_metric(
-            dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
-            MCConfig(trials=tau, master_seed=11),
-        )
+        values = pooled_values(dists, MetricKind.RMSE, tau, workers=2)
         approx_var = 2.5e-4
-        se = math.sqrt(approx_var / tau)
+        se = math.sqrt(approx_var / values.size)
 
         # exact mean through the chi distribution: RMSE = sqrt(s2/n) * chi_n
         import mpmath
@@ -121,26 +138,25 @@ class TestSimulate:
         exact = float(
             mpmath.sqrt(2 * s2 / n) * mpmath.gamma((n + 1) / 2) / mpmath.gamma(n / 2)
         )
-        assert sample.summary.mean == pytest.approx(exact, abs=3 * se)
+        assert values.mean() == pytest.approx(exact, abs=Z_POOLED * se)
 
         # the first-order value sqrt(0.5) carries a truncation bias of the
         # size predicted by the second-order series term
         # sqrt(E[Z]) - V[Z] / (8 E[Z]^1.5); allow exactly that
         ez, vz = s2, 2.0 * s2 * s2 / n
         order2_shift = abs(math.sqrt(ez) - vz / (8.0 * ez**1.5) - math.sqrt(s2))
-        assert sample.summary.mean == pytest.approx(math.sqrt(s2), abs=3 * se + order2_shift)
+        assert values.mean() == pytest.approx(
+            math.sqrt(s2), abs=Z_POOLED * se + order2_shift
+        )
 
-        assert sample.summary.variance == pytest.approx(approx_var, rel=0.10)
+        assert values.var(ddof=1) == pytest.approx(approx_var, rel=0.10)
 
     def test_mae_single_pair(self):
         dists = make_dists([1.0])
         tau = 200_000
-        sample = simulate_metric(
-            dists, optimal_predictors(dists, MetricKind.MAE), MetricKind.MAE,
-            MCConfig(trials=tau, master_seed=5),
-        )
-        se = math.sqrt(HALF_NORMAL_VAR / tau)
-        assert sample.summary.mean == pytest.approx(HALF_NORMAL_MEAN, abs=3 * se)
+        values = pooled_values(dists, MetricKind.MAE, tau)
+        se = math.sqrt(HALF_NORMAL_VAR / values.size)
+        assert values.mean() == pytest.approx(HALF_NORMAL_MEAN, abs=Z_POOLED * se)
 
     def test_nonfinite_predictions_refused(self):
         dists = make_dists([0.5, 0.9])
@@ -270,8 +286,9 @@ class TestSharedDraws:
 
 
 class TestBlockContract:
-    """Each block of trials draws from its own Philox stream, so values depend
-    on (seed, trial, N) and the block size only: never on threads or tau."""
+    """Each block of trials draws from its own SFC64 stream, seeded by the
+    master seed with the block's first trial as spawn key, so values depend on
+    (seed, trial, N) and the block size only: never on threads or tau."""
 
     N = 37
 
@@ -317,12 +334,24 @@ class TestBlockContract:
     def test_blocks_draw_distinct_streams(self):
         # overlapping streams would repeat values; ziggurat normals take about
         # 2^61 equally likely values, so independent streams repeat one of
-        # these 28,000 with a chance below 2^-30
+        # these 56,000 with a chance below 2^-30. Adjacent seeds must not
+        # share a block's stream either.
         block = 200
         draws = np.concatenate(
-            [mc._draw_block(42, b * block, block, 35).ravel() for b in range(4)]
+            [
+                mc._draw_block(seed, b * block, block, 35).ravel()
+                for seed in (42, 43)
+                for b in range(4)
+            ]
         )
         assert np.unique(draws).size == draws.size
+
+    def test_block_keys_are_unambiguous(self):
+        # a flat SeedSequence([seed, k0]) hashes the 32-bit words of both
+        # numbers as one list, so these two keys would give the same stream
+        a = mc._draw_block(5, 7 * 2**32 + 3, 4, 8)
+        b = mc._draw_block(3 * 2**32 + 5, 7, 4, 8)
+        assert not np.array_equal(a, b)
 
     def test_pooled_block_draws_are_standard_normal(self):
         # three and a half default-sized blocks of N = 37 (not a multiple of 4)
@@ -608,14 +637,20 @@ class TestRmseExpansion:
 
     def test_cancelling_prediction_stays_finite(self):
         # trial 0's rating lands on the prediction, so d + o is zero up to the
-        # rounding of the prediction, and the expansion cancels
-        seed, tau = 25, 64
+        # rounding of the prediction, and the expansion cancels; whether the
+        # unclamped sum goes negative depends on that rounding, so the test
+        # takes the first seed whose draw makes it negative (about one in six)
+        tau = 64
         dists = make_dists([0.7], means=[3.3])
-        delta = block_draws(seed, tau, 1) * np.sqrt(dists.variances)
-        hit = PredictorVector(keys=dists.keys, values=dists.means + delta[0])
-        offsets = [dists.means - hit.values]
-        d, o = delta[0, 0], offsets[0][0]
-        assert d * d + (2.0 * d * o + o * o) < 0.0  # unclamped, it goes negative
+        for seed in range(200):
+            delta = block_draws(seed, tau, 1) * np.sqrt(dists.variances)
+            hit = PredictorVector(keys=dists.keys, values=dists.means + delta[0])
+            offsets = [dists.means - hit.values]
+            d, o = delta[0, 0], offsets[0][0]
+            if d * d + (2.0 * d * o + o * o) < 0.0:
+                break
+        else:
+            pytest.fail("no seed below 200 makes the unclamped expansion negative")
         values = simulate_metric_shared(
             dists, [optimal_predictors(dists, MetricKind.RMSE), hit], MetricKind.RMSE,
             MCConfig(trials=tau, master_seed=seed),
