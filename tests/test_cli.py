@@ -960,6 +960,12 @@ class TestGoldenDigests:
                 "af9c812d9914b36bfa5bbc6a7f60e935d4dcad472e70a3f15aa1aded4b03b2ba",
             ),
             (
+                ["rank", "pairs.json", "--predictors", "best.csv", "near.csv",
+                 "far.csv", "--tau", "3000", "--seed", "5", "--workers", "2",
+                 "--metric", "mae"],
+                "ad29172bb7a1456df7df8923dbb548e01945dff40b6afbe653cf0bdb8e3935dd",
+            ),
+            (
                 ["estimate", "pairs.json"],
                 "747ee64f38723a0bcbaf1787d9849214b2003514a0ab74eb4a1061688350e4d4",
             ),
@@ -986,7 +992,8 @@ class TestGoldenDigests:
             ),
         ],
         ids=[
-            "simulate", "simulate-mae-clip", "simulate-far", "rank", "estimate-rmse", "estimate-mae",
+            "simulate", "simulate-mae-clip", "simulate-far", "rank", "rank-mae",
+            "estimate-rmse", "estimate-mae",
             "transfer", "sensitivity", "rankcurves", "ingest",
         ],
     )
