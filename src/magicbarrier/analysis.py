@@ -36,7 +36,7 @@ from .core import (
     variance_bounds,
 )
 from .approx import rmse_summary_from_offsets
-from .mc import MCConfig, MetricSample, _metric_blocks
+from .mc import MCConfig, MetricSample, _metric_blocks, _rmse_score_blocks
 # not called here since rank_distribution counts block by block; the
 # benchmark tracer (bench/spans.py) still wraps it at this name
 from .mc import simulate_metric_shared  # noqa: F401
@@ -352,15 +352,22 @@ def rank_distribution(
     a trial, a measure-zero event for nonconstant draws, are broken by
     system index.
 
-    Each block of trials is reduced to ordering counts as the simulation
-    yields it, so memory holds the blocks in flight and one count per
-    distinct ordering, never the K x tau metric values.
+    RMSE trials draw one normal per distinct nonzero offset row, not one per
+    pair, which gives the orderings the law of the per-pair simulation but
+    not its bits (``mc`` module notes); MAE ranks the per-pair simulation.
+    Each block of trials is reduced to ordering counts as it is yielded, so
+    memory holds the blocks in flight and one count per distinct ordering,
+    never the K x tau values.
     """
     if not systems:
         raise ValueError("need at least one system")
     k = len(systems)
     counts: dict[tuple[int, ...], int] = {}
-    for values in _metric_blocks(dists, systems, metric, cfg, workers):
+    if metric is MetricKind.RMSE:
+        blocks = _rmse_score_blocks(dists, systems, cfg, workers)
+    else:
+        blocks = _metric_blocks(dists, systems, metric, cfg, workers)
+    for values in blocks:
         order = np.argsort(values, axis=0, kind="stable")
         if k**k <= np.iinfo(np.intp).max:
             # one integer code per trial's ordering: a 1-D unique over codes

@@ -32,9 +32,9 @@ process does not page-fault through new temporaries block after block.
 Each block's K metric rows come out as a new (K, trials in block) array, in
 trial order; threads work at most two blocks per thread ahead of the
 consumer. :func:`simulate_metric_shared` copies them into its K x tau
-result, so it holds O(N + K*tau); ``analysis.rank_distribution`` reduces
-each block to ordering counts as it arrives, so it holds only the blocks in
-flight. Both add one draw buffer per worker thread.
+result, so it holds O(N + K*tau) and one draw buffer per worker thread;
+``analysis.rank_distribution`` reduces each block to ordering counts as it
+arrives, so it holds only the blocks in flight.
 
 Unclipped RMSE scores every system from that buffer alone, through
 ``sum((d + o)^2) = sum(d^2) + 2*d.o + sum(o^2)`` for a trial's deviations d
@@ -51,6 +51,19 @@ scale end leaves a residual of exactly zero that the expansion would reach
 only through cancellation; both keep the residual formula, and with several
 systems one residual buffer per thread, as the draws must survive every
 system but the last, which works in the draw buffer itself.
+
+Rank's RMSE stream
+------------------
+For unclipped RMSE every system shares ``sum(d^2)``, so
+``analysis.rank_distribution`` orders them by ``2*d.o + o.o``, linear in the
+draws: the cross terms of the K' distinct nonzero rows ``sigma * o`` are
+jointly Gaussian. A trial draws K' normals w, not N, and takes its cross
+terms as ``w @ R`` (ufuncs in a fixed order) for the upper-triangular factor
+R of the rows' Gram matrix, built once by modified Gram-Schmidt in einsum (no
+LAPACK; a dependent row gets a zero pivot): exact in law, not the kernel's
+values. A block holds ``max(1, _RANK_BLOCK_ELEMENTS // K)`` trials (4,096 at
+K = 4) and draws from the ``(master_seed, k0)`` stream that
+:func:`simulate_metric_shared` uses for its block at k0.
 """
 
 from __future__ import annotations
@@ -61,7 +74,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,6 +91,8 @@ __all__ = [
 MAX_DEFAULT_BINS = 512
 # float64 elements per block temporary, which fixes the streams (module notes)
 _BLOCK_ELEMENTS = 1 << 18
+# score values per block of rank's RMSE path, which fixes its streams
+_RANK_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,42 @@ def _draw_block(
     return z.reshape(n_trials, n_pairs)
 
 
+def _offsets(dists: PairTable, predictor_list: Sequence[PredictorVector]) -> np.ndarray:
+    """The (K, N) offsets ``means - predictions``, once the systems are
+    checked to be nonempty and aligned with ``dists``."""
+    if not len(dists):
+        raise ValueError("need at least one rating distribution")
+    if not predictor_list:
+        raise ValueError("need at least one predictor vector")
+    for p in predictor_list:
+        p.check_aligned(dists)
+    return dists.means - np.array([p.values for p in predictor_list])
+
+
+def _in_trial_order(
+    run_task: Callable[[int], np.ndarray], tau: int, block: int, workers: int
+) -> Iterator[np.ndarray]:
+    """``run_task(k0)`` for the blocks starting at k0 = 0, block, 2*block, ...
+    below tau, yielded in trial order from up to ``workers`` threads."""
+    starts = range(0, tau, block)
+    # in-flight memory is one or two blocks per thread, and threads beyond the
+    # usable CPUs or the tasks only add contention
+    workers = min(workers, _usable_cpus(), len(starts))
+    if workers <= 1:
+        yield from map(run_task, starts)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # a window of 2 blocks per thread keeps every thread busy while the
+        # consumer works, without queueing the whole run (pool.map would)
+        pending = deque()
+        for k0 in starts:
+            pending.append(pool.submit(run_task, k0))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def _metric_rows(src: np.ndarray, dst: np.ndarray, metric: MetricKind) -> np.ndarray:
     """Per-row metric of the residuals ``src``; overwrites ``dst``, which may
     be ``src``."""
@@ -264,14 +315,8 @@ def _metric_blocks(
     """The metric values of :func:`simulate_metric_shared`, one new
     ``(len(predictor_list), trials in block)`` array per block, in trial
     order."""
-    if not len(dists):
-        raise ValueError("need at least one rating distribution")
-    if not predictor_list:
-        raise ValueError("need at least one predictor vector")
-    for p in predictor_list:
-        p.check_aligned(dists)
     means = dists.means
-    offsets = means - np.array([p.values for p in predictor_list])
+    offsets = _offsets(dists, predictor_list)
     # a system whose offsets are all zero scores the draws themselves
     moved = offsets.any(axis=1)
     sigmas = np.sqrt(dists.variances)
@@ -321,21 +366,60 @@ def _metric_blocks(
             values[row] = _metric_rows(src, dst, metric)
         return values
 
-    starts = range(0, tau, block)
-    # in-flight memory is one or two blocks per thread, and threads beyond the
-    # usable CPUs or the tasks only add contention
-    workers = min(workers, _usable_cpus(), len(starts))
-    if workers <= 1:
-        for k0 in starts:
-            yield run_task(k0)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # a window of 2 blocks per thread keeps every thread busy while the
-        # consumer works, without queueing the whole run (pool.map would)
-        pending = deque()
-        for k0 in starts:
-            pending.append(pool.submit(run_task, k0))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    yield from _in_trial_order(run_task, cfg.trials, block, workers)
+
+
+def _gram_factor(rows: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with ``R.T @ R = rows @ rows.T`` up to rounding, by
+    modified Gram-Schmidt on the rows in einsum, not LAPACK, so that its bits
+    do not depend on the numpy build. A row in the span of the rows before it
+    gets a zero pivot and leaves its row of R zero."""
+    m, n = rows.shape
+    v = rows.copy()
+    factor = np.zeros((m, m))
+    # what rounding leaves of a dependent row stays below this share of its norm
+    floors = m * n * np.finfo(np.float64).eps * np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    for j in range(m):
+        pivot = math.sqrt(np.einsum("i,i->", v[j], v[j]))
+        if pivot <= floors[j]:
+            continue
+        q = v[j] / pivot
+        factor[j, j] = pivot
+        factor[j, j + 1 :] = np.einsum("i,ki->k", q, v[j + 1 :])
+        v[j + 1 :] -= factor[j, j + 1 :, None] * q
+    return factor
+
+
+def _rmse_score_blocks(
+    dists: PairTable,
+    predictor_list: Sequence[PredictorVector],
+    cfg: MCConfig,
+    workers: int = 1,
+) -> Iterator[np.ndarray]:
+    """Scores ``2*d.o + o.o`` (N * RMSE^2 less the shared ``sum(d^2)``) that
+    order the systems as unclipped RMSE does, from K' normals per trial (module
+    notes): one new (K, trials in block) array per block, in trial order."""
+    offsets = _offsets(dists, predictor_list)
+    rows = np.sqrt(dists.variances) * offsets
+    moved = rows.any(axis=1)
+    # equal offsets share one factor row, so identical systems tie; a dict of
+    # row bytes, as np.unique(axis=0) builds a dtype with N fields
+    first: dict[bytes, int] = {}
+    column = [first.setdefault(o.tobytes(), len(first)) for o in offsets[moved]]
+    basis = rows[moved][[column.index(j) for j in range(len(first))]]
+    factor = _gram_factor(basis)
+    squares = np.einsum("ij,ij->i", offsets, offsets)
+    block = max(1, _RANK_BLOCK_ELEMENTS // len(offsets))
+
+    def run_task(k0: int) -> np.ndarray:
+        nt = min(block, cfg.trials - k0)
+        w = _draw_block(cfg.master_seed, k0, nt, len(basis))
+        # not a BLAS product, so that a trial's bits do not depend on nt
+        cross = np.zeros((len(basis), nt))
+        for j in range(len(basis)):
+            cross[j:] += factor[j, j:, None] * w[:, j]
+        values = np.repeat(squares[:, None], nt, axis=1)
+        values[moved] += 2.0 * cross[column]
+        return values
+
+    yield from _in_trial_order(run_task, cfg.trials, block, workers)

@@ -117,6 +117,20 @@ def evaluate_metric_once(
     raise ValueError(f"unknown metric: {metric!r}")
 
 
+def shared_draw_precedence(variances, offsets_a, offsets_b) -> float:
+    """P(RMSE_a < RMSE_b) for two systems scored on one shared draw of the
+    pair ratings, with offsets ``means - predictions``. The difference of
+    their N * RMSE^2 values, 2 d.(o_a - o_b) + o_a.o_a - o_b.o_b for the
+    deviations d ~ N(0, diag(variances)), is Gaussian, so the probability is
+    one Phi value; the benchmark's rank check uses the same formula."""
+    s2 = np.asarray(variances, dtype=np.float64)
+    oa = np.asarray(offsets_a, dtype=np.float64)
+    ob = np.asarray(offsets_b, dtype=np.float64)
+    gap = float(np.sum(ob * ob - oa * oa))
+    spread = 2.0 * math.sqrt(float(np.sum(s2 * (oa - ob) ** 2)))
+    return 0.5 * math.erfc(-gap / (spread * math.sqrt(2.0)))
+
+
 def interference_probability_quadrature(
     a: GaussianSummary, b: GaussianSummary, points: int = 40001
 ) -> float:

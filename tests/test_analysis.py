@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from magicbarrier import (
     DiscreteDensity,
@@ -34,6 +36,7 @@ from oracles import (
     interference_probability_empirical,
     interference_probability_mc,
     interference_probability_quadrature,
+    shared_draw_precedence,
 )
 
 
@@ -350,9 +353,37 @@ RANK_SHIFTS = [
 ]
 
 
+def rank_systems(dists, shifts):
+    base = optimal_predictors(dists, MetricKind.RMSE)
+    return [PredictorVector(keys=base.keys, values=base.values + s) for s in shifts]
+
+
+def precedence(ranking, i, j):
+    """P(system i ranks before system j) from an ordering map."""
+    return math.fsum(p for o, p in ranking.items() if o.index(i) < o.index(j))
+
+
+def pooled_counts(rank, systems, dists, seeds, tau):
+    """RMSE ordering counts of ``rank`` pooled over tau trials per seed."""
+    counts = Counter()
+    for seed in seeds:
+        ranking = rank(systems, dists, MetricKind.RMSE, MCConfig(trials=tau, master_seed=seed))
+        counts.update({o: round(p * tau) for o, p in ranking.items()})
+    return counts
+
+
+# The law checks below allow Z_LAW standard errors or a chi-square beyond its
+# LAW_FALSE_ALARM quantile: a correct sampler fails each by chance at most
+# once in 10,000 draws of its seeds (3.891 is the two-sided normal quantile).
+Z_LAW = 3.891
+LAW_FALSE_ALARM = 1e-4
+
+
 class TestRankDistribution:
-    # the default block holds all 3000 trials at N = 20; blocks of 400 trials
-    # give seven full blocks and a short last one, whose counts must merge
+    # MAE orderings come from the N-draw kernel, bit for bit (RMSE ones from
+    # projected normals, checked in law below). The default block holds all
+    # 3000 trials at N = 20; blocks of 400 trials give seven full blocks and a
+    # short last one, whose counts must merge
     @pytest.mark.parametrize(
         "shifts, block_trials, workers",
         [pytest.param(s, None, 1, id=f"shifts{i}") for i, s in enumerate(RANK_SHIFTS)]
@@ -367,17 +398,104 @@ class TestRankDistribution:
             monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_trials * 20)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         dists = make_dists(np.linspace(0.3, 1.5, 20))
-        base = optimal_predictors(dists, MetricKind.RMSE)
-        systems = [
-            PredictorVector(keys=base.keys, values=base.values + s)
-            for s in shifts
-        ]
+        systems = rank_systems(dists, shifts)
         cfg = MCConfig(trials=3000, master_seed=12)
-        ranking = rank_distribution(systems, dists, MetricKind.RMSE, cfg, workers=workers)
-        expected = counter_rank_distribution(systems, dists, MetricKind.RMSE, cfg)
+        ranking = rank_distribution(systems, dists, MetricKind.MAE, cfg, workers=workers)
+        expected = counter_rank_distribution(systems, dists, MetricKind.MAE, cfg)
         assert ranking == expected
         assert list(ranking) == sorted(expected)
         assert all(type(i) is int for ordering in ranking for i in ordering)
+
+    @pytest.mark.parametrize("shifts", RANK_SHIFTS, ids=["shifts0", "shifts1", "shifts2"])
+    def test_rmse_bytes_fixed_by_seed(self, monkeypatch, shifts):
+        # RMSE blocks hold 2**14 // K trials whatever N and the N-draw block
+        # size: 12,000 trials span 3 to 12 of them, the last one short
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        systems = rank_systems(dists, shifts)
+        cfg = MCConfig(trials=12_000, master_seed=12)
+        reference = list(rank_distribution(systems, dists, MetricKind.RMSE, cfg).items())
+        for block_trials in (None, 400):
+            if block_trials is not None:
+                monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_trials * 20)
+            for workers in (1, 2, 3):
+                ranking = rank_distribution(systems, dists, MetricKind.RMSE, cfg, workers)
+                assert list(ranking.items()) == reference
+        k = len(systems)
+        assert math.fsum(p for _, p in reference) == pytest.approx(1.0, abs=1e-12)
+        assert all(sorted(o) == list(range(k)) for o, _ in reference)
+        assert all(type(i) is int for o, _ in reference for i in o)
+
+    def test_rmse_matches_counter_reference_in_law(self):
+        # five systems on rank-3 offset rows plus one duplicate and the
+        # optimal predictor, so that 24 orderings carry mass; each side pools
+        # four seeds of its own, since rank's stream for a seed starts with
+        # the normals the N-draw kernel uses for it
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        p = np.random.default_rng(3).normal(0.0, 0.2, (3, 20))
+        systems = rank_systems(dists, [0.0, p[0], p[0], p[1], 0.6 * p[2] + 0.05])
+        ours = pooled_counts(rank_distribution, systems, dists, (4, 5, 11, 17), 20_000)
+        theirs = pooled_counts(
+            counter_rank_distribution, systems, dists, (104, 105, 111, 117), 20_000
+        )
+        orderings = sorted(ours.keys() | theirs.keys())
+        table = np.array([[c[o] for o in orderings] for c in (ours, theirs)], dtype=float)
+        # orderings seen under 10 times in all are pooled into one cell
+        sparse = table.sum(axis=0) < 10
+        table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert table.shape[1] >= 20
+        expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+        statistic = float(np.sum((table - expected) ** 2 / expected))
+        assert statistic < chi2.isf(LAW_FALSE_ALARM, table.shape[1] - 1)
+
+    @pytest.mark.parametrize(
+        "shifts",
+        [(0.0, 0.05), (0.05, -0.08), "patterns"],
+        ids=["optimal-vs-shift", "two-shifts", "two-patterns"],
+    )
+    def test_two_systems_match_shared_draw_phi(self, shifts):
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        if shifts == "patterns":
+            shifts = np.random.default_rng(8).normal(0.0, 0.2, (2, 20))
+        systems = rank_systems(dists, shifts)
+        tau = 200_000
+        ranking = rank_distribution(
+            systems, dists, MetricKind.RMSE, MCConfig(trials=tau, master_seed=21)
+        )
+        offsets = [dists.means - s.values for s in systems]
+        exact = shared_draw_precedence(dists.variances, *offsets)
+        se = math.sqrt(exact * (1.0 - exact) / tau)
+        assert abs(ranking.get((0, 1), 0.0) - exact) <= Z_LAW * se
+
+    def test_rank_deficient_offsets(self):
+        # offsets o, 2o and -o give a Gram matrix of rank 1; every pair still
+        # follows the shared-draw Phi formula
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        o = np.random.default_rng(5).normal(0.0, 0.1, 20)
+        systems = rank_systems(dists, [o, 2.0 * o, -o])
+        tau = 100_000
+        ranking = rank_distribution(
+            systems, dists, MetricKind.RMSE, MCConfig(trials=tau, master_seed=2)
+        )
+        offsets = [dists.means - s.values for s in systems]
+        for i, j in itertools.combinations(range(3), 2):
+            exact = shared_draw_precedence(dists.variances, offsets[i], offsets[j])
+            se = max(math.sqrt(exact * (1.0 - exact) / tau), 1.0 / tau)
+            assert abs(precedence(ranking, i, j) - exact) <= Z_LAW * se
+
+    @pytest.mark.parametrize("metric", [MetricKind.RMSE, MetricKind.MAE])
+    def test_identical_systems_rank_by_index(self, metric):
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        p = np.random.default_rng(6).normal(0.0, 0.2, (2, 20))
+        systems = rank_systems(dists, [p[0], p[1], p[1], p[0]])
+        ranking = rank_distribution(systems, dists, metric, MCConfig(trials=5000, master_seed=4))
+        assert all(o.index(1) < o.index(2) and o.index(0) < o.index(3) for o in ranking)
+        assert len(ranking) > 1
+        same = rank_systems(dists, [0.0, 0.0, 0.0])
+        assert rank_distribution(
+            same, dists, metric, MCConfig(trials=5000, master_seed=4)
+        ) == {(0, 1, 2): 1.0}
 
     def test_memory_flat_in_tau(self, monkeypatch):
         # orderings are counted block by block: no K x tau array is held

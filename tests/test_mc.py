@@ -657,3 +657,53 @@ class TestRmseExpansion:
         )
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
         self._within_rounding(values[1:], delta, offsets)
+
+
+class TestRmseScoreBlocks:
+    """rank's RMSE path scores systems by 2 d.o + o.o from one normal per
+    distinct offset row, mapped through a Gram-Schmidt factor."""
+
+    def test_gram_factor_of_dependent_rows(self):
+        a = np.random.default_rng(9).normal(size=(2, 40))
+        rows = np.array([a[0], a[1], 2.0 * a[0], a[0] - 3.0 * a[1], np.zeros(40)])
+        factor = mc._gram_factor(rows)
+        assert np.array_equal(factor, np.triu(factor))
+        assert np.all(factor[2:] == 0.0)
+        assert np.all(np.diag(factor)[:2] > 0.0)
+        gram = np.einsum("ij,kj->ik", rows, rows)
+        assert np.allclose(np.einsum("ji,jk->ik", factor, factor), gram, rtol=1e-12, atol=1e-12)
+
+    def test_blocks_are_a_prefix_of_longer_runs(self, monkeypatch):
+        # K = 3: blocks of 2**14 // 3 = 5461 trials, so 3000 trials end inside
+        # the first block of the longer run; systems 1 and 2 are identical,
+        # so a trial draws one normal, not one per pair
+        drawn = []
+        draw_block = mc._draw_block
+
+        def recording(master_seed, k0, n_trials, n_pairs, **kwargs):
+            drawn.append((k0, n_trials, n_pairs))
+            return draw_block(master_seed, k0, n_trials, n_pairs, **kwargs)
+
+        monkeypatch.setattr(mc, "_draw_block", recording)
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        o = np.random.default_rng(2).normal(0.0, 0.2, 20)
+        systems = [
+            PredictorVector(keys=dists.keys, values=dists.means.copy()),
+            PredictorVector(keys=dists.keys, values=dists.means + o),
+            PredictorVector(keys=dists.keys, values=dists.means + o),
+        ]
+
+        def scores(tau, workers):
+            cfg = MCConfig(trials=tau, master_seed=7)
+            return list(mc._rmse_score_blocks(dists, systems, cfg, workers))
+
+        long = scores(12_000, 2)
+        assert [b.shape for b in long] == [(3, 5461), (3, 5461), (3, 1078)]
+        assert sorted(drawn) == [(0, 5461, 1), (5461, 5461, 1), (10922, 1078, 1)]
+        values = np.concatenate(long, axis=1)
+        assert np.array_equal(np.concatenate(scores(3000, 1), axis=1), values[:, :3000])
+        assert np.all(values[0] == 0.0)
+        assert np.array_equal(values[1], values[2])
+        # 2 d.o + o.o is Gaussian with mean o.o and variance 4 sum(s2 o^2)
+        mean, var = float(o @ o), 4.0 * float(np.sum(dists.variances * o * o))
+        assert abs(values[1].mean() - mean) <= 3.891 * math.sqrt(var / values.shape[1])
