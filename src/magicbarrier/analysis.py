@@ -242,13 +242,14 @@ def sensitivity_sweep(
     rows: list[SweepRow] = []
     for value in grid:
         if axis == "pair_count":
-            n = int(value)
-            variance = float(fixed)
+            count, variance = value, float(fixed)
         elif axis == "variance":
-            n = int(fixed)
-            variance = float(value)
+            count, variance = fixed, float(value)
         else:
             raise ValueError(f"unknown axis: {axis!r}")
+        if not float(count).is_integer():
+            raise ValueError(f"pair count must be an integer, got {count}")
+        n = int(count)
         if n < 1:
             raise ValueError(f"pair count must be >= 1, got {n}")
         if variance <= 0.0:

@@ -142,8 +142,13 @@ def _warn(message: str) -> None:
 
 def _check_output_dirs(args) -> None:
     """Refuse an output path that is a directory or whose directory does not
-    exist, before any work."""
-    for path in (args.out, getattr(args, "values_out", None)):
+    exist, and a values dump that the JSON would overwrite, before any work."""
+    values_out = getattr(args, "values_out", None)
+    if None not in (args.out, values_out) and (
+        Path(args.out).resolve() == Path(values_out).resolve()
+    ):
+        raise _UsageError(f"--out and --values-out name the same file: {values_out}")
+    for path in (args.out, values_out):
         if path is None:
             continue
         if Path(path).is_dir():

@@ -32,25 +32,17 @@ process does not page-fault through new temporaries block after block.
 Each block's K metric rows come out as a new (K, trials in block) array, in
 trial order; threads work at most two blocks per thread ahead of the
 consumer. :func:`simulate_metric_shared` copies them into its K x tau
-result, so it holds O(N + K*tau) and one draw buffer per worker thread;
+result, so it holds O(N + K*tau) and, per worker thread, one draw buffer
+(plus one residual buffer with several systems);
 ``analysis.rank_distribution`` reduces each block to ordering counts as it
 arrives, so it holds only the blocks in flight.
 
-Unclipped RMSE scores every system from that buffer alone, through
-``sum((d + o)^2) = sum(d^2) + 2*d.o + sum(o^2)`` for a trial's deviations d
-and a system's offsets o: per block, one ``einsum`` (not a BLAS product,
-whose sums may depend on the row count) gives the cross terms of the K'
-systems with nonzero offsets, ``d`` is squared and averaged in place once,
-and each value is ``sqrt(max(mean(d^2) + (2*d.o + sum(o^2))/N, 0))``, the
-clamp covering the rounding of residuals that all but cancel. A system whose
-offsets are all exactly zero (the optimal predictor) takes
-``sqrt(mean(d^2))``, the bits of the residual formula: ``d + 0.0`` differs
-from ``d`` only in the sign of a zero. MAE has no such expansion, and
-clipped deviations have atoms at the scale ends, where a prediction at a
-scale end leaves a residual of exactly zero that the expansion would reach
-only through cancellation; both keep the residual formula, and with several
-systems one residual buffer per thread, as the draws must survive every
-system but the last, which works in the draw buffer itself.
+Every system is scored from its residuals ``d + o`` (a trial's deviations d
+from the pair means plus the system's offsets o), formed in the residual
+buffer, except the last system's, which works in the draw buffer once the
+draws are no longer needed. A system whose offsets are all exactly zero (the
+optimal predictor) reduces d itself: ``d + 0.0`` differs from ``d`` only in
+the sign of a zero, so its bits are those of the residuals.
 
 Rank's RMSE stream
 ------------------
@@ -288,11 +280,9 @@ def simulate_metric_shared(
     kernel works in offset space: a draw's deviation from its pair mean is
     ``sigma * z``, its residual against a system adds that system's offsets
     ``means - predictions``, and clipping the rating to ``[lo, hi]`` clips
-    the deviation to ``[lo - mean, hi - mean]``. Unclipped RMSE expands each
-    system's mean square around the deviations' own, so all systems share
-    one square pass and one cross-term product per block; MAE and clipped
-    runs form each system's residuals, in a per-thread residual buffer when
-    several systems share the draws (see the module notes).
+    the deviation to ``[lo - mean, hi - mean]``. Each system's residuals are
+    formed and reduced in turn, in a per-thread residual buffer when several
+    systems share the draws (see the module notes).
     """
     out = np.empty((len(predictor_list), cfg.trials), dtype=np.float64)
     k0 = 0
@@ -325,10 +315,6 @@ def _metric_blocks(
     block = max(1, _BLOCK_ELEMENTS // n_pairs)
     rows = min(block, tau)
     last = len(offsets) - 1
-    expand = metric is MetricKind.RMSE and clip_bounds is None
-    if expand:
-        shifts = offsets[moved]
-        shift_squares = np.einsum("ij,ij->i", shifts, shifts)
     if clip_bounds is not None:
         lo = clip_bounds[0] - means
         hi = clip_bounds[1] - means
@@ -341,22 +327,10 @@ def _metric_blocks(
             local.draws = np.empty(rows * n_pairs, dtype=np.float64)
             # the draws must survive every residual pass but the last, which
             # works in the draw block itself
-            local.resid = (
-                np.empty(rows * n_pairs, dtype=np.float64) if last and not expand else None
-            )
+            local.resid = np.empty(rows * n_pairs, dtype=np.float64) if last else None
         values = np.empty((len(offsets), nt), dtype=np.float64)
         delta = _draw_block(cfg.master_seed, k0, nt, n_pairs, out=local.draws)
         delta *= sigmas
-        if expand:
-            # einsum, not BLAS matmul: its sums do not depend on the row count
-            terms = np.einsum("ij,kj->ik", delta, shifts)
-            msq = np.mean(np.square(delta, out=delta), axis=1)
-            values[~moved] = np.sqrt(msq)
-            # mean((d + o)^2) = mean(d^2) + (2 d.o + o.o)/N, clamped at 0
-            # against rounding where d + o nearly cancels
-            terms = msq[:, None] + (2.0 * terms + shift_squares) / n_pairs
-            values[moved] = np.sqrt(np.maximum(terms, 0.0)).T
-            return values
         if clip_bounds is not None:
             np.clip(delta, lo, hi, out=delta)
         resid = local.resid[: nt * n_pairs].reshape(nt, n_pairs) if last else None

@@ -248,6 +248,15 @@ class TestSensitivitySweep:
         with pytest.raises(ValueError):
             sensitivity_sweep("pair_count", [], 1.0, scale_5star)
 
+    @pytest.mark.parametrize(
+        "axis, grid, fixed, count",
+        [("pair_count", [1.0, 1.5], 0.7, "1.5"), ("variance", [0.7], 10.7, "10.7")],
+        ids=["pair_count", "variance"],
+    )
+    def test_fractional_pair_count_rejected(self, scale_5star, axis, grid, fixed, count):
+        with pytest.raises(ValueError, match=f"^pair count must be an integer, got {count}$"):
+            sensitivity_sweep(axis, grid, fixed, scale_5star)
+
     @pytest.mark.parametrize("axis", ["pair_count", "variance"])
     def test_memory_does_not_grow_with_pair_count(self, scale_5star, axis):
         peaks = []
@@ -261,7 +270,7 @@ class TestSensitivitySweep:
                 tracemalloc.stop()
         assert max(peaks) < 1 << 14, peaks
 
-    @given(value=st.floats(1.0, sys.float_info.max))
+    @given(value=st.floats(1.0, sys.float_info.max).map(math.floor).map(float))
     @settings(max_examples=100, deadline=None)
     def test_every_finite_count_answers(self, value):
         for axis, grid, fixed in (("pair_count", [value], 0.5), ("variance", [0.5], value)):

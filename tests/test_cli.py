@@ -355,6 +355,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"data error: cannot write {tmp_path}: it is a directory\n"
 
+    def test_out_and_values_out_same_file_is_usage_error(
+        self, tmp_path, pairs_file, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the output paths were checked")
+
+        monkeypatch.setattr(mc, "simulate_metric", refuse)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", str(pairs_file), "--tau", "10", "--out", "x.bin"]
+        assert main(argv + ["--values-out", "./x.bin"]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: --out and --values-out name the same file: ./x.bin\n"
+        assert not (tmp_path / "x.bin").exists()
+
     def test_failed_values_write_is_data_error(
         self, tmp_path, pairs_file, capsys, monkeypatch
     ):
@@ -505,6 +519,8 @@ class TestSimulate:
             ["rankcurves", "--deltas", "inf"],
             ["sensitivity", "--axis", "variance", "--grid", "0.5", "--fixed", "inf"],
             ["sensitivity", "--axis", "n", "--grid", "inf", "--fixed", "0.5"],
+            ["sensitivity", "--axis", "variance", "--grid", "0.7", "--fixed", "10.7"],
+            ["sensitivity", "--axis", "n", "--grid", "1.5,1", "--fixed", "0.7"],
         ],
         ids=[
             "workers-0", "workers-neg", "seed-neg", "seed-2^64", "tau-0",
@@ -512,6 +528,7 @@ class TestSimulate:
             "transfer-bounds-reversed", "transfer-bounds-massless",
             "transfer-competitor-nan", "rankcurves-noise-nan", "rankcurves-delta-inf",
             "sensitivity-fixed-inf", "sensitivity-grid-inf",
+            "sensitivity-fixed-fraction", "sensitivity-grid-fraction",
         ],
     )
     def test_mc_flags_out_of_range_are_usage_errors(
@@ -953,7 +970,7 @@ class TestGoldenDigests:
             (
                 ["simulate", "pairs.json", "--predictors", "far.csv", "--tau", "3000",
                  "--seed", "17"],
-                "af56426f07618c607502b60e32ccdf8cd7591d42cf074b5c565669a6f3e631c1",
+                "f8cbb7667ceb81d34dc6ce7c163639d28a47aeba2b77705ff0ea4949e899098c",
             ),
             (
                 ["rank", "pairs.json", "--predictors", "best.csv", "near.csv",

@@ -505,8 +505,10 @@ class TestBlockContract:
 
 
 class TestZeroOffsetSystems:
-    """A system whose predictions equal the pair means reduces straight from
-    the draws; its rows keep the bits of the add-then-reduce arithmetic."""
+    """Every metric scores each system from its residuals: a row of a shared
+    run has the bits of the residual formula on that system's offsets, and a
+    system whose predictions equal the pair means reduces straight from the
+    draws with those same bits."""
 
     N = 37
 
@@ -530,123 +532,70 @@ class TestZeroOffsetSystems:
         dists = make_dists(
             np.linspace(0.2, 2.0, self.N), means=np.linspace(1.2, 4.8, self.N)
         )
+        cfg = MCConfig(trials=200, master_seed=42)
         means = PredictorVector(keys=dists.keys, values=dists.means.copy())
+        # trial 0's ratings land on these predictions, so its residuals all
+        # but cancel (exactly so unless clipped)
+        trial0 = block_draws(cfg.master_seed, 1, self.N)[0] * np.sqrt(dists.variances)
         others = [
             PredictorVector(keys=dists.keys, values=dists.means + 0.3),
             PredictorVector(keys=dists.keys, values=dists.means - 0.2),
+            PredictorVector(keys=dists.keys, values=dists.means + trial0),
         ]
-        cfg = MCConfig(trials=200, master_seed=42)
-        zero = self._reference(dists, np.zeros(self.N), metric, cfg, clip_bounds)
-        for position in range(3):
+        for position in range(len(others) + 1):
             systems = others[:position] + [means] + others[position:]
             shared = simulate_metric_shared(
                 dists, systems, metric, cfg, workers=workers, clip_bounds=clip_bounds
             )
+            assert np.all(np.isfinite(shared)) and np.all(shared >= 0.0)
             for row, system in enumerate(systems):
                 alone = simulate_metric_shared(
                     dists, [system], metric, cfg, workers=workers, clip_bounds=clip_bounds
                 )
                 assert np.array_equal(shared[row], alone[0])
-            assert np.array_equal(shared[position], zero)
+                reference = self._reference(
+                    dists, dists.means - system.values, metric, cfg, clip_bounds
+                )
+                assert np.array_equal(shared[row], reference)
 
-    # unclipped RMSE scores any number of systems from the draw block alone
-    @pytest.mark.parametrize("systems, blocks", [(1, 1.5), (2, 2.5), (4, 1.5)])
+    # one system scores in the draw buffer; more add one residual buffer
+    @pytest.mark.parametrize("systems, blocks", [(1, 1.5), (2, 2.5), (4, 2.5)])
     def test_residual_block_only_for_shared_draws(self, systems, blocks):
         n, tau = 5001, 520
         dists = make_dists(np.full(n, 0.5))
-        p = optimal_predictors(dists, MetricKind.RMSE)
-        predictors = [p] + [
-            PredictorVector(keys=p.keys, values=p.values + 0.1 * k) for k in range(1, systems)
-        ]
-        tracemalloc.start()
-        try:
-            simulate_metric_shared(
-                dists, predictors, MetricKind.RMSE, MCConfig(trials=tau, master_seed=3)
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < blocks * mc._BLOCK_ELEMENTS * 8
+        for metric in (MetricKind.RMSE, MetricKind.MAE):
+            p = optimal_predictors(dists, metric)
+            predictors = [p] + [
+                PredictorVector(keys=p.keys, values=p.values + 0.1 * k)
+                for k in range(1, systems)
+            ]
+            tracemalloc.start()
+            try:
+                simulate_metric_shared(
+                    dists, predictors, metric, MCConfig(trials=tau, master_seed=3)
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < blocks * mc._BLOCK_ELEMENTS * 8, metric
 
 
 class TestRmseExpansion:
-    """Unclipped RMSE scores a system with offsets o from the draws' deviations
-    d as sqrt(mean(d^2) + (2 d.o + o.o)/N), which the direct residual formula
-    sqrt(mean((d + o)^2)) matches up to the rounding of those three terms."""
-
-    SCALES = [0.0, 0.3, 0.0, -0.15, 0.7]
-
-    def _case(self, n, tau, seed):
-        dists = make_dists(np.linspace(0.2, 2.0, n), means=np.linspace(1.2, 4.8, n))
-        alternating = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        systems = [
-            PredictorVector(keys=dists.keys, values=dists.means - scale * alternating)
-            for scale in self.SCALES
-        ]
-        cfg = MCConfig(trials=tau, master_seed=seed)
-        values = simulate_metric_shared(dists, systems, MetricKind.RMSE, cfg)
-        delta = block_draws(seed, tau, n) * np.sqrt(dists.variances)
-        offsets = [dists.means - p.values for p in systems]
-        return values, delta, offsets
-
-    @staticmethod
-    def _within_rounding(values, delta, offsets):
-        """Assert the rounding bound of each system's values and return the
-        direct ones.
-
-        Each sum of N products carries at most about N*eps of its absolute
-        terms, in both formulas, and every other step a few eps, so the two
-        mean squares differ by at most (2N + 16)*eps*T with
-        T = (sum d^2 + 2 sum |d o| + sum o^2)/N per trial; the square roots
-        then differ by at most min(sqrt(B), B/(v + v')).
-        """
-        n = delta.shape[1]
-        eps = np.finfo(np.float64).eps
-        direct = np.empty_like(values)
-        for row, o in enumerate(offsets):
-            direct[row] = np.sqrt(np.mean(np.square(delta + o), axis=1))
-            terms = (
-                np.sum(delta**2, axis=1) + 2.0 * np.abs(delta) @ np.abs(o) + o @ o
-            ) / n
-            bound = (2 * n + 16) * eps * terms
-            total = values[row] + direct[row]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                allowed = np.minimum(
-                    np.sqrt(bound), np.where(total > 0, bound / total, np.inf)
-                )
-            assert np.all(np.abs(values[row] - direct[row]) <= allowed)
-        return direct
-
-    @pytest.mark.parametrize("n", [1, 2, 500])
-    def test_matches_direct_residuals(self, n):
-        values, delta, offsets = self._case(n, 2000, 31)
-        assert not np.isnan(values).any()
-        direct = self._within_rounding(values, delta, offsets)
-        for row, scale in enumerate(self.SCALES):
-            if scale == 0.0:
-                # zero-offset systems take no cross term: the same bits
-                assert np.array_equal(values[row], direct[row])
-
-    def test_orderings_match_direct_residuals(self):
-        values, delta, offsets = self._case(500, 2000, 31)
-        direct = self._within_rounding(values, delta, offsets)
-        assert np.array_equal(
-            np.argsort(values, axis=0, kind="stable"),
-            np.argsort(direct, axis=0, kind="stable"),
-        )
+    """Unclipped RMSE scored as sqrt(mean(d^2) + (2 d.o + o.o)/N) can go
+    negative under the root when d + o cancels; scoring from the residuals
+    d + o must keep such a system finite and non-negative."""
 
     def test_cancelling_prediction_stays_finite(self):
         # trial 0's rating lands on the prediction, so d + o is zero up to the
-        # rounding of the prediction, and the expansion cancels; whether the
-        # unclamped sum goes negative depends on that rounding, so the test
-        # takes the first seed whose draw makes it negative (about one in six)
+        # rounding of the prediction; the test takes the first seed whose draw
+        # makes the expansion's unclamped sum negative
         tau = 64
         dists = make_dists([0.7], means=[3.3])
         for seed in range(200):
             delta = block_draws(seed, tau, 1) * np.sqrt(dists.variances)
             hit = PredictorVector(keys=dists.keys, values=dists.means + delta[0])
-            offsets = [dists.means - hit.values]
-            d, o = delta[0, 0], offsets[0][0]
+            offsets = dists.means - hit.values
+            d, o = delta[0, 0], offsets[0]
             if d * d + (2.0 * d * o + o * o) < 0.0:
                 break
         else:
@@ -656,7 +605,8 @@ class TestRmseExpansion:
             MCConfig(trials=tau, master_seed=seed),
         )
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
-        self._within_rounding(values[1:], delta, offsets)
+        direct = np.sqrt(np.mean(np.square(delta + offsets), axis=1))
+        assert np.array_equal(values[1], direct)
 
 
 class TestRmseScoreBlocks:
