@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -355,33 +355,59 @@ def rank_distribution(
 
     RMSE trials draw one normal per distinct nonzero offset row, not one per
     pair, which gives the orderings the law of the per-pair simulation but
-    not its bits (``mc`` module notes); MAE ranks the per-pair simulation.
-    Each block of trials is reduced to ordering counts as it is yielded, so
-    memory holds the blocks in flight and one count per distinct ordering,
-    never the K x tau values.
+    not its bits (``mc`` module notes), on the calling thread; MAE ranks the
+    per-pair simulation on up to ``workers`` threads. Each block of trials is
+    reduced to ordering counts as it is yielded, so memory holds the blocks
+    in flight and one count per distinct ordering, never the K x tau values.
     """
     if not systems:
         raise ValueError("need at least one system")
-    k = len(systems)
-    counts: dict[tuple[int, ...], int] = {}
     if metric is MetricKind.RMSE:
-        blocks = _rmse_score_blocks(dists, systems, cfg, workers)
+        blocks = _rmse_score_blocks(dists, systems, cfg)
     else:
         blocks = _metric_blocks(dists, systems, metric, cfg, workers)
+    return _ordering_frequencies(blocks, len(systems), cfg.trials)
+
+
+def _ordering_frequencies(
+    blocks: Iterable[np.ndarray], k: int, tau: int
+) -> dict[tuple[int, ...], float]:
+    """Relative frequency of each ordering, best first, of the columns of the
+    (k, trials in block) ``blocks``, which hold tau trials in all; ties go to
+    the lower index, as a stable sort would order them. Sorted by ordering."""
+    # one integer code per trial's ranks, read as k digits in base k, where
+    # k**k fits: a 1-D unique over codes is ~100x faster than
+    # np.unique(axis=1) at 4 systems x 200k trials
+    coded = k**k <= np.iinfo(np.intp).max
+    powers = k ** np.arange(k - 1, -1, -1, dtype=np.intp) if coded else None
+    counts: dict = {}
     for values in blocks:
-        order = np.argsort(values, axis=0, kind="stable")
-        if k**k <= np.iinfo(np.intp).max:
-            # one integer code per trial's ordering: a 1-D unique over codes
-            # is ~100x faster than np.unique(axis=1) at 4 systems x 200k trials
-            codes = np.ravel_multi_index(tuple(order), (k,) * k)
-            _, first, block_counts = np.unique(
-                codes, return_index=True, return_counts=True
-            )
-            orderings = order[:, first]
+        # a system's rank counts the systems ahead of it: lower values, and
+        # equal values at lower indices; k - 1 passes, each comparing every
+        # system with the one ``shift`` places on, cyclically
+        ranks = np.zeros(values.shape, dtype=np.min_scalar_type(k))
+        ahead = np.empty(values.shape, dtype=bool)
+        for shift in range(1, k):
+            np.less(values[shift:], values[: k - shift], out=ahead[: k - shift])
+            np.less_equal(values[:shift], values[k - shift :], out=ahead[k - shift :])
+            ranks += ahead.view(np.uint8)
+        if coded:
+            keys, block_counts = np.unique(powers @ ranks, return_counts=True)
+            keys = keys.tolist()
         else:
-            orderings, block_counts = np.unique(order, axis=1, return_counts=True)
-        for column, count in zip(orderings.T, block_counts):
-            ordering = tuple(column.tolist())
-            counts[ordering] = counts.get(ordering, 0) + int(count)
-    tau = cfg.trials
-    return {ordering: count / tau for ordering, count in sorted(counts.items())}
+            keys, block_counts = np.unique(ranks, axis=1, return_counts=True)
+            keys = list(map(tuple, keys.T.tolist()))
+        for key, count in zip(keys, block_counts.tolist()):
+            counts[key] = counts.get(key, 0) + count
+    # decode the distinct keys once: an ordering is the inverse permutation of
+    # its ranks
+    if coded:
+        ranks = np.array(np.unravel_index(list(counts), (k,) * k))
+    else:
+        ranks = np.array(list(counts)).T
+    orderings = np.empty_like(ranks)
+    np.put_along_axis(orderings, ranks, np.arange(k)[:, None], axis=0)
+    return {
+        ordering: count / tau
+        for ordering, count in sorted(zip(map(tuple, orderings.T.tolist()), counts.values()))
+    }

@@ -35,7 +35,7 @@ consumer. :func:`simulate_metric_shared` copies them into its K x tau
 result, so it holds O(N + K*tau) and, per worker thread, one draw buffer
 (plus one residual buffer with several systems);
 ``analysis.rank_distribution`` reduces each block to ordering counts as it
-arrives, so it holds only the blocks in flight.
+arrives, so for MAE it holds only the blocks in flight.
 
 Every system is scored from its residuals ``d + o`` (a trial's deviations d
 from the pair means plus the system's offsets o), formed in the residual
@@ -55,7 +55,11 @@ R of the rows' Gram matrix, built once by modified Gram-Schmidt in einsum (no
 LAPACK; a dependent row gets a zero pivot): exact in law, not the kernel's
 values. A block holds ``max(1, _RANK_BLOCK_ELEMENTS // K)`` trials (4,096 at
 K = 4) and draws from the ``(master_seed, k0)`` stream that
-:func:`simulate_metric_shared` uses for its block at k0.
+:func:`simulate_metric_shared` uses for its block at k0. The blocks run one
+after another on the calling thread, one block in memory at a time: each is
+a few small numpy calls that hold the interpreter lock for most of their
+time, so a thread pool adds hand-offs and contention, and no speed once
+the orderings are counted without a sort.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ _RANK_BLOCK_ELEMENTS = 1 << 14
 class MCConfig:
     """Simulation size, histogram resolution and seed.
 
-    ``bins=None`` selects ``ceil(sqrt(trials))`` capped at ``MAX_DEFAULT_BINS``.
+    ``bins=None`` selects ``ceil(sqrt(trials))`` within ``[2, MAX_DEFAULT_BINS]``:
+    one bin would hold every sample's mass, and any density on its edges too.
     """
 
     trials: int
@@ -112,7 +117,7 @@ class MCConfig:
     def resolved_bins(self) -> int:
         if self.bins is not None:
             return self.bins
-        return min(math.isqrt(self.trials - 1) + 1, MAX_DEFAULT_BINS)
+        return min(max(math.isqrt(self.trials - 1) + 1, 2), MAX_DEFAULT_BINS)
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,9 @@ def _in_trial_order(
     run_task: Callable[[int], np.ndarray], tau: int, block: int, workers: int
 ) -> Iterator[np.ndarray]:
     """``run_task(k0)`` for the blocks starting at k0 = 0, block, 2*block, ...
-    below tau, yielded in trial order from up to ``workers`` threads."""
+    below tau, yielded in trial order from up to ``workers`` threads: the
+    N-draw kernel's blocks, whose large numpy calls release the interpreter
+    lock (rank's RMSE blocks run on the calling thread, module notes)."""
     starts = range(0, tau, block)
     # in-flight memory is one or two blocks per thread, and threads beyond the
     # usable CPUs or the tasks only add contention
@@ -368,11 +375,11 @@ def _rmse_score_blocks(
     dists: PairTable,
     predictor_list: Sequence[PredictorVector],
     cfg: MCConfig,
-    workers: int = 1,
 ) -> Iterator[np.ndarray]:
     """Scores ``2*d.o + o.o`` (N * RMSE^2 less the shared ``sum(d^2)``) that
     order the systems as unclipped RMSE does, from K' normals per trial (module
-    notes): one new (K, trials in block) array per block, in trial order."""
+    notes): one new (K, trials in block) array per block, in trial order, on
+    the calling thread."""
     offsets = _offsets(dists, predictor_list)
     rows = np.sqrt(dists.variances) * offsets
     moved = rows.any(axis=1)
@@ -385,15 +392,15 @@ def _rmse_score_blocks(
     squares = np.einsum("ij,ij->i", offsets, offsets)
     block = max(1, _RANK_BLOCK_ELEMENTS // len(offsets))
 
-    def run_task(k0: int) -> np.ndarray:
+    for k0 in range(0, cfg.trials, block):
         nt = min(block, cfg.trials - k0)
-        w = _draw_block(cfg.master_seed, k0, nt, len(basis))
+        # one contiguous row of draws per factor row
+        w = _draw_block(cfg.master_seed, k0, nt, len(basis)).T.copy()
         # not a BLAS product, so that a trial's bits do not depend on nt
         cross = np.zeros((len(basis), nt))
+        term = np.empty_like(cross)
         for j in range(len(basis)):
-            cross[j:] += factor[j, j:, None] * w[:, j]
+            cross[j:] += np.multiply(factor[j, j:, None], w[j], out=term[j:])
         values = np.repeat(squares[:, None], nt, axis=1)
         values[moved] += 2.0 * cross[column]
-        return values
-
-    yield from _in_trial_order(run_task, cfg.trials, block, workers)
+        yield values

@@ -96,6 +96,29 @@ def block_draws(master_seed: int, tau: int, n_pairs: int) -> np.ndarray:
     )
 
 
+def argsort_ordering_frequencies(blocks, k: int, tau: int) -> dict:
+    """Relative frequency of each ordering of the columns of the (k, trials in
+    block) ``blocks``, sorted by ordering: a stable argsort per block, then
+    one integer code per trial where k**k fits intp (np.unique(axis=1) where
+    it does not), counted in a dict, as ``rank_distribution`` counted before
+    it ranked by comparisons."""
+    counts: dict[tuple[int, ...], int] = {}
+    for values in blocks:
+        order = np.argsort(values, axis=0, kind="stable")
+        if k**k <= np.iinfo(np.intp).max:
+            codes = np.ravel_multi_index(tuple(order), (k,) * k)
+            _, first, block_counts = np.unique(
+                codes, return_index=True, return_counts=True
+            )
+            orderings = order[:, first]
+        else:
+            orderings, block_counts = np.unique(order, axis=1, return_counts=True)
+        for column, count in zip(orderings.T, block_counts):
+            ordering = tuple(column.tolist())
+            counts[ordering] = counts.get(ordering, 0) + int(count)
+    return {ordering: count / tau for ordering, count in sorted(counts.items())}
+
+
 def evaluate_metric_once(
     dists: PairTable,
     predictors: PredictorVector,

@@ -27,12 +27,13 @@ from magicbarrier import (
     simulate_metric,
     simulate_metric_shared,
 )
-from magicbarrier import mc
+from magicbarrier import analysis, mc
 from magicbarrier.analysis import alternating_offsets
 from magicbarrier.mc import optimal_predictors
 
 from conftest import make_dists
 from oracles import (
+    argsort_ordering_frequencies,
     interference_probability_empirical,
     interference_probability_mc,
     interference_probability_quadrature,
@@ -588,3 +589,55 @@ class TestRankDistribution:
         observed = set(ranking)
         assert observed <= {(0, 1, 2), (1, 0, 2)}
         assert len(observed) == 2
+
+
+# 15**15 fits intp and 16**16 does not, so 16 and 17 take the unique(axis=1)
+# path; 300 systems need uint16 ranks
+COUNTER_KS = [1, 2, 3, 4, 8, 15, 16, 17, 300]
+
+
+def tie_shifts(k):
+    """Shifts 0, 0, -0.02, -0.02, 0.04, 0.04, ...: two all-zero-offset
+    systems, then pairs of identical ones."""
+    return [0.02 * (i // 2) * (-1) ** (i // 2) for i in range(k)]
+
+
+class TestOrderingCounter:
+    # the comparison counter must give the argsort counter's mapping, item for
+    # item and in the same order, wherever values tie
+
+    @staticmethod
+    def check(blocks, k):
+        tau = sum(b.shape[1] for b in blocks)
+        ours = analysis._ordering_frequencies(iter(blocks), k, tau)
+        reference = argsort_ordering_frequencies(blocks, k, tau)
+        assert list(ours.items()) == list(reference.items())
+        assert all(type(i) is int for ordering in ours for i in ordering)
+
+    @pytest.mark.parametrize("k", COUNTER_KS)
+    def test_equal_scores(self, k):
+        # scores drawn from three values tie often, and in every trial once
+        # k > 3; the first block is constant, so every system ties with every
+        # other
+        rng = np.random.default_rng(k)
+        widths = (5, 200, 1) if k > 255 else (5, 700, 300, 1)
+        blocks = [np.full((k, widths[0]), 0.5)]
+        blocks += [rng.integers(0, 3, (k, nt)).astype(np.float64) for nt in widths[1:]]
+        self.check(blocks, k)
+
+    @pytest.mark.parametrize("k", COUNTER_KS)
+    def test_rmse_blocks(self, k):
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        systems = rank_systems(dists, tie_shifts(k))
+        block = max(1, mc._RANK_BLOCK_ELEMENTS // k)
+        cfg = MCConfig(trials=min(2 * block + 7, 3000), master_seed=31)
+        self.check(list(mc._rmse_score_blocks(dists, systems, cfg)), k)
+
+    @pytest.mark.parametrize("k", COUNTER_KS)
+    def test_mae_blocks(self, monkeypatch, k):
+        # blocks of 400 trials at N = 20
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 400 * 20)
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        systems = rank_systems(dists, tie_shifts(k))
+        cfg = MCConfig(trials=300 if k > 255 else 1000, master_seed=31)
+        self.check(list(mc._metric_blocks(dists, systems, MetricKind.MAE, cfg)), k)

@@ -629,6 +629,20 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "data error" in err and "b.json" in err
 
+    def test_single_trial_simulation_against_estimate(self, tmp_path, pairs_file):
+        # one trial still gets two bins: with one, the histogram and the
+        # Gaussian on its edges would both put all mass in it, a JSD of 0
+        barrier = tmp_path / "barrier.json"
+        sample = tmp_path / "sample.json"
+        report = tmp_path / "report.json"
+        assert main(["estimate", str(pairs_file), "--out", str(barrier)]) == 0
+        assert main(
+            ["simulate", str(pairs_file), "--tau", "1", "--out", str(sample)]
+        ) == 0
+        assert len(read_json(sample)["histogram"]["heights"]) == 2
+        assert main(["compare", str(barrier), str(sample), "--out", str(report)]) == 0
+        assert read_json(report)["jsd"] > 0.0
+
     def test_identical_inputs(self, tmp_path):
         a = tmp_path / "a.json"
         a.write_text(json.dumps({"mean": 0.7, "variance": 0.001}), encoding="utf-8")
@@ -800,6 +814,64 @@ class TestRank:
         assert main(["rank", str(pairs_file), "--predictors", *paths, "--tau", "100"]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "'sys'" in err
+
+
+    @staticmethod
+    def rank_argv(tmp_path, pairs_file, metric, workers):
+        """rank of three systems (the optimal one, a duplicate of it and one
+        offset by 0.05) over 20,000 trials: 4 RMSE blocks of 5,461 trials, or
+        13 MAE blocks at the fixture's 169 pairs."""
+        usable = [p for p in read_json(pairs_file)["pairs"] if p["variance"] > 0]
+        paths = []
+        for name, shift in (("a", 0.0), ("b", 0.0), ("c", 0.05)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(
+                "user,item,prediction\n"
+                + "".join(f"{p['user']},{p['item']},{p['mean'] + shift}\n" for p in usable),
+                encoding="utf-8",
+            )
+            paths.append(str(path))
+        out = tmp_path / f"rank-{metric}-{workers}.json"
+        argv = ["rank", str(pairs_file), "--predictors", *paths, "--metric", metric,
+                "--tau", "20000", "--seed", "4", "--workers", str(workers), "--out", str(out)]
+        return argv, out
+
+    def test_rmse_runs_on_the_calling_thread(self, tmp_path, pairs_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank --metric rmse started a thread pool")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        argv, out = self.rank_argv(tmp_path, pairs_file, "rmse", 3)
+        assert main(argv) == 0
+        assert sum(read_json(out)["orderings"].values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mae_uses_the_pool(self, tmp_path, pairs_file, monkeypatch):
+        seen = []
+
+        class RecordingPool(mc.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        # the pool is capped at the usable CPUs; lift the cap to run threaded
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        argv, _ = self.rank_argv(tmp_path, pairs_file, "mae", 2)
+        assert main(argv) == 0
+        assert seen == [2]
+
+    @pytest.mark.parametrize("metric", ["rmse", "mae"])
+    def test_bytes_independent_of_workers(self, tmp_path, pairs_file, monkeypatch, metric):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        outputs = []
+        for workers in (1, 2, 3):
+            argv, out = self.rank_argv(tmp_path, pairs_file, metric, workers)
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        # the duplicate of the optimal system always ranks behind it
+        assert all(o.index("a") < o.index("b") for o in read_json(out)["orderings"])
 
 
 class TestCsvInputs:

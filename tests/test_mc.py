@@ -54,6 +54,8 @@ class TestMCConfig:
         assert MCConfig(trials=100_000).resolved_bins == 317
         assert MCConfig(trials=10_000_000).resolved_bins == 512
         assert MCConfig(trials=100, bins=20).resolved_bins == 20
+        # never one bin, which the explicit setting refuses too
+        assert [MCConfig(trials=t).resolved_bins for t in (1, 2, 4, 5)] == [2, 2, 2, 3]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -643,15 +645,15 @@ class TestRmseScoreBlocks:
             PredictorVector(keys=dists.keys, values=dists.means + o),
         ]
 
-        def scores(tau, workers):
+        def scores(tau):
             cfg = MCConfig(trials=tau, master_seed=7)
-            return list(mc._rmse_score_blocks(dists, systems, cfg, workers))
+            return list(mc._rmse_score_blocks(dists, systems, cfg))
 
-        long = scores(12_000, 2)
+        long = scores(12_000)
         assert [b.shape for b in long] == [(3, 5461), (3, 5461), (3, 1078)]
-        assert sorted(drawn) == [(0, 5461, 1), (5461, 5461, 1), (10922, 1078, 1)]
+        assert drawn == [(0, 5461, 1), (5461, 5461, 1), (10922, 1078, 1)]
         values = np.concatenate(long, axis=1)
-        assert np.array_equal(np.concatenate(scores(3000, 1), axis=1), values[:, :3000])
+        assert np.array_equal(np.concatenate(scores(3000), axis=1), values[:, :3000])
         assert np.all(values[0] == 0.0)
         assert np.array_equal(values[1], values[2])
         # 2 d.o + o.o is Gaussian with mean o.o and variance 4 sum(s2 o^2)
