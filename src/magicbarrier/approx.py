@@ -49,15 +49,16 @@ SMALL_N_WARNING_THRESHOLD = 100
 
 def _checked(
     variances: Sequence[float], offsets: Sequence[float] | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Variances and offsets as float arrays, checked once for both metrics."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Variances and offsets as float arrays, checked once for both metrics;
+    no offsets are zero offsets, the optimal recommender's."""
     arr = as_float_array(variances, "variances")
     if arr.size == 0:
         raise DegenerateInputError("empty variance list")
     if np.any(arr < 0.0):
         raise ValueError("variances must be >= 0")
     if offsets is None:
-        return arr, None
+        return arr, np.zeros_like(arr)
     off = as_float_array(offsets, "offsets")
     if off.size != arr.size:
         raise ValueError(
@@ -89,13 +90,9 @@ def rmse_summary_from_offsets(
     """
     arr, off = _checked(variances, offsets)
     n = arr.size
-    if off is None:
-        e_sum = float(np.sum(arr))
-        v_sum = float(2.0 * np.sum(arr**2))
-    else:
-        d2 = off**2
-        e_sum = float(np.sum(arr) + np.sum(d2))
-        v_sum = float(np.sum(2.0 * arr**2 + 4.0 * d2 * arr))
+    d2 = off**2
+    e_sum = float(np.sum(arr) + np.sum(d2))
+    v_sum = float(np.sum(2.0 * arr**2 + 4.0 * d2 * arr))
     if e_sum <= 0.0:
         raise DegenerateInputError(
             "degenerate barrier: zero variances and zero offsets everywhere"
@@ -135,7 +132,7 @@ def mae_summary_from_offsets(
     average, so ``mean = avg(E)`` and ``variance = sum(V)/N^2``.
     """
     arr, off = _checked(variances, offsets)
-    m, v = _folded_normal_moments(np.zeros_like(arr) if off is None else off, arr)
+    m, v = _folded_normal_moments(off, arr)
     n = arr.size
     return GaussianSummary(
         mean=float(np.mean(m)),

@@ -19,7 +19,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict, astuple, fields
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -90,47 +90,27 @@ def _emit(args, config: dict, body: dict) -> None:
 def _json_value(value) -> str:
     """``value`` as json.dumps(indent=2, sort_keys=True) renders it one level
     deep; rows that are dataclasses become objects, and a :class:`PairTable`
-    is the list of its ``user``, ``item``, ``mean`` and ``variance`` rows."""
-    if isinstance(value, PairTable):
-        text = _columns_json({
-            "user": list(map(itemgetter(0), value.keys)),
-            "item": list(map(itemgetter(1), value.keys)),
-            "mean": value.means.tolist(),
-            "variance": value.variances.tolist(),
-        })
-        if text is not None:
-            return text
-    return json.dumps(value, indent=2, sort_keys=True, default=asdict).replace("\n", "\n  ")
+    is the list of its ``item``, ``mean``, ``user`` and ``variance`` rows."""
+    if not isinstance(value, PairTable):
+        return json.dumps(value, indent=2, sort_keys=True, default=asdict).replace("\n", "\n  ")
+    if not value.keys:
+        return "[]"
+    users = map(encode_basestring_ascii, map(itemgetter(0), value.keys))
+    items = map(encode_basestring_ascii, map(itemgetter(1), value.keys))
+    # a row is its four fields, each after its prefix; the braces join rows
+    rows = zip(
+        repeat('\n      "item": '), items,
+        repeat(',\n      "mean": '), _float_reprs(value.means),
+        repeat(',\n      "user": '), users,
+        repeat(',\n      "variance": '), _float_reprs(value.variances),
+    )
+    return "[\n    {" + "\n    },\n    {".join(map("".join, rows)) + "\n    }\n  ]"
 
 
-def _columns_json(columns: dict[str, list]) -> str | None:
-    """The rows whose fields are ``columns`` (name to equal-length column),
-    rendered one level deep as json.dumps(indent=2, sort_keys=True) renders
-    the list of row objects, one column at a time; None unless every column
-    is all str or all finite float."""
-    # a row is each field's separator and value; the first separator also
-    # closes the previous row, which the first row has not
-    close = "\n    },\n"
-    pieces = []
-    for i, name in enumerate(sorted(columns)):
-        column = columns[name]
-        kinds = set(map(type, column))
-        if kinds <= {str}:
-            values = map(encode_basestring_ascii, column)
-        elif kinds == {float} and all(map(math.isfinite, column)):
-            values = _float_reprs(column)
-        else:
-            return None
-        opening = ",\n" if i else close + "    {\n"
-        pieces += [repeat(f"{opening}      {encode_basestring_ascii(name)}: "), values]
-    rows = "".join(chain.from_iterable(zip(*pieces)))
-    return "[\n" + rows[len(close):] + "\n    }\n  ]" if rows else "[]"
-
-
-def _float_reprs(column: list[float]) -> list[str]:
+def _float_reprs(column: np.ndarray) -> list[str]:
     """``repr`` of each float of ``column``, computed once per distinct bit
     pattern: the fits of a few integer ratings take few distinct values."""
-    bits, index = np.unique(np.array(column).view(np.int64), return_inverse=True)
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
     reprs = list(map(float.__repr__, bits.view(np.float64).tolist()))
     return list(map(reprs.__getitem__, index.tolist()))
 

@@ -89,7 +89,7 @@ VARIANCE_HEADER = ("variance",)
 
 @dataclass(frozen=True, eq=False)
 class RatingTensor:
-    """Validated re-rating records, as columns, plus the scale they live on.
+    """Validated re-rating records, as columns.
 
     Record r is the rating ``ratings[r]`` that pair ``pair_keys[codes[r]]``
     gave in trial ``trials[r]``; pair codes number the (user, item) pairs in
@@ -100,7 +100,6 @@ class RatingTensor:
     codes: np.ndarray
     trials: np.ndarray
     ratings: np.ndarray
-    scale: ScaleSpec
 
     def __len__(self) -> int:
         return self.codes.size
@@ -217,7 +216,7 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
     key.sort()
     if np.any(key[1:] == key[:-1]):
         return None
-    return RatingTensor(tuple(first_seen), codes, trials, ratings, scale)
+    return RatingTensor(tuple(first_seen), codes, trials, ratings)
 
 
 def _records(source: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -304,7 +303,6 @@ def _parse_lines(source: str, scale: ScaleSpec) -> RatingTensor:
         np.array(codes, dtype=np.intp),
         np.array(trials, dtype=np.int64),
         np.array(ratings, dtype=np.int64),
-        scale,
     )
 
 

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magicbarrier import approx, cli, ingest, mc
 from magicbarrier.cli import build_parser, main
+from magicbarrier.core import PairTable
 
 from conftest import make_tensor_csv, synthetic_study_tensor
 from oracles import ks_per_slice
@@ -902,40 +903,50 @@ class TestCsvInputs:
         assert "line 2: field larger than field limit" in err
 
 
-# rows of one key set, each column all str or all finite float, with
-# non-ASCII text, subnormals, signed zeros and extreme magnitudes
-_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
-_FLOAT = st.one_of(
+# pair tables with non-ASCII, quoted and %-format keys, and signed zeros,
+# subnormals and extreme magnitudes among the means and variances
+_TEXT = st.one_of(
+    st.sampled_from(["", "%s", "%%d", '"', "\u00e9\\"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+_MEAN = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1]),
     st.floats(allow_nan=False, allow_infinity=False),
+)
+_VARIANCE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e300]),
+    st.floats(min_value=0.0, allow_infinity=False),
 )
 
 
 @st.composite
-def _rows(draw):
-    names = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
-    kinds = [draw(st.sampled_from([_TEXT, _FLOAT])) for _ in names]
-    count = draw(st.integers(1, 6))
-    return [{name: draw(kind) for name, kind in zip(names, kinds)} for _ in range(count)]
+def _pair_tables(draw):
+    keys = draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=6, unique=True))
+    columns = [draw(st.lists(kind, min_size=len(keys), max_size=len(keys)))
+               for kind in (_MEAN, _VARIANCE)]
+    return PairTable(keys, *columns)
 
 
 class TestJsonWriter:
-    """The column-wise row writer reproduces json.dumps(indent=2, sort_keys=True);
-    every other value goes through json.dumps itself."""
+    """The pair-table writer reproduces json.dumps(indent=2, sort_keys=True)
+    of the table's rows; every other value goes through json.dumps itself."""
 
     @staticmethod
     def reference(value):
         # a top-level value of the emitted document sits one level deep
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
-    @staticmethod
-    def columns(rows):
-        return {name: [row[name] for row in rows] for name in rows[0]}
-
-    @given(rows=_rows())
+    @given(table=_pair_tables())
+    @example(table=PairTable((), (), ()))
     @settings(max_examples=200, deadline=None)
-    def test_rows_match_json_dumps(self, rows):
-        assert cli._columns_json(self.columns(rows)) == self.reference(rows)
+    def test_rows_match_json_dumps(self, table):
+        rows = [
+            {"user": user, "item": item, "mean": mean, "variance": variance}
+            for (user, item), mean, variance in zip(
+                table.keys, table.means.tolist(), table.variances.tolist()
+            )
+        ]
+        assert cli._json_value(table) == self.reference(rows)
 
     @pytest.mark.parametrize(
         "rows",
@@ -958,17 +969,13 @@ class TestJsonWriter:
     def test_other_values_take_json_dumps(self, rows):
         assert cli._json_value(rows) == self.reference(rows)
 
-    @pytest.mark.parametrize(
-        "column",
-        [[1.0, "x"], [math.nan], [1.0, math.inf], [1], [True], [None], [[1.0]]],
-        ids=["mixed", "nan", "inf", "int", "bool", "null", "nested"],
-    )
-    def test_other_columns_refused(self, column):
-        assert cli._columns_json({"a": ["x"] * len(column), "b": column}) is None
-
     def test_percent_in_keys_and_values(self):
-        rows = [{"%s": "%d", "a%%": 1.5}, {"%s": "%", "a%%": -0.0}]
-        assert cli._columns_json(self.columns(rows)) == self.reference(rows)
+        table = PairTable([("%s", "%d"), ("a%%", "%")], [1.5, -0.0], [0.25, 0.0])
+        rows = [
+            {"user": "%s", "item": "%d", "mean": 1.5, "variance": 0.25},
+            {"user": "a%%", "item": "%", "mean": -0.0, "variance": 0.0},
+        ]
+        assert cli._json_value(table) == self.reference(rows)
 
 
 class TestGoldenDigests:
@@ -1021,7 +1028,10 @@ class TestGoldenDigests:
 
     @staticmethod
     def digest(path):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        # the digest re-dumps the document; its raw bytes must be that dump too
+        raw = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(raw)
+        assert raw == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         doc["tool"]["version"] = "*"
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
