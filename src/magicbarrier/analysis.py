@@ -408,7 +408,7 @@ def _ordering_frequencies(
         ranks = np.frombuffer(b"".join(counts), dtype=rank_type).reshape(-1, k).T
     orderings = np.empty_like(ranks)
     np.put_along_axis(orderings, ranks, np.arange(k)[:, None], axis=0)
-    return {
-        ordering: count / tau
-        for ordering, count in sorted(zip(map(tuple, orderings.T.tolist()), counts.values()))
-    }
+    # row 0 leads lexsort's keys; counts < 2**53 divide by tau to int / int's bits
+    order = np.lexsort(orderings[::-1])
+    frequencies = np.fromiter(counts.values(), np.float64, len(counts))[order] / tau
+    return dict(zip(map(tuple, orderings.T[order].tolist()), frequencies.tolist()))

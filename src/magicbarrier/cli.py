@@ -458,12 +458,11 @@ def _cmd_rank(args) -> tuple[dict, dict]:
         "tau": mc_cfg.trials,
         "master_seed": mc_cfg.master_seed,
     }
+    # the writer sorts the keys, so the label order is the output order
     return config, {
         "orderings": {
             ">".join(labels[i] for i in ordering): probability
-            for ordering, probability in sorted(
-                ranking.items(), key=lambda kv: (-kv[1], kv[0])
-            )
+            for ordering, probability in ranking.items()
         }
     }
 

@@ -104,20 +104,15 @@ class RatingTensor:
     def __len__(self) -> int:
         return self.codes.size
 
-    def _ratings_by_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ratings sorted by pair code (record order within a pair) and the
-        rating count of each pair."""
-        order = np.argsort(self.codes, kind="stable")
-        counts = np.bincount(self.codes, minlength=len(self.pair_keys))
-        return self.ratings[order], counts
-
     @cached_property
     def _grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ratings as float64, sorted by pair code, with each pair's
-        rating count and start in them: the one group-by of a tensor, which
-        the fit and the KS pass share."""
-        ratings, counts = self._ratings_by_pair()
-        return ratings.astype(np.float64), counts, np.cumsum(counts) - counts
+        """The ratings as float64, sorted by pair code (record order within a
+        pair), with each pair's count and start: the fit, KS and slices share it."""
+        order = np.argsort(self.codes, kind="stable")
+        counts = np.bincount(self.codes, minlength=len(self.pair_keys))
+        ratings = self.ratings[order].astype(np.float64)
+        ratings.setflags(write=False)
+        return ratings, counts, np.cumsum(counts) - counts
 
     def _length_block(self, rows: np.ndarray, n: int) -> np.ndarray:
         """The ratings of pairs ``rows``, each of length ``n``, as a float64
@@ -126,10 +121,10 @@ class RatingTensor:
         return ratings[starts[rows, None] + np.arange(n)]
 
     def pair_slices(self) -> list[np.ndarray]:
-        """Each pair's ratings in record order, indexed by pair code."""
-        ratings, counts = self._ratings_by_pair()
-        ends = np.cumsum(counts).tolist()
-        return [ratings[end - n : end] for end, n in zip(ends, counts.tolist())]
+        """Each pair's ratings in record order, indexed by pair code, as
+        read-only float64 views of the tensor's one group-by."""
+        ratings, counts, starts = self._grouped
+        return [ratings[s : s + n] for s, n in zip(starts.tolist(), counts.tolist())]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from magicbarrier import PairTable, ScaleSpec
+
+# hypothesis imports this module in a report hook when a property test fails;
+# where libcst is installed the import warns (mypy_extensions deprecations),
+# and the suite's warnings-as-errors would turn the report into an
+# INTERNALERROR that ends the session. Import it once here, warnings ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ from magicbarrier.cli import build_parser, main
 from magicbarrier.core import PairTable
 
 from conftest import make_tensor_csv, synthetic_study_tensor
-from oracles import ks_per_slice
+from oracles import argsort_ordering_frequencies, ks_per_slice
 
 
 @pytest.fixture
@@ -77,13 +78,15 @@ class TestIngest:
     def test_one_group_by_per_ingest(self, tmp_path, tensor_file, monkeypatch):
         # the fit and the KS pass share one sort of the tensor by pair
         calls = []
-        group = ingest.RatingTensor._ratings_by_pair
+        group = ingest.RatingTensor.__dict__["_grouped"].func
 
         def counted(tensor):
             calls.append(tensor)
             return group(tensor)
 
-        monkeypatch.setattr(ingest.RatingTensor, "_ratings_by_pair", counted)
+        grouped = functools.cached_property(counted)
+        grouped.__set_name__(ingest.RatingTensor, "_grouped")
+        monkeypatch.setattr(ingest.RatingTensor, "_grouped", grouped)
         assert main(["ingest", str(tensor_file), "--out", str(tmp_path / "p.json")]) == 0
         assert len(calls) == 1
 
@@ -873,6 +876,54 @@ class TestRank:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
         # the duplicate of the optimal system always ranks behind it
         assert all(o.index("a") < o.index("b") for o in read_json(out)["orderings"])
+
+    def test_sixteen_systems_match_the_argsort_oracle(self, tmp_path, pairs_file):
+        # 16**16 overflows intp, so the counter keys each trial by its rank
+        # bytes; a duplicate system ties its original on every draw, and the
+        # stems sort in another order than the systems' indices
+        doc = read_json(pairs_file)
+        usable = [p for p in doc["pairs"] if p["variance"] > 0]
+        rng = np.random.default_rng(16)
+        shifts = [rng.normal(0.0, 0.05, len(usable)) for _ in range(15)]
+        shifts.insert(9, shifts[3])
+        stems = [f"sys{(7 * j) % 16:02d}" for j in range(16)]
+        paths = []
+        for stem, shift in zip(stems, shifts):
+            path = tmp_path / f"{stem}.csv"
+            path.write_text(
+                "user,item,prediction\n"
+                + "".join(
+                    f"{p['user']},{p['item']},{p['mean'] + s}\n"
+                    for p, s in zip(usable, shift.tolist())
+                ),
+                encoding="utf-8",
+            )
+            paths.append(path)
+        out = tmp_path / "rank16.json"
+        argv = ["rank", str(pairs_file), "--predictors", *map(str, paths),
+                "--tau", "3000", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+
+        table = ingest.filter_nonvanishing(
+            PairTable(
+                [(p["user"], p["item"]) for p in doc["pairs"]],
+                [p["mean"] for p in doc["pairs"]],
+                [p["variance"] for p in doc["pairs"]],
+            )
+        )
+        systems = [
+            ingest.parse_predictions(path.read_text(encoding="utf-8"), table)
+            for path in paths
+        ]
+        blocks = mc._rmse_score_blocks(table, systems, mc.MCConfig(trials=3000, master_seed=5))
+        expected = {
+            ">".join(stems[i] for i in ordering): probability
+            for ordering, probability in argsort_ordering_frequencies(blocks, 16, 3000).items()
+        }
+        raw = out.read_text(encoding="utf-8")
+        assert json.loads(raw)["orderings"] == expected
+        assert len(expected) > 1
+        assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
 
 
 class TestCsvInputs:

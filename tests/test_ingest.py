@@ -91,6 +91,8 @@ class TestParseTensor:
         assert tensor.pair_keys == (("u2", "i1"), ("u1", "i1"), ("u1", "i2"))
         assert tensor.codes.tolist() == [0, 1, 0, 2, 1]
         assert [s.tolist() for s in tensor.pair_slices()] == [[3, 5], [4, 2], [1]]
+        # the slices are views of the group-by that the fit reads later
+        assert not any(s.flags.writeable for s in tensor.pair_slices())
 
 
 # ids the block-wise fast path takes: no comma, quote, NUL or whitespace
