@@ -114,9 +114,6 @@ class DiscreteDensity:
             raise ValueError("edges carry no Gaussian mass")
         return cls(edges=edges, masses=masses / total)
 
-    def to_json_dict(self) -> dict:
-        return {"edges": self.edges.tolist(), "masses": self.masses.tolist()}
-
 
 def _require_same_edges(p: DiscreteDensity, q: DiscreteDensity) -> None:
     if p.edges.shape != q.edges.shape or not np.array_equal(p.edges, q.edges):
@@ -178,17 +175,6 @@ class ImprovementDecision:
     simplified_gap: float
     simplified_threshold: float
     simplified_needed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "differentiated_analysis_needed": self.differentiated_analysis_needed,
-            "margin": self.margin,
-            "simplified": {
-                "gap": self.simplified_gap,
-                "threshold": self.simplified_threshold,
-                "needed": self.simplified_needed,
-            },
-        }
 
 
 def improvement_criterion(

@@ -24,7 +24,7 @@ by the same central-limit argument.
 
 The Gaussian shape assumption for the metric degrades for small N (the
 average of squared residuals is chi-square-like and only converges to a
-Gaussian as N grows); callers are warned below N = 100 pairs.
+Gaussian as N grows); the CLI warns below N = 100 pairs.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ __all__ = [
     "magic_barrier_rmse",
     "rmse_summary_from_offsets",
     "mae_summary_from_offsets",
-    "SMALL_N_WARNING_THRESHOLD",
 ]
-
-SMALL_N_WARNING_THRESHOLD = 100
 
 
 def _checked(

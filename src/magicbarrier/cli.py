@@ -89,7 +89,7 @@ def _emit(args, config: dict, body: dict) -> None:
 
 def _json_value(value) -> str:
     """``value`` as json.dumps(indent=2, sort_keys=True) renders it one level
-    deep; rows that are dataclasses become objects, and a :class:`PairTable`
+    deep; dataclasses become objects of their fields, and a :class:`PairTable`
     is the list of its ``item``, ``mean``, ``user`` and ``variance`` rows."""
     if not isinstance(value, PairTable):
         return json.dumps(value, indent=2, sort_keys=True, default=asdict).replace("\n", "\n  ")
@@ -183,7 +183,7 @@ def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
         # free the parsed document before the table copies the columns
         del doc, entries
         return scale, PairTable(keys, means, variances)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed pair entry: {exc}") from exc
 
 
@@ -203,7 +203,7 @@ def _load_summary(
     doc = _load_json(path)
     try:
         summary = GaussianSummary(float(doc["mean"]), float(doc["variance"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: expected mean/variance: {exc}") from exc
     hist = doc.get("histogram")
     if hist is None:
@@ -211,7 +211,7 @@ def _load_summary(
     try:
         edges, heights = hist["edges"], hist["heights"]
         return summary, analysis.DiscreteDensity.from_histogram(edges, heights)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed histogram: {exc}") from exc
 
 
@@ -289,7 +289,7 @@ def _cmd_ingest(args) -> tuple[dict, dict]:
         "alpha": args.alpha,
     }
     return config, {
-        "scale": asdict(scale),
+        "scale": scale,
         "pairs": pairs,
         "summary": {
             "pair_count": len(pairs),
@@ -301,12 +301,16 @@ def _cmd_ingest(args) -> tuple[dict, dict]:
     }
 
 
+# below this many pairs the Gaussian shape assumption for the metric weakens
+_SMALL_N_WARNING_THRESHOLD = 100
+
+
 def _cmd_estimate(args) -> tuple[dict, dict]:
     _, usable = _load_usable_pairs(args.pairs)
-    if len(usable) < approx.SMALL_N_WARNING_THRESHOLD:
+    if len(usable) < _SMALL_N_WARNING_THRESHOLD:
         _warn(
             f"only {len(usable)} pairs; the Gaussian shape assumption "
-            f"for the metric weakens below {approx.SMALL_N_WARNING_THRESHOLD}"
+            f"for the metric weakens below {_SMALL_N_WARNING_THRESHOLD}"
         )
     metric = MetricKind(args.metric)
     if metric is MetricKind.RMSE:
@@ -314,7 +318,7 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
     else:
         summary = approx.mae_summary_from_offsets(usable.variances)
     config = {"pairs": args.pairs, "metric": metric.value, "nonvanishing_count": len(usable)}
-    return config, summary.to_json_dict()
+    return config, asdict(summary)
 
 
 def _cmd_simulate(args) -> tuple[dict, dict]:
@@ -353,7 +357,11 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         "clip": bool(args.clip),
         "nonvanishing_count": len(usable),
     }
-    return config, sample.to_json_dict(values_path=args.values_out)
+    histogram = {"edges": sample.bin_edges.tolist(), "heights": sample.bin_heights.tolist()}
+    body = {**asdict(sample.summary), "histogram": histogram}
+    if args.values_out is not None:
+        body["values_path"] = args.values_out
+    return config, body
 
 
 def _verdict(decision: analysis.ImprovementDecision) -> dict:
@@ -361,7 +369,13 @@ def _verdict(decision: analysis.ImprovementDecision) -> dict:
         "verdict": "differentiated analysis needed"
         if decision.differentiated_analysis_needed
         else "improvable",
-        **decision.to_json_dict(),
+        "differentiated_analysis_needed": decision.differentiated_analysis_needed,
+        "margin": decision.margin,
+        "simplified": {
+            "gap": decision.simplified_gap,
+            "threshold": decision.simplified_threshold,
+            "needed": decision.simplified_needed,
+        },
     }
 
 
@@ -369,8 +383,8 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     barrier, barrier_hist = _load_summary(args.barrier)
     rmse, rmse_hist = _load_summary(args.rmse)
     body = {
-        "barrier": barrier.to_json_dict(),
-        "rmse": rmse.to_json_dict(),
+        "barrier": barrier,
+        "rmse": rmse,
         "interference_probability": analysis.interference_probability(barrier, rmse),
         **_verdict(analysis.improvement_criterion(barrier, rmse)),
         "jsd": None,
@@ -384,8 +398,15 @@ def _cmd_compare(args) -> tuple[dict, dict]:
         sampled, gaussian = (
             (barrier_hist, rmse) if barrier_hist is not None else (rmse_hist, barrier)
         )
-        gaussian_masses = analysis.DiscreteDensity.from_gaussian(gaussian, sampled.edges)
-        body["jsd"] = analysis.jsd(sampled, gaussian_masses)
+        try:
+            gaussian_masses = analysis.DiscreteDensity.from_gaussian(gaussian, sampled.edges)
+        except ValueError:
+            # the loader checked the edges, so the Gaussian's CDF is flat on them
+            body["jsd_note"] = (
+                "the Gaussian has no mass on the histogram's edges; divergence not computed"
+            )
+        else:
+            body["jsd"] = analysis.jsd(sampled, gaussian_masses)
     return {"barrier": args.barrier, "rmse": args.rmse}, body
 
 
@@ -443,6 +464,12 @@ def _cmd_rank(args) -> tuple[dict, dict]:
         raise _UsageError(
             f"--predictors: several files share the label {clash!r}; "
             f"orderings are keyed by file stem, so stems must be unique"
+        )
+    joined = next((s for s in labels if ">" in s), None)
+    if joined is not None:
+        raise _UsageError(
+            f"--predictors: the label {joined!r} contains '>', which joins the "
+            f"labels of an ordering"
         )
     mc_cfg = _mc_config_from_args(args)
     _, usable = _load_usable_pairs(args.pairs)
@@ -509,7 +536,7 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
         "competitor_mean": args.competitor_mean,
     }
     return config, {
-        "barrier": barrier.to_json_dict(),
+        "barrier": barrier,
         "sampled_variance_mean": float(np.mean(variances)),
         "analytic_variance_mean": analytic,
         "analytic_barrier_mean": math.sqrt(analytic),

@@ -212,9 +212,6 @@ class GaussianSummary:
     def cdf(self, x):
         return gaussian_cdf(self, x)
 
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "variance": self.variance}
-
 
 class MetricKind(Enum):
     """Supported accuracy metrics.

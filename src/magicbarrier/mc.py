@@ -146,19 +146,6 @@ class MetricSample:
             bin_heights=heights,
         )
 
-    def to_json_dict(self, values_path: str | None = None) -> dict:
-        doc = {
-            "mean": self.summary.mean,
-            "variance": self.summary.variance,
-            "histogram": {
-                "edges": self.bin_edges.tolist(),
-                "heights": self.bin_heights.tolist(),
-            },
-        }
-        if values_path is not None:
-            doc["values_path"] = values_path
-        return doc
-
 
 def optimal_predictors(dists: PairTable, metric: MetricKind) -> PredictorVector:
     """Predictors of the metric-optimal recommender.

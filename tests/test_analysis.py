@@ -71,11 +71,6 @@ class TestDiscreteDensity:
             float(g.cdf(edges[51]) - g.cdf(edges[49])), rel=1e-6
         )
 
-    def test_json_payload(self):
-        d = density([0.25, 0.75])
-        doc = d.to_json_dict()
-        assert doc == {"edges": [0.0, 1.0, 2.0], "masses": [0.25, 0.75]}
-
 
 class TestKLDivergence:
     def test_identical_is_zero(self):

@@ -656,6 +656,73 @@ class TestCompare:
         assert doc["interference_probability"] == 0.5
         assert doc["verdict"] == "differentiated analysis needed"
 
+    @pytest.mark.parametrize(
+        "gaussian_first", [True, False], ids=["gaussian-first", "histogram-first"]
+    )
+    @pytest.mark.parametrize("gaussian_mean", [0.0, 3.0], ids=["below", "above"])
+    def test_gaussian_without_mass_on_the_edges(
+        self, tmp_path, capsys, gaussian_mean, gaussian_first
+    ):
+        # 70 standard deviations below the edges every CDF value rounds to 1;
+        # 220 above them every one underflows to 0
+        gaussian = tmp_path / "gaussian.json"
+        gaussian.write_text(
+            json.dumps({"mean": gaussian_mean, "variance": 0.0001}), encoding="utf-8"
+        )
+        sampled = tmp_path / "sampled.json"
+        histogram = {"edges": [0.7, 0.75, 0.8], "heights": [10.0, 10.0]}
+        sampled.write_text(
+            json.dumps({"mean": 0.75, "variance": 0.0004, "histogram": histogram}),
+            encoding="utf-8",
+        )
+        barrier, rmse = (gaussian, sampled) if gaussian_first else (sampled, gaussian)
+        report = tmp_path / "r.json"
+        assert main(["compare", str(barrier), str(rmse), "--out", str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = read_json(report)
+        assert doc["jsd"] is None
+        assert doc["jsd_note"] == (
+            "the Gaussian has no mass on the histogram's edges; divergence not computed"
+        )
+        barrier_lower = doc["barrier"]["mean"] < doc["rmse"]["mean"]
+        assert doc["interference_probability"] == pytest.approx(
+            0.0 if barrier_lower else 1.0, abs=1e-12
+        )
+        assert doc["verdict"] == (
+            "improvable" if barrier_lower else "differentiated analysis needed"
+        )
+
+
+# a JSON integer that float64 cannot hold
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("compare", f'{{"mean": {_HUGE}, "variance": 0.001}}'),
+        (
+            "compare",
+            f'{{"mean": 0.7, "variance": 0.001, '
+            f'"histogram": {{"edges": [0.6, 0.7, {_HUGE}], "heights": [5.0, 5.0]}}}}',
+        ),
+        (
+            "estimate",
+            f'{{"pairs": [{{"user": "u", "item": "i", "mean": {_HUGE}, "variance": 0.5}}]}}',
+        ),
+    ],
+    ids=["compare-mean", "compare-histogram-edge", "pair-mean"],
+)
+def test_number_beyond_float64_is_data_error(tmp_path, capsys, command, text):
+    huge = tmp_path / "huge.json"
+    huge.write_text(text, encoding="utf-8")
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"mean": 0.7, "variance": 0.001}), encoding="utf-8")
+    argv = [command, str(huge)] + ([str(plain)] if command == "compare" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {huge}: ") and "Traceback" not in err
+
 
 class TestSensitivity:
     def test_csv_output(self, tmp_path):
@@ -818,6 +885,19 @@ class TestRank:
         assert main(["rank", str(pairs_file), "--predictors", *paths, "--tau", "100"]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "'sys'" in err
+
+    def test_label_with_ordering_separator_refused(self, tmp_path, pairs_file, capsys):
+        # with '>' in a label, two orderings could print as the same key
+        usable = [p for p in read_json(pairs_file)["pairs"] if p["variance"] > 0]
+        rows = "".join(f"{p['user']},{p['item']},{p['mean']}\n" for p in usable)
+        paths = []
+        for stem in ("a>b", "c", "a", "b>c"):
+            path = tmp_path / f"{stem}.csv"
+            path.write_text("user,item,prediction\n" + rows, encoding="utf-8")
+            paths.append(str(path))
+        assert main(["rank", str(pairs_file), "--predictors", *paths, "--tau", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --predictors: the label 'a>b' contains '>'")
 
 
     @staticmethod

@@ -246,17 +246,6 @@ class TestMetricSample:
         assert sample.summary.mean == pytest.approx(float(sample.values.mean()), rel=1e-12)
         assert sample.values.flags.writeable is False
 
-    def test_json_payload(self):
-        dists = make_dists([0.3])
-        sample = simulate_metric(
-            dists, optimal_predictors(dists, MetricKind.RMSE), MetricKind.RMSE,
-            MCConfig(trials=64, master_seed=0),
-        )
-        doc = sample.to_json_dict()
-        assert set(doc) == {"mean", "variance", "histogram"}
-        assert len(doc["histogram"]["edges"]) == len(doc["histogram"]["heights"]) + 1
-        assert sample.to_json_dict(values_path="x.f64")["values_path"] == "x.f64"
-
 
 class TestClipping:
     def test_clip_bounds_cap_the_metric(self):

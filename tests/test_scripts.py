@@ -1,6 +1,8 @@
-"""The scripts under ``scripts/`` run end to end against the package."""
+"""The scripts under ``scripts/`` and README's library example run end to end
+against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +49,13 @@ def test_agreement_study_runs(tmp_path):
     )
     assert result.stdout.startswith("6 configurations, tau=200")
     assert len((tmp_path / "study.csv").read_text().splitlines()) == 2 + 6
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # README's one python block, run as written on the Quick start tensor
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    run_script("make_synthetic_tensor.py", "--seed", "7", "--out", str(tmp_path / "tensor.csv"))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("GaussianSummary(mean=")
