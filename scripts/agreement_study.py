@@ -42,7 +42,7 @@ def run_study(configs_per_count, tau, seed, workers):
             optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
             sample = mb.simulate_metric(dists, optimal, mb.MetricKind.RMSE, cfg, workers=workers)
             divergence = jsd(
-                DiscreteDensity.from_metric_sample(sample),
+                DiscreteDensity.from_histogram(sample.bin_edges, sample.bin_heights),
                 DiscreteDensity.from_gaussian(approx, sample.bin_edges),
             )
             yield (

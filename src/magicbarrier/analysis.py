@@ -36,7 +36,7 @@ from .core import (
     variance_bounds,
 )
 from .approx import rmse_summary_from_offsets
-from .mc import MCConfig, MetricSample, _metric_blocks, _rmse_score_blocks
+from .mc import MCConfig, _metric_blocks, _rmse_score_blocks
 # not called here since rank_distribution counts block by block; the
 # benchmark tracer (bench/spans.py) still wraps it at this name
 from .mc import simulate_metric_shared  # noqa: F401
@@ -96,10 +96,6 @@ class DiscreteDensity:
         return cls(edges=edges, masses=masses / total)
 
     @classmethod
-    def from_metric_sample(cls, sample: MetricSample) -> "DiscreteDensity":
-        return cls.from_histogram(sample.bin_edges, sample.bin_heights)
-
-    @classmethod
     def from_gaussian(cls, g: GaussianSummary, edges) -> "DiscreteDensity":
         """Gaussian discretized onto ``edges`` and renormalized over their span.
 
@@ -152,8 +148,7 @@ def interference_probability(a: GaussianSummary, b: GaussianSummary) -> float:
         if a.mean == b.mean:
             return 0.5
         return 1.0 if a.mean > b.mean else 0.0
-    diff = GaussianSummary(0.0, 1.0)
-    return diff.cdf((a.mean - b.mean) / math.sqrt(total_var))
+    return gaussian_cdf(GaussianSummary(0.0, 1.0), (a.mean - b.mean) / math.sqrt(total_var))
 
 
 @dataclass(frozen=True)

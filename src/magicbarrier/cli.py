@@ -164,6 +164,20 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+# the Python types json.loads gives each JSON type a field may take; a bool
+# is not an int here, as true is not a number in JSON
+_JSON_TYPES = {"string": {str}, "number": {int, float}, "integer": {int}}
+
+
+def _typed(path: str, field: str, column: list, kind: str) -> list:
+    """``column`` if every value is a JSON ``kind``, checked as one set of
+    the column's types, not value by value; a data error otherwise."""
+    if not set(map(type, column)) <= _JSON_TYPES[kind]:
+        bad = next(v for v in column if type(v) not in _JSON_TYPES[kind])
+        raise DataFormatError(f"{path}: {field} must be a JSON {kind}, got {json.dumps(bad)}")
+    return column
+
+
 def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
     doc = _load_json(path)
     if "pairs" not in doc:
@@ -172,16 +186,23 @@ def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
     if doc.get("scale") is not None:
         s = doc["scale"]
         try:
-            scale = ScaleSpec(s["min_category"], s["max_category"], s["num_trials"])
+            scale = ScaleSpec(*(
+                _typed(path, f"scale {name}", [s[name]], "integer")[0]
+                for name in ("min_category", "max_category", "num_trials")
+            ))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: malformed scale: {exc}") from exc
     try:
         entries = doc["pairs"]
-        keys = [(str(p["user"]), str(p["item"])) for p in entries]
-        means = [float(p["mean"]) for p in entries]
-        variances = [float(p["variance"]) for p in entries]
+        users, items, means, variances = (
+            _typed(path, f"pair {name}", [p[name] for p in entries], kind)
+            for name, kind in (
+                ("user", "string"), ("item", "string"), ("mean", "number"), ("variance", "number")
+            )
+        )
+        keys = list(zip(users, items))
         # free the parsed document before the table copies the columns
-        del doc, entries
+        del doc, entries, users, items
         return scale, PairTable(keys, means, variances)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed pair entry: {exc}") from exc
@@ -202,26 +223,32 @@ def _load_summary(
     """Load a Gaussian summary; also return its histogram when present."""
     doc = _load_json(path)
     try:
-        summary = GaussianSummary(float(doc["mean"]), float(doc["variance"]))
+        summary = GaussianSummary(*(
+            float(_typed(path, name, [doc[name]], "number")[0]) for name in ("mean", "variance")
+        ))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: expected mean/variance: {exc}") from exc
     hist = doc.get("histogram")
     if hist is None:
         return summary, None
     try:
-        edges, heights = hist["edges"], hist["heights"]
+        edges = _typed(path, "histogram edges", hist["edges"], "number")
+        heights = _typed(path, "histogram heights", hist["heights"], "number")
         return summary, analysis.DiscreteDensity.from_histogram(edges, heights)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed histogram: {exc}") from exc
 
 
 def _load_predictors(path: str, pairs: PairTable) -> PredictorVector:
-    """The predictions CSV at ``path``, one value per pair of ``pairs``."""
+    """The predictions CSV at ``path``, one value per pair of ``pairs``, which
+    the Monte-Carlo kernels can score."""
     text = _read_text(path)
     try:
-        return ingest.parse_predictions(text, pairs)
-    except DataFormatError as exc:
+        predictors = ingest.parse_predictions(text, pairs)
+        mc._offsets(pairs, [predictors])
+    except (DataFormatError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+    return predictors
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -247,12 +274,12 @@ def _seed_from_args(args) -> int:
     return args.seed
 
 
-def _mc_config_from_args(args, bins: int | None = None) -> mc.MCConfig:
+def _mc_config_from_args(args) -> mc.MCConfig:
     if args.workers < 1:
         raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     seed = _seed_from_args(args)
     try:
-        return mc.MCConfig(trials=args.tau, bins=bins, master_seed=seed)
+        return mc.MCConfig(trials=args.tau, master_seed=seed)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -322,7 +349,9 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
 
 
 def _cmd_simulate(args) -> tuple[dict, dict]:
-    mc_cfg = _mc_config_from_args(args, args.bins)
+    mc_cfg = _mc_config_from_args(args)
+    if args.bins is not None and args.bins < 2:
+        raise _UsageError(f"--bins must be >= 2, got {args.bins}")
     scale, usable = _load_usable_pairs(args.pairs)
     metric = MetricKind(args.metric)
     if args.predictors is None:
@@ -343,7 +372,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
 
     sample = mc.simulate_metric(
         usable, predictors, metric, mc_cfg, workers=args.workers,
-        clip_bounds=clip_bounds,
+        clip_bounds=clip_bounds, bins=args.bins,
     )
     if args.values_out is not None:
         _write_file(args.values_out, sample.values.astype("<f8").tofile)
@@ -352,7 +381,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         "predictors": predictor_source,
         "metric": metric.value,
         "tau": mc_cfg.trials,
-        "bins": mc_cfg.resolved_bins,
+        "bins": sample.bin_heights.size,
         "master_seed": mc_cfg.master_seed,
         "clip": bool(args.clip),
         "nonvanishing_count": len(usable),

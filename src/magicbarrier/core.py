@@ -85,10 +85,6 @@ class ScaleSpec:
         if self.num_trials < 1:
             raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
 
-    @property
-    def categories(self) -> range:
-        return range(self.min_category, self.max_category + 1)
-
 
 def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64).reshape(-1)
@@ -169,9 +165,6 @@ class PredictorVector:
         object.__setattr__(self, "keys", tuple(self.keys))
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.values.size
-
     def check_aligned(self, pairs: PairTable) -> None:
         if self.keys == pairs.keys:
             return
@@ -188,12 +181,12 @@ class PredictorVector:
 
 @dataclass(frozen=True)
 class GaussianSummary:
-    """(mean, variance) of a metric-level distribution, with density evaluators.
+    """(mean, variance) of a metric-level distribution.
 
     Used both for closed-form approximations and for summarising Monte-Carlo
     samples. ``variance == 0`` is legal and denotes a point mass at ``mean``;
-    the CDF then degenerates to a unit step (0 below the mean, 1 at and above
-    it) and the PDF is undefined.
+    its CDF (:func:`gaussian_cdf`) then degenerates to a unit step (0 below
+    the mean, 1 at and above it) and the PDF is undefined.
     """
 
     mean: float
@@ -208,9 +201,6 @@ class GaussianSummary:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-    def cdf(self, x):
-        return gaussian_cdf(self, x)
 
 
 class MetricKind(Enum):

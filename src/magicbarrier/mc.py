@@ -93,31 +93,18 @@ _RANK_BLOCK_ELEMENTS = 1 << 14
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Simulation size, histogram resolution and seed.
-
-    ``bins=None`` selects ``ceil(sqrt(trials))`` within ``[2, MAX_DEFAULT_BINS]``:
-    one bin would hold every sample's mass, and any density on its edges too.
-    """
+    """Simulation size and seed, which together fix the simulated values."""
 
     trials: int
-    bins: int | None = None
     master_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.bins is not None and self.bins < 2:
-            raise ValueError(f"bins must be >= 2, got {self.bins}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(
                 f"master_seed must be in [0, 2**64), got {self.master_seed}"
             )
-
-    @property
-    def resolved_bins(self) -> int:
-        if self.bins is not None:
-            return self.bins
-        return min(max(math.isqrt(self.trials - 1) + 1, 2), MAX_DEFAULT_BINS)
 
 
 @dataclass(frozen=True)
@@ -184,14 +171,25 @@ def _draw_block(
 
 def _offsets(dists: PairTable, predictor_list: Sequence[PredictorVector]) -> np.ndarray:
     """The (K, N) offsets ``means - predictions``, once the systems are
-    checked to be nonempty and aligned with ``dists``."""
+    checked to be nonempty, aligned with ``dists`` and near enough to the
+    means that each system's sum of squared offsets is finite: past float64
+    its RMSE is inf, which ``rank`` would tie by index and ``simulate`` could
+    not bin."""
     if not len(dists):
         raise ValueError("need at least one rating distribution")
     if not predictor_list:
         raise ValueError("need at least one predictor vector")
     for p in predictor_list:
         p.check_aligned(dists)
-    return dists.means - np.array([p.values for p in predictor_list])
+    with np.errstate(over="ignore"):
+        offsets = dists.means - np.array([p.values for p in predictor_list])
+        finite = np.isfinite(np.einsum("ij,ij->i", offsets, offsets))
+    if not finite.all():
+        raise ValueError(
+            f"predictions {np.argmin(finite) + 1} of {finite.size} lie so far from "
+            "the pair means that their squared offsets overflow float64"
+        )
+    return offsets
 
 
 def _in_trial_order(
@@ -244,18 +242,26 @@ def simulate_metric(
     cfg: MCConfig,
     workers: int = 1,
     clip_bounds: tuple[float, float] | None = None,
+    bins: int | None = None,
 ) -> MetricSample:
     """Sample the metric distribution of ``predictors`` over ``cfg.trials`` trials.
 
     Per trial, one rating per pair is drawn from its fitted Gaussian and the
     metric is evaluated against the predictions. Draws are not clipped to the
     rating scale by default (the Gaussian model has support on all reals);
-    pass ``clip_bounds`` to study the effect of clipping.
+    pass ``clip_bounds`` to study the effect of clipping. The histogram has
+    ``bins`` bins; ``None`` selects ``ceil(sqrt(trials))`` within
+    ``[2, MAX_DEFAULT_BINS]``: one bin would hold every sample's mass, and any
+    density on its edges too.
     """
+    if bins is None:
+        bins = min(max(math.isqrt(cfg.trials - 1) + 1, 2), MAX_DEFAULT_BINS)
+    elif bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
     values = simulate_metric_shared(
         dists, [predictors], metric, cfg, workers, clip_bounds
     )[0]
-    return MetricSample.from_values(values, cfg.resolved_bins)
+    return MetricSample.from_values(values, bins)
 
 
 def simulate_metric_shared(

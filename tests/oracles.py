@@ -48,7 +48,8 @@ def enumerated_variance_bounds(scale: ScaleSpec) -> tuple[float, float]:
     t = scale.num_trials
     min_nonzero = math.inf
     max_var = 0.0
-    for multiset in itertools.combinations_with_replacement(scale.categories, t):
+    categories = range(scale.min_category, scale.max_category + 1)
+    for multiset in itertools.combinations_with_replacement(categories, t):
         m = sum(multiset) / t
         v = sum((x - m) ** 2 for x in multiset) / t
         if 0.0 < v < min_nonzero:

@@ -243,7 +243,7 @@ def test_c6_convolution_oracle():
     cfg = mb.MCConfig(trials=1_000_000, master_seed=66)
     optimal = mb.optimal_predictors(dists, mb.MetricKind.RMSE)
     sample = mb.simulate_metric(dists, optimal, mb.MetricKind.RMSE, cfg, workers=4)
-    simulated = DiscreteDensity.from_metric_sample(sample)
+    simulated = DiscreteDensity.from_histogram(sample.bin_edges, sample.bin_heights)
     convolved = _convolved_rmse_density(variances, sample.bin_edges)
     divergence = jsd(simulated, convolved)
     _verdict("C6", divergence <= 0.02, f"JSD(MC, convolution) = {divergence:.4f} at tau=1e6")

@@ -287,6 +287,67 @@ class TestEstimate:
         assert peak < 1.1 * parse_peaks[0]
 
 
+class TestJsonTypes:
+    # one valid document of each kind; each case puts a value of another JSON
+    # type into one field, most of which float(), int() or str() would accept
+    PAIR = {"user": "u", "item": "i", "mean": 3, "variance": 0.5}
+    SCALE = {"min_category": 1, "max_category": 5, "num_trials": 5}
+    SUMMARY = {
+        "mean": 0.7, "variance": 0.001,
+        "histogram": {"edges": [0.6, 0.7, 0.8], "heights": [5.0, 5.0]},
+    }
+
+    @pytest.mark.parametrize(
+        "field, value, label, kind",
+        [
+            # str(None) would make it the id "None", which the first pair has
+            ("user", None, "pair user", "string"),
+            ("user", 7, "pair user", "string"),
+            ("item", None, "pair item", "string"),
+            ("mean", "3", "pair mean", "number"),
+            ("mean", False, "pair mean", "number"),
+            ("variance", True, "pair variance", "number"),
+            ("variance", [0.5], "pair variance", "number"),
+            ("min_category", True, "scale min_category", "integer"),
+            ("max_category", 5.0, "scale max_category", "integer"),
+            ("num_trials", "5", "scale num_trials", "integer"),
+        ],
+    )
+    def test_pairs_fields(self, tmp_path, capsys, field, value, label, kind):
+        scale = dict(self.SCALE)
+        pair = dict(self.PAIR, user="v")
+        (scale if field in scale else pair)[field] = value
+        path = tmp_path / "pairs.json"
+        doc = {"scale": scale, "pairs": [dict(self.PAIR, user="None"), pair]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["estimate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: {label} must be a JSON {kind}, got {json.dumps(value)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, label, got",
+        [
+            ("mean", "0.7", "mean", '"0.7"'),
+            ("mean", None, "mean", "null"),
+            ("variance", True, "variance", "true"),
+            ("edges", ["0.6", "0.7", "0.8"], "histogram edges", '"0.6"'),
+            ("heights", [5.0, True], "histogram heights", "true"),
+        ],
+    )
+    def test_summary_fields(self, tmp_path, capsys, field, value, label, got):
+        doc = json.loads(json.dumps(self.SUMMARY))
+        (doc["histogram"] if field in doc["histogram"] else doc)[field] = value
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"mean": 0.7, "variance": 0.001}), encoding="utf-8")
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["compare", str(plain), str(odd)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {odd}: {label} must be a JSON number, got {got}\n"
+        )
+
+
 class TestSimulate:
     def test_agrees_with_estimate(self, tmp_path, pairs_file):
         barrier = tmp_path / "barrier.json"
@@ -582,6 +643,10 @@ class TestSimulate:
         ) == 0
         assert read_json(out)["config"]["bins"] == 7
         assert len(read_json(out)["histogram"]["heights"]) == 7
+        # one bin is refused before any work: the pairs file is not read
+        missing = str(tmp_path / "missing.json")
+        assert main(["simulate", missing, "--tau", "100", "--bins", "1"]) == 1
+        assert capsys.readouterr().err == "usage error: --bins must be >= 2, got 1\n"
         # rank emits orderings, not a histogram, so it has no --bins to ignore
         assert main(
             ["rank", str(pairs_file), "--predictors", "x.csv", "--tau", "100", "--bins", "7"]
@@ -868,6 +933,37 @@ class TestRank:
         ) == 2
         err = capsys.readouterr().err
         assert err == f"data error: {broken}: line 5: prediction must be finite\n"
+
+    def test_overflowing_squared_offsets_are_data_errors(self, tmp_path, pairs_file, capsys):
+        # every offset of both files squares past float64, so both RMSE
+        # scores would be inf: a tie that the index breaks, and a histogram
+        # with no finite range
+        usable = [p for p in read_json(pairs_file)["pairs"] if p["variance"] > 0]
+        huge, big = tmp_path / "huge.csv", tmp_path / "big.csv"
+        for path, size in ((huge, 1e200), (big, 1e160)):
+            path.write_text(
+                "user,item,prediction\n"
+                + "".join(
+                    f"{p['user']},{p['item']},{size if k % 2 else -size}\n"
+                    for k, p in enumerate(usable)
+                ),
+                encoding="utf-8",
+            )
+        rank = ["rank", str(pairs_file), "--predictors", str(huge), str(big), "--tau", "2000"]
+        for argv in (
+            rank,
+            [*rank, "--metric", "mae"],
+            ["simulate", str(pairs_file), "--predictors", str(huge), "--tau", "100"],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "RuntimeWarning" not in err
+            assert err == (
+                f"data error: {huge}: predictions 1 of 1 lie so far from the pair "
+                "means that their squared offsets overflow float64\n"
+            )
 
     def test_duplicate_labels_refused(self, tmp_path, pairs_file, capsys):
         doc = read_json(pairs_file)

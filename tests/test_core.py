@@ -35,7 +35,7 @@ def brute_force_bounds(scale):
 class TestScaleSpec:
     def test_valid(self):
         s = ScaleSpec(1, 5, 5)
-        assert list(s.categories) == [1, 2, 3, 4, 5]
+        assert (s.min_category, s.max_category, s.num_trials) == (1, 5, 5)
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):

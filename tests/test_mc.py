@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from magicbarrier import (
     MetricKind,
     PredictorVector,
     optimal_predictors,
+    rank_distribution,
     simulate_metric,
     simulate_metric_shared,
 )
@@ -50,18 +53,32 @@ def pooled_values(dists, metric, tau, workers=1):
 
 
 class TestMCConfig:
+    def test_fields_are_the_stream_key(self):
+        assert [f.name for f in dataclasses.fields(MCConfig)] == ["trials", "master_seed"]
+
     def test_default_bins(self):
-        assert MCConfig(trials=100_000).resolved_bins == 317
-        assert MCConfig(trials=10_000_000).resolved_bins == 512
-        assert MCConfig(trials=100, bins=20).resolved_bins == 20
+        dists = make_dists([0.5])
+        p = optimal_predictors(dists, MetricKind.RMSE)
+
+        def bins(trials, **kwargs):
+            cfg = MCConfig(trials=trials)
+            return simulate_metric(dists, p, MetricKind.RMSE, cfg, **kwargs).bin_heights.size
+
+        assert bins(100_000) == 317
+        # ceil(sqrt(1e6)) = 1000, capped
+        assert bins(1_000_000) == 512
+        assert bins(100, bins=20) == 20
         # never one bin, which the explicit setting refuses too
-        assert [MCConfig(trials=t).resolved_bins for t in (1, 2, 4, 5)] == [2, 2, 2, 3]
+        assert [bins(t) for t in (1, 2, 4, 5)] == [2, 2, 2, 3]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             MCConfig(trials=0)
-        with pytest.raises(ValueError):
-            MCConfig(trials=10, bins=1)
+        with pytest.raises(ValueError, match="bins must be >= 2"):
+            simulate_metric(
+                make_dists([0.5]), PredictorVector([("u0", "i")], [3.0]), MetricKind.RMSE,
+                MCConfig(trials=10), bins=1,
+            )
         with pytest.raises(ValueError):
             MCConfig(trials=10, master_seed=-1)
         with pytest.raises(ValueError):
@@ -167,6 +184,23 @@ class TestSimulate:
                 dists, PredictorVector(dists.keys, [3.0, math.nan]), MetricKind.RMSE,
                 MCConfig(trials=100, master_seed=1),
             )
+
+    @pytest.mark.parametrize("size", [1e200, 1e154], ids=["square", "sum"])
+    def test_overflowing_squared_offsets_refused(self, size):
+        # 1e200 squares past float64; 1e154 squares to 1e308, and two of them
+        # sum past it. Either way the far system's RMSE would be inf.
+        dists = make_dists([0.5, 0.9])
+        p = optimal_predictors(dists, MetricKind.RMSE)
+        far = PredictorVector(dists.keys, [size, -size])
+        cfg = MCConfig(trials=100, master_seed=1)
+        message = "predictions 2 of 2 lie so far from the pair means"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for metric in MetricKind:
+                with pytest.raises(ValueError, match=message):
+                    simulate_metric_shared(dists, [p, far], metric, cfg)
+                with pytest.raises(ValueError, match=message):
+                    rank_distribution([p, far], dists, metric, cfg)
 
 
 class TestDeterminism:
