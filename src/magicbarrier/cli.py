@@ -209,11 +209,22 @@ def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
 
 
 def _load_usable_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
-    """The pairs of ``path`` with nonvanishing variance; refuses when none has."""
+    """The pairs of ``path`` with nonvanishing variance; refuses when none
+    has, and when the sum of their squared variances, doubled in the RMSE
+    closed form, is not finite."""
     scale, pairs = _load_pairs(path)
     usable = ingest.filter_nonvanishing(pairs)
     if not len(usable):
         raise DegenerateInputError("no pairs with nonvanishing variance")
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(np.cumsum(2.0 * np.square(usable.variances)))
+    if overflow[-1]:
+        i = int(np.argmax(overflow))
+        raise DataFormatError(
+            f"{path}: pair {usable.keys[i]} has so large a variance "
+            f"({usable.variances[i]:g}) that the sum of squared variances, doubled in the "
+            "RMSE closed form, overflows float64"
+        )
     return scale, usable
 
 

@@ -77,6 +77,12 @@ class ScaleSpec:
     num_trials: int
 
     def __post_init__(self) -> None:
+        # the tensor parsers compare integer ratings and trials with these; a
+        # bool is not an integer here, as in the JSON loaders
+        for name in ("min_category", "max_category", "num_trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.min_category >= self.max_category:
             raise ValueError(
                 f"min_category must be < max_category, got "

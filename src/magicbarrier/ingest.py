@@ -21,14 +21,19 @@ included, is a :class:`DataFormatError` with its 1-based line number.
 
 Tensor parsing takes a block-wise fast path when the text is plain: the exact
 lower-case header, LF line endings, no blank lines, ids without quotes, NUL
-or whitespace, and trial and rating fields of ASCII digits. The text is then
-gated by one regular expression, split and converted about 64 KiB at a time
-(which bounds the per-record Python objects alive at once), and its ranges
-and duplicate triples are checked with numpy. One dict pass records the index
-of the record each pair first appears in; the ranks of those indices are the
-pair codes. Any other text, and any text that fails a check, goes through the
-per-line parser on the record reader, which owns every error message and line
-number.
+or whitespace, and trial and rating fields of ASCII digits. The text is read
+about 64 KiB at a time (which bounds the per-record work arrays alive at
+once), in numpy over its UTF-8 bytes, so no Python object is made per
+record: the comma and LF positions give every field's extent, a byte table
+refuses quotes, NUL and ASCII whitespace (one regular-expression search finds
+any other whitespace in text that is not ASCII), and the digit fields are
+converted one digit position at a time. Each record's "user,item" bytes are
+grouped by their length; one ``np.unique`` over each length's block, across
+all chunks, finds the distinct pairs, and only those are decoded. Ranked by
+the record each first appears in, they give the pair codes. Ranges and
+duplicate triples are then checked with numpy. Any other text, and any text
+that fails a check, goes through the per-line parser on the record reader,
+which owns every error message and line number.
 
 A tensor is grouped by pair once, on first use, by one stable sort of its
 records; the fit and the KS pass both gather their per-length blocks from
@@ -51,10 +56,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc, kolmogorov
 
 from .core import (
@@ -150,28 +156,41 @@ def parse_tensor(source: str, scale: ScaleSpec) -> RatingTensor:
     return tensor if tensor is not None else _parse_lines(source, scale)
 
 
-# The fast path's gate: the exact lower-case header, then one record per
-# LF-terminated line, with ids free of quotes, NUL and whitespace (which the
-# csv module and strip() treat specially), at most 1024 characters long (well
-# inside the csv module's field-size limit), and trial and rating fields of
-# at most 18 ASCII digits (so they fit int64).
+# The fast path takes the exact lower-case header, then one record per
+# LF-terminated line: ids free of quotes, NUL and whitespace (which the csv
+# module and strip() treat specially), 1 to 1024 UTF-8 bytes long (well inside
+# the csv module's field-size limit), and trial and rating fields of 1 to 18
+# ASCII digits (so they fit int64).
 _FAST_HEADER = ",".join(TENSOR_HEADER) + "\n"
-_FAST_ID = r'[^,"\s\x00]{1,1024}'
-_FAST_RECORDS = re.compile(rf"(?:{_FAST_ID},{_FAST_ID},[0-9]{{1,18}},[0-9]{{1,18}}\n)*")
-# text is split and converted a chunk of about this many characters at a time,
-# which bounds the per-record Python objects alive at once
+_FAST_WIDTHS = np.array([1024, 1024, 18, 18])
+# the separators of a record's bytes, and the bytes it may not hold: quote,
+# NUL and ASCII whitespace other than LF
+_FAST_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
+_REFUSED_BYTES = np.zeros(256, dtype=bool)
+_REFUSED_BYTES[[0, ord('"'), *(c for c in range(128) if chr(c).isspace() and c != 10)]] = True
+# whitespace past ASCII, looked for only in text that is not ASCII
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+# text is parsed a chunk of about this many characters at a time, which
+# bounds the per-record work arrays alive at once
 _FAST_CHUNK = 1 << 16
 
 
 def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
-    """The tensor of ``source``, parsed chunk by chunk with C-level string
-    splits and numpy checks; None where the text fails the fast-path gate or
-    any check, for the per-line parser to report."""
+    """The tensor of ``source``, parsed chunk by chunk in numpy over its UTF-8
+    bytes; None where the text is not plain or fails a check, for the
+    per-line parser to report."""
     if not source.startswith(_FAST_HEADER):
         return None
-    # each pair's key and the index of the record it first appears in
-    first_seen: dict[tuple[str, str], int] = {}
-    firsts, trials, ratings = [], [], []
+    # each line after the header is one record, or the text is not plain
+    lines = source.count("\n", len(_FAST_HEADER)) + (not source.endswith("\n"))
+    if not lines:  # no records: nothing for the fast path to save
+        return None
+    trials = np.empty(lines, np.int64)
+    ratings = np.empty(lines, np.int64)
+    key_sizes = np.empty(lines, np.uint16)  # at most 2,049 bytes
+    # per key size s: the "user,item" bytes of the records whose key is s
+    # bytes long, as (n, s) blocks in record order
+    keys: dict[int, list[np.ndarray]] = {}
     records = 0
     pos = len(_FAST_HEADER)
     while pos < len(source):
@@ -180,22 +199,26 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
         pos = end
         if not chunk.endswith("\n"):
             chunk += "\n"
-        if _FAST_RECORDS.fullmatch(chunk) is None:
+        if not chunk.isascii() and _WIDE_SPACE.search(chunk):
             return None
-        # four fields per record, then the empty string after the last LF
-        fields = chunk.replace("\n", ",").split(",")
-        n = len(fields) // 4
-        keys = zip(fields[0::4], fields[1::4])
-        firsts.append(np.fromiter(map(first_seen.setdefault, keys, count(records)), np.intp, n))
-        records += n
-        trials.append(np.fromstring(",".join(fields[2::4]), np.int64, sep=","))
-        ratings.append(np.fromstring(",".join(fields[3::4]), np.int64, sep=","))
-    if not records:  # no records: nothing for the fast path to save
-        return None
-    first, trials, ratings = (np.concatenate(c) for c in (firsts, trials, ratings))
-    # first-appearance indices sort in appearance order, so their ranks are
-    # the pair codes
-    _, codes = np.unique(first, return_inverse=True)
+        try:
+            text = np.frombuffer(chunk.encode(), np.uint8)
+        except UnicodeEncodeError:  # a lone surrogate
+            return None
+        fields = _chunk_fields(text)
+        if fields is None:
+            return None
+        starts, ends, widths = fields
+        trial, rating = (_digit_field(text, ends[:, j], widths[:, j]) for j in (2, 3))
+        if trial is None or rating is None:
+            return None
+        span = slice(records, records + starts.size)
+        trials[span], ratings[span] = trial, rating
+        sizes = key_sizes[span]
+        sizes[:] = ends[:, 1] - starts
+        for size in np.flatnonzero(np.bincount(sizes)).tolist():
+            keys.setdefault(size, []).append(sliding_window_view(text, size)[starts[sizes == size]])
+        records = span.stop
     if not (
         trials.min() >= 1
         and trials.max() <= scale.num_trials
@@ -203,15 +226,70 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
         and ratings.max() <= scale.max_category
     ):
         return None
+    # the distinct keys of each size, exactly and over all chunks: each
+    # record's index into them, each one's first record, and its (user, item)
+    codes = np.empty(records, np.intp)
+    firsts, distinct = [], []
+    for size in list(keys):
+        at = np.flatnonzero(key_sizes == size)
+        block = np.concatenate(keys.pop(size)).view(f"V{size}").ravel()
+        unique, first, inverse = np.unique(block, return_index=True, return_inverse=True)
+        codes[at] = inverse + len(distinct)
+        firsts.append(at[first])
+        # the distinct keys, each closed by a comma, decoded at once
+        joined = np.full((unique.size, size + 1), ord(","), np.uint8)
+        joined[:, :size] = unique.view(np.uint8).reshape(-1, size)
+        ids = joined.tobytes().decode().split(",")
+        distinct.extend(zip(ids[0::2], ids[1::2]))
+    # ranked by first record, the distinct keys are in first-appearance order
+    order = np.argsort(np.concatenate(firsts))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    codes = rank[codes]
     # duplicate (code, trial) keys, as one integer each where that fits int64
     width = int(trials.max()) + 1
-    if len(first_seen) * width >= 2**63:
+    if order.size * width >= 2**63:
         return None
     key = codes * width + trials
     key.sort()
     if np.any(key[1:] == key[:-1]):
         return None
-    return RatingTensor(tuple(first_seen), codes, trials, ratings)
+    return RatingTensor(tuple(map(distinct.__getitem__, order.tolist())), codes, trials, ratings)
+
+
+def _chunk_fields(text: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Where each record of ``text`` (the UTF-8 bytes of LF-terminated lines)
+    starts, and the (n, 4) ends (exclusive) and widths in bytes of its
+    fields; None unless every line is four fields of the fast path's widths,
+    free of the refused bytes."""
+    if _REFUSED_BYTES.take(text).any():
+        return None
+    separators = np.flatnonzero((text == 44) | (text == 10))
+    if separators.size % 4 or np.any(
+        text[separators].reshape(-1, 4) != _FAST_SEPARATORS
+    ):
+        return None
+    widths = (np.diff(separators, prepend=-1) - 1).reshape(-1, 4)
+    if widths.min() < 1 or np.any(widths > _FAST_WIDTHS):
+        return None
+    ends = separators.reshape(-1, 4)
+    return ends[:, 0] - widths[:, 0], ends, widths
+
+
+def _digit_field(text: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
+    """The values of the fields of ``text`` that end (exclusive) at ``ends``
+    and are ``widths`` bytes wide, read with one pass per digit position;
+    None unless every byte of them is an ASCII digit."""
+    values = np.zeros(ends.size, np.int64)
+    for k in range(int(widths.max())):
+        # past a field's start the index runs into earlier bytes, or is
+        # clipped at the chunk's start; those digits are masked out
+        digits = np.take(text, ends - (k + 1), mode="clip") - np.uint8(48)
+        inside = widths > k
+        if np.any((digits > 9) & inside):  # bytes below "0" wrap past 9
+            return None
+        values += np.where(inside, digits, np.int64(0)) * 10**k
+    return values
 
 
 def _records(source: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:

@@ -175,6 +175,46 @@ class TestEstimate:
         )
         assert main(["estimate", str(pairs)]) == 3
 
+    @pytest.mark.parametrize(
+        "variances, first",
+        [
+            ([1e308, 1.0], 0),  # the square alone overflows
+            ([1.0, 1e154], 1),  # the square is finite, twice it is not
+            ([0.5, 8e153, 8e153], 2),  # each doubled square is finite, their sum is not
+        ],
+        ids=["square", "doubled", "sum"],
+    )
+    def test_overflowing_squared_variances_are_data_errors(
+        self, tmp_path, capsys, variances, first
+    ):
+        pairs = tmp_path / "pairs.json"
+        entries = [
+            {"user": "u", "item": f"i{k}", "mean": 3, "variance": v}
+            for k, v in enumerate(variances)
+        ]
+        pairs.write_text(json.dumps({"pairs": entries}), encoding="utf-8")
+        predictions = tmp_path / "p.csv"
+        predictions.write_text(
+            "user,item,prediction\n" + "".join(f"u,i{k},3\n" for k in range(len(variances))),
+            encoding="utf-8",
+        )
+        for argv in (
+            ["estimate", str(pairs)],
+            ["estimate", str(pairs), "--metric", "mae"],
+            ["simulate", str(pairs), "--tau", "100"],
+            ["rank", str(pairs), "--predictors", str(predictions), "--tau", "100"],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "RuntimeWarning" not in err
+            assert err == (
+                f"data error: {pairs}: pair ('u', 'i{first}') has so large a variance "
+                f"({variances[first]:g}) that the sum of squared variances, doubled in the "
+                "RMSE closed form, overflows float64\n"
+            )
+
     def test_out_in_missing_directory_is_data_error(
         self, tmp_path, pairs_file, capsys, monkeypatch
     ):

@@ -47,6 +47,13 @@ class TestScaleSpec:
         with pytest.raises(ValueError):
             ScaleSpec(1, 5, 0)
 
+    @pytest.mark.parametrize("field", ["min_category", "max_category", "num_trials"])
+    @pytest.mark.parametrize("value", [5.5, 5.0, True, "5", None])
+    def test_fields_must_be_integers(self, field, value):
+        fields = {"min_category": 0, "max_category": 6, "num_trials": 5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ScaleSpec(**fields)
+
 
 class TestVarianceBounds:
     def test_five_star_five_trials(self, scale_5star):

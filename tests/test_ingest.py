@@ -209,6 +209,92 @@ class TestParseFastPath:
         assert got == _outcome(lambda: ingest._parse_lines(text, scale))
 
 
+def _fast_outcome(text, scale, chunk=1 << 16):
+    """The outcome of the fast path on ``text`` in chunks of about ``chunk``
+    characters, once it is checked to take the text whole."""
+    with mock.patch.object(ingest, "_FAST_CHUNK", chunk):
+        fast = ingest._parse_blocks(text, scale)
+    assert fast is not None
+    return _outcome(lambda: fast)
+
+
+class TestParseFastPathBytes:
+    """The fast path over UTF-8 bytes: record orders, field widths, chunk
+    boundaries and the pair codes of keys of different byte lengths."""
+
+    @pytest.mark.parametrize("order", ["pair-major", "trial-major", "shuffled"])
+    @pytest.mark.parametrize("chunk", [1, 300, 1 << 16])
+    def test_record_orders(self, scale_5star, order, chunk):
+        header, *records = synthetic_study_tensor(seed=5, users=30).splitlines()
+        if order == "trial-major":
+            records.sort(key=lambda line: int(line.split(",")[2]))
+        elif order == "shuffled":
+            records = [records[k] for k in np.random.default_rng(3).permutation(len(records))]
+        text = "\n".join([header, *records]) + "\n"
+        expected = _outcome(lambda: ingest._parse_lines(text, scale_5star))
+        assert _fast_outcome(text, scale_5star, chunk) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 16])
+    def test_ids_of_1024_characters_take_the_fast_path(self, scale_5star, chunk):
+        user, item = "u" * 1024, "é" * 512  # 1,024 UTF-8 bytes each
+        text = f"user,item,trial,rating\n{user},{item},1,3\nu,{item},1,4\n{user},{item},2,5\n"
+        expected = _outcome(lambda: ingest._parse_lines(text, scale_5star))
+        assert _fast_outcome(text, scale_5star, chunk) == expected
+        assert expected[0] == ((user, item), ("u", item))
+
+    @pytest.mark.parametrize(
+        "user",
+        [
+            "u" * 1025,
+            "é" * 513,  # 513 characters, 1,026 bytes
+            "a b",
+            "a\u0085b",
+            "é b",
+            "éb ",
+            " éb",
+            "a\ud800b",  # a lone surrogate, which UTF-8 cannot encode
+        ],
+        ids=["1025", "1026-bytes", "nbsp", "nel", "em-space", "em-space-end", "nbsp-start",
+             "surrogate"],
+    )
+    def test_other_ids_are_read_per_line(self, scale_5star, user):
+        text = f"user,item,trial,rating\nu,i,1,3\n{user},i,1,4\n{user},i,2,5\n"
+        assert ingest._parse_blocks(text, scale_5star) is None
+        got = _outcome(lambda: parse_tensor(text, scale_5star))
+        assert got == _outcome(lambda: ingest._parse_lines(text, scale_5star))
+        assert got[0][1] == (user.strip(), "i")
+
+    def test_digit_fields_across_chunk_boundaries(self):
+        # every nominal chunk boundary falls once inside each number
+        scale = ScaleSpec(0, 10**18 - 1, 10**17)
+        records = [
+            ("u1", "i1", "000000000000000007", "123456789012345678"),
+            ("u22", "i1", "10", "000000000000000000"),
+            ("u1", "i1", "100000000000000000", "999999999999999999"),
+            ("u3", "i333", "0042", "0090"),
+            ("u22", "i1", "9", "1"),
+        ]
+        text = "user,item,trial,rating\n" + "".join(",".join(r) + "\n" for r in records)
+        expected = _outcome(lambda: ingest._parse_lines(text, scale))
+        assert expected[2][1] == [7, 10, 10**17, 42, 9]
+        assert expected[3][1] == [123456789012345678, 0, 999999999999999999, 90, 1]
+        for chunk in range(1, len(text)):
+            assert _fast_outcome(text, scale, chunk) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 12, 1 << 16])
+    def test_codes_follow_first_appearance_across_key_lengths(self, scale_5star, chunk):
+        text = (
+            "user,item,trial,rating\n"
+            "u9,i1,1,1\nu10,i1,1,2\nu9,i10,1,3\nu100,i1,1,4\nu9,i1,2,5\n"
+            "u1,i1,1,1\nu10,i1,2,2\nu9,i10,2,3\nu100,i1,2,4\n"
+        )
+        fast = _fast_outcome(text, scale_5star, chunk)
+        assert fast == _outcome(lambda: ingest._parse_lines(text, scale_5star))
+        assert fast[0] == (("u9", "i1"), ("u10", "i1"), ("u9", "i10"), ("u100", "i1"),
+                           ("u1", "i1"))
+        assert fast[1][1] == [0, 1, 2, 3, 0, 4, 1, 2, 3]
+
+
 class TestFitPairGaussians:
     def test_known_slices(self, scale_5star):
         text = make_tensor_csv(
