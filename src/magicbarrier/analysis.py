@@ -89,8 +89,12 @@ class DiscreteDensity:
         """From a normed histogram (density heights), as produced by sampling."""
         edges = np.asarray(edges, dtype=np.float64)
         heights = np.asarray(heights, dtype=np.float64)
-        masses = heights * np.diff(edges)
-        total = masses.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            masses = heights * np.diff(edges)
+            total = masses.sum()
+        # written as a negation so that NaN, a zero height on an infinite width, is refused too
+        if not total < math.inf:
+            raise ValueError("histogram bin widths or masses overflow float64")
         if total <= 0.0:
             raise ValueError("histogram carries no mass")
         return cls(edges=edges, masses=masses / total)
@@ -281,7 +285,9 @@ def ranking_error_curves(
     the chance its RMSE realization undercuts the first system's:
     ``P(RMSE_2 < RMSE_1)`` from the two closed-form summaries. Identical
     systems (``delta = 0``) give 0.5; growing either the offset or the delta
-    widens the mean gap and drives the error toward 0.
+    widens the mean gap and drives the error toward 0. Raises
+    :class:`OverflowError` for a grid whose largest scaled offset overflows
+    the closed form's sums.
     """
     if not len(relative_differences):
         raise ValueError("need at least one relative difference")
@@ -300,6 +306,13 @@ def ranking_error_curves(
         raise ValueError(f"noise_scale must be finite and > 0, got {noise_scale}")
     base = as_float_array(base_variances, "base_variances")
     n = base.size
+    # every sum of the closed form grows with the scaled offset, so the
+    # largest, (last offset + largest delta) * noise_scale, bounds them all
+    with np.errstate(over="ignore"):
+        d2 = alternating_offsets((offsets[-1] + max(relative_differences)) * noise_scale, n) ** 2
+        e_sum = np.sum(base) + np.sum(d2)
+        if not np.isfinite([4.0 * n * e_sum, np.sum(2.0 * base**2 + 4.0 * d2 * base)]).all():
+            raise OverflowError("the scaled offsets square past float64 in the RMSE closed form")
     points: list[RankCurvePoint] = []
     for delta in relative_differences:
         for offset in offsets:

@@ -33,7 +33,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import DegenerateInputError, GaussianSummary, as_float_array
 
@@ -103,6 +102,7 @@ def _folded_normal_moments(
     offsets: np.ndarray, variances: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean and variance of |N(offset, variance)| per entry."""
+    from scipy.special import ndtr
     mean = np.abs(offsets).astype(np.float64)
     var = np.zeros_like(mean)
     pos = variances > 0.0

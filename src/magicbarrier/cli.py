@@ -90,9 +90,13 @@ def _emit(args, config: dict, body: dict) -> None:
 def _json_value(value) -> str:
     """``value`` as json.dumps(indent=2, sort_keys=True) renders it one level
     deep; dataclasses become objects of their fields, and a :class:`PairTable`
-    is the list of its ``item``, ``mean``, ``user`` and ``variance`` rows."""
+    is the list of its ``item``, ``mean``, ``user`` and ``variance`` rows.
+    NaN and the infinities are not JSON: they raise ValueError, before
+    :func:`_emit` writes any byte."""
     if not isinstance(value, PairTable):
-        return json.dumps(value, indent=2, sort_keys=True, default=asdict).replace("\n", "\n  ")
+        return json.dumps(
+            value, indent=2, sort_keys=True, default=asdict, allow_nan=False
+        ).replace("\n", "\n  ")
     if not value.keys:
         return "[]"
     users = map(encode_basestring_ascii, map(itemgetter(0), value.keys))
@@ -190,7 +194,9 @@ def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
                 _typed(path, f"scale {name}", [s[name]], "integer")[0]
                 for name in ("min_category", "max_category", "num_trials")
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+            # as floats, as simulate --clip uses them
+            bounds = float(scale.min_category), float(scale.max_category)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: malformed scale: {exc}") from exc
     try:
         entries = doc["pairs"]
@@ -203,28 +209,44 @@ def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
         keys = list(zip(users, items))
         # free the parsed document before the table copies the columns
         del doc, entries, users, items
-        return scale, PairTable(keys, means, variances)
+        pairs = PairTable(keys, means, variances)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed pair entry: {exc}") from exc
+    # simulate --clip moves a rating drawn about a mean off the scale onto the
+    # scale, as far from the mean as the scale is, and squares that distance
+    if scale is not None:
+        outside = (pairs.means < bounds[0]) | (pairs.means > bounds[1])
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DataFormatError(
+                f"{path}: pair {pairs.keys[i]} has mean {pairs.means[i]:g}, outside its "
+                f"scale [{scale.min_category}, {scale.max_category}]"
+            )
+    return scale, pairs
+
+
+def _check_squared_variances(path: str, variances: np.ndarray, name) -> None:
+    """Refuse ``variances`` when the sum of their squares, doubled in the RMSE
+    closed form, is not finite, naming entry i, at which the sum overflows,
+    as ``name(i)``."""
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(np.cumsum(2.0 * np.square(variances)))
+    if overflow[-1]:
+        i = int(np.argmax(overflow))
+        raise DataFormatError(
+            f"{path}: {name(i)} has so large a variance ({variances[i]:g}) that the sum "
+            "of squared variances, doubled in the RMSE closed form, overflows float64"
+        )
 
 
 def _load_usable_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
     """The pairs of ``path`` with nonvanishing variance; refuses when none
-    has, and when the sum of their squared variances, doubled in the RMSE
-    closed form, is not finite."""
+    has, and when the sum of their squared variances overflows."""
     scale, pairs = _load_pairs(path)
     usable = ingest.filter_nonvanishing(pairs)
     if not len(usable):
         raise DegenerateInputError("no pairs with nonvanishing variance")
-    with np.errstate(over="ignore"):
-        overflow = ~np.isfinite(np.cumsum(2.0 * np.square(usable.variances)))
-    if overflow[-1]:
-        i = int(np.argmax(overflow))
-        raise DataFormatError(
-            f"{path}: pair {usable.keys[i]} has so large a variance "
-            f"({usable.variances[i]:g}) that the sum of squared variances, doubled in the "
-            "RMSE closed form, overflows float64"
-        )
+    _check_squared_variances(path, usable.variances, lambda i: f"pair {usable.keys[i]}")
     return scale, usable
 
 
@@ -473,18 +495,23 @@ def _cmd_rankcurves(args) -> tuple[dict, dict]:
     if (args.variances is None) == (args.pairs is None):
         raise _UsageError("provide exactly one of --variances or --pairs")
     if args.variances is not None:
-        base = ingest.parse_variances(_read_text(args.variances))
         source = args.variances
+        base = ingest.parse_variances(_read_text(source))
+        if base.size == 0:
+            raise DegenerateInputError("no positive variances available")
+        _check_squared_variances(source, base, lambda i: f"record {i + 1}")
     else:
-        _, pairs = _load_pairs(args.pairs)
-        base = ingest.filter_nonvanishing(pairs).variances
         source = args.pairs
-    if base.size == 0:
-        raise DegenerateInputError("no positive variances available")
+        base = _load_usable_pairs(source)[1].variances
     deltas = _parse_grid(args.deltas, "--deltas")
     offsets = _parse_grid(args.offsets, "--offsets")
     try:
         rows = analysis.ranking_error_curves(base, deltas, offsets, args.noise_scale)
+    except OverflowError:
+        raise _UsageError(
+            "--deltas, --offsets and --noise-scale: the largest scaled offset, "
+            "(offset + delta) * noise scale, squares past float64 in the RMSE closed form"
+        ) from None
     except ValueError as exc:
         raise _UsageError(str(exc))
     config = {

@@ -271,7 +271,9 @@ def gaussian_cdf(g: GaussianSummary, x):
         return 0.5 * math.erfc(-z)
     from scipy.special import erfc
 
-    z = (np.asarray(x, dtype=np.float64) - g.mean) / (g.std * _SQRT2)
+    # a z past float64 is the CDF's limit, as erfc(-inf) = 2 and erfc(inf) = 0
+    with np.errstate(over="ignore"):
+        z = (np.asarray(x, dtype=np.float64) - g.mean) / (g.std * _SQRT2)
     return 0.5 * erfc(-z)
 
 

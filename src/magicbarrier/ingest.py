@@ -61,7 +61,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erfc, kolmogorov
 
 from .core import (
     DataFormatError,
@@ -451,6 +450,7 @@ def _ks_block(
     length n >= 2) against ``N(means[i], stds[i]^2)``, as
     :func:`ks_normality_test` defines them; each row gets the bits it would
     get alone."""
+    from scipy.special import erfc, kolmogorov
     n = samples.shape[1]
     xs = np.sort(samples, axis=1)
     # the arithmetic of gaussian_cdf, row by row

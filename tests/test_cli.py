@@ -4,7 +4,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -693,6 +696,56 @@ class TestSimulate:
         ) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mean", [2.4e169, -2.4e169, 5.5, 0.75])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--clip", "--tau", "10"],
+            ["simulate", "--clip", "--tau", "10", "--metric", "mae"],
+            ["estimate"],
+            ["rankcurves", "--deltas", "0.1", "--offsets", "0", "--pairs"],
+        ],
+        ids=["clip-rmse", "clip-mae", "estimate", "rankcurves"],
+    )
+    def test_mean_outside_the_scale_is_data_error(self, tmp_path, capsys, argv, mean):
+        # clipped to [1, 5], a rating of the mean 2.4e169 lies 2.4e169 from
+        # it, and that square overflowed into numpy warnings and a bin error
+        pairs = tmp_path / "pairs.json"
+        entries = [
+            {"user": "u", "item": f"i{k}", "mean": m, "variance": 0.5}
+            for k, m in enumerate([1, mean, 5])
+        ]
+        scale = {"min_category": 1, "max_category": 5, "num_trials": 5}
+        pairs.write_text(json.dumps({"scale": scale, "pairs": entries}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, str(pairs)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pairs}: pair ('u', 'i1') has mean {mean:g}, outside its scale [1, 5]\n"
+        )
+
+    def test_scale_past_float64_is_data_error(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        scale = {"min_category": 1, "max_category": 10**400, "num_trials": 5}
+        entry = {"user": "u", "item": "i", "mean": 3, "variance": 0.5}
+        pairs.write_text(json.dumps({"scale": scale, "pairs": [entry]}), encoding="utf-8")
+        assert main(["simulate", str(pairs), "--clip", "--tau", "10"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pairs}: malformed scale: int too large to convert to float\n"
+        )
+
+    def test_means_on_the_scale_bounds_are_kept(self, tmp_path):
+        pairs = tmp_path / "pairs.json"
+        entries = [
+            {"user": "u", "item": f"i{k}", "mean": m, "variance": 0.5}
+            for k, m in enumerate([1, 5, 3.25])
+        ]
+        scale = {"min_category": 1, "max_category": 5, "num_trials": 5}
+        pairs.write_text(json.dumps({"scale": scale, "pairs": entries}), encoding="utf-8")
+        out = tmp_path / "sample.json"
+        assert main(["simulate", str(pairs), "--clip", "--tau", "10", "--out", str(out)]) == 0
+        assert read_json(out)["config"]["clip"] is True
+
 
 class TestCompare:
     def test_estimate_vs_simulation_report(self, tmp_path, pairs_file):
@@ -737,6 +790,42 @@ class TestCompare:
         assert main(["compare", str(a), str(b)]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "b.json" in err
+
+    @pytest.mark.parametrize(
+        "edges, heights",
+        [([0.0, 6.2e16], [2.9e291]), ([-1e308, 1e308], [1.0]), ([-1e308, 1e308], [0.0])],
+        ids=["mass", "width", "zero-height-infinite-width"],
+    )
+    def test_histogram_past_float64_is_data_error(self, tmp_path, capsys, edges, heights):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"mean": 0.7, "variance": 0.001}), encoding="utf-8")
+        b = tmp_path / "b.json"
+        hist = {"edges": edges, "heights": heights}
+        b.write_text(json.dumps({"mean": 0.7, "variance": 0.001, "histogram": hist}),
+                     encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {b}: malformed histogram: "
+            "histogram bin widths or masses overflow float64\n"
+        )
+
+    def test_gaussian_far_from_the_edges_in_sds_past_float64(self, tmp_path, capsys):
+        # (edge - mean) / sd passes float64; the CDF is its limit, 0 on every edge
+        gaussian = tmp_path / "gaussian.json"
+        gaussian.write_text(json.dumps({"mean": 1e150, "variance": 5e-324}),
+                            encoding="utf-8")
+        sampled = tmp_path / "sampled.json"
+        hist = {"edges": [0.0, 1.0], "heights": [1.0]}
+        sampled.write_text(json.dumps({"mean": 0.5, "variance": 0.1, "histogram": hist}),
+                           encoding="utf-8")
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", str(sampled), str(gaussian), "--out", str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(report)["jsd"] is None
 
     def test_single_trial_simulation_against_estimate(self, tmp_path, pairs_file):
         # one trial still gets two bins: with one, the histogram and the
@@ -919,6 +1008,67 @@ class TestRankCurves:
                 "--deltas", "0.1", "--offsets", "0.0",
             ]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "base, flags",
+        [
+            ([0.5, 0.7], ["--deltas", "1e200", "--offsets", "0"]),
+            ([0.5, 0.7], ["--deltas", "0.1", "--offsets", "0", "--noise-scale", "1e160"]),
+            # the product (offset + delta) * noise scale is inf before it is squared
+            ([0.5, 0.7], ["--deltas", "0.1", "--offsets", "1e300", "--noise-scale", "1e10"]),
+            # each square is finite; their sum over the two pairs is not
+            ([0.5, 0.7], ["--deltas", "0", "--offsets", "1e154"]),
+            # the squares and their sum are finite; four times a square times
+            # the variance 1e10 is not
+            ([0.5, 1e10], ["--deltas", "0", "--offsets", "0,3.2e149"]),
+            # every sum is finite; the mean's sum times 4N, the variance's
+            # denominator, is not (the variance read 0 before)
+            ([0.1, 0.1], ["--deltas", "0", "--offsets", "7e153"]),
+        ],
+        ids=["delta", "noise-scale", "product", "sum", "times-variance", "times-4n"],
+    )
+    def test_overflowing_grid_is_usage_error(self, tmp_path, capsys, base, flags):
+        variances = tmp_path / "variances.csv"
+        variances.write_text("variance\n" + "".join(f"{v}\n" for v in base), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rankcurves", "--variances", str(variances), *flags]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --deltas, --offsets and --noise-scale: the largest scaled "
+            "offset, (offset + delta) * noise scale, squares past float64 in the RMSE "
+            "closed form\n"
+        )
+
+    def test_largest_grid_within_float64_is_kept(self, tmp_path):
+        variances = tmp_path / "variances.csv"
+        variances.write_text("variance\n0.5\n0.7\n", encoding="utf-8")
+        out = tmp_path / "curves.json"
+        argv = ["rankcurves", "--variances", str(variances), "--deltas", "0,1e150",
+                "--offsets", "0,1e150", "--out", str(out)]
+        assert main(argv) == 0
+        assert [r["error_probability"] for r in read_json(out)["rows"]][:2] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("source", ["--variances", "--pairs"])
+    def test_overflowing_variances_are_data_errors(self, tmp_path, capsys, source):
+        if source == "--variances":
+            path = tmp_path / "variances.csv"
+            path.write_text("variance\n0.5\n1e200\n", encoding="utf-8")
+            entry = "record 2"
+        else:
+            path = tmp_path / "pairs.json"
+            entries = [
+                {"user": "u", "item": f"i{k}", "mean": 3, "variance": v}
+                for k, v in enumerate([0.5, 1e200])
+            ]
+            path.write_text(json.dumps({"pairs": entries}), encoding="utf-8")
+            entry = "pair ('u', 'i1')"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rankcurves", source, str(path), "--deltas", "0.1", "--offsets", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: {entry} has so large a variance (1e+200) that the sum of "
+            "squared variances, doubled in the RMSE closed form, overflows float64\n"
+        )
 
 
 class TestRank:
@@ -1196,12 +1346,15 @@ def _pair_tables(draw):
 
 class TestJsonWriter:
     """The pair-table writer reproduces json.dumps(indent=2, sort_keys=True)
-    of the table's rows; every other value goes through json.dumps itself."""
+    of the table's rows; every other value goes through json.dumps itself,
+    which refuses NaN and the infinities: they are not JSON."""
 
     @staticmethod
     def reference(value):
         # a top-level value of the emitted document sits one level deep
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace(
+            "\n", "\n  "
+        )
 
     @given(table=_pair_tables())
     @example(table=PairTable((), (), ()))
@@ -1234,7 +1387,29 @@ class TestJsonWriter:
              "int", "bool", "null", "nested", "int-key"],
     )
     def test_other_values_take_json_dumps(self, rows):
-        assert cli._json_value(rows) == self.reference(rows)
+        try:
+            expected = self.reference(rows)
+        except ValueError:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._json_value(rows)
+        else:
+            assert cli._json_value(rows) == expected
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_writes_nothing(
+        self, tmp_path, pairs_file, monkeypatch, capsys, value, out
+    ):
+        monkeypatch.setattr(cli, "_cmd_estimate", lambda args: ({}, {"mean": value}))
+        target = tmp_path / "barrier.json"
+        argv = ["estimate", str(pairs_file)] + (["--out", str(target)] if out else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"data error: Out of range float values are not JSON compliant: {value!r}\n"
+        )
+        assert not target.exists()
 
     def test_percent_in_keys_and_values(self):
         table = PairTable([("%s", "%d"), ("a%%", "%")], [1.5, -0.0], [0.25, 0.0])
@@ -1587,3 +1762,55 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["sensitivity", "--grid", "1,2"]) == 1
+
+
+class TestImports:
+    """At the size of a re-rating study, importing scipy.special was most of
+    a fresh process's time. Only ingest's KS pass, the MAE closed form and
+    compare against one histogram call scipy, and they import it then."""
+
+    CHILD = (
+        "import json, sys\n"
+        "from magicbarrier import cli\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "loaded = {'import magicbarrier.cli': scipy_modules()}\n"
+        "for label, argv in json.loads(sys.argv[1]):\n"
+        "    code = cli.main(argv)\n"
+        "    loaded[label] = scipy_modules() if code == 0 else f'exit {code}'\n"
+        "print(json.dumps(loaded))\n"
+    )
+
+    def test_scipy_left_out_where_not_called(self, tmp_path, pairs_file):
+        usable = [p for p in read_json(pairs_file)["pairs"] if p["variance"] > 0]
+        for name, shift in (("a", 0.0), ("b", 0.5)):
+            (tmp_path / f"{name}.csv").write_text(
+                "user,item,prediction\n"
+                + "".join(f"{p['user']},{p['item']},{p['mean'] + shift}\n" for p in usable),
+                encoding="utf-8",
+            )
+        pairs = str(pairs_file)
+        barrier, sample = str(tmp_path / "barrier.json"), str(tmp_path / "sample.json")
+        out = ["--out", str(tmp_path / "out.json")]
+        runs = [
+            ("estimate --metric rmse", ["estimate", pairs, "--out", barrier]),
+            ("simulate", ["simulate", pairs, "--tau", "50", "--out", sample]),
+            ("rank", ["rank", pairs, "--predictors", str(tmp_path / "a.csv"),
+                      str(tmp_path / "b.csv"), "--tau", "50", *out]),
+            ("transfer", ["transfer", "--count", "100", *out]),
+            ("sensitivity", ["sensitivity", "--axis", "n", "--grid", "10", "--fixed", "0.5",
+                             *out]),
+            ("rankcurves", ["rankcurves", "--pairs", pairs, "--deltas", "0.1",
+                            "--offsets", "0", *out]),
+            ("compare", ["compare", barrier, barrier, *out]),
+            ("compare two histograms", ["compare", sample, sample, *out]),
+        ]
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(runs)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        loaded = json.loads(child.stdout)
+        assert loaded == {label: [] for label in ["import magicbarrier.cli", *dict(runs)]}
