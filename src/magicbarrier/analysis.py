@@ -35,7 +35,7 @@ from .core import (
     gaussian_cdf,
     variance_bounds,
 )
-from .approx import rmse_summary_from_offsets
+from .approx import _rmse_from_sums, _rmse_sums
 from .mc import MCConfig, _metric_blocks, _rmse_score_blocks
 # not called here since rank_distribution counts block by block; the
 # benchmark tracer (bench/spans.py) still wraps it at this name
@@ -51,7 +51,6 @@ __all__ = [
     "ImprovementDecision",
     "improvement_criterion",
     "sensitivity_sweep",
-    "alternating_offsets",
     "ranking_error_curves",
     "rank_distribution",
 ]
@@ -260,12 +259,6 @@ class RankCurvePoint:
     error_probability: float
 
 
-def alternating_offsets(level: float, n: int) -> np.ndarray:
-    """Per-pair offsets of magnitude ``level`` with alternating sign."""
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return level * signs
-
-
 def ranking_error_curves(
     base_variances: Sequence[float],
     relative_differences: Sequence[float],
@@ -285,9 +278,10 @@ def ranking_error_curves(
     the chance its RMSE realization undercuts the first system's:
     ``P(RMSE_2 < RMSE_1)`` from the two closed-form summaries. Identical
     systems (``delta = 0``) give 0.5; growing either the offset or the delta
-    widens the mean gap and drives the error toward 0. Raises
-    :class:`OverflowError` for a grid whose largest scaled offset overflows
-    the closed form's sums.
+    widens the mean gap and drives the error toward 0. Only the offsets'
+    magnitude matters, so each grid point is O(1) after one pass over the
+    variances. Raises :class:`OverflowError` for a grid whose largest scaled
+    offset overflows the closed form's sums.
     """
     if not len(relative_differences):
         raise ValueError("need at least one relative difference")
@@ -304,30 +298,22 @@ def ranking_error_curves(
         raise ValueError("need at least one base variance")
     if not 0.0 < noise_scale < math.inf:
         raise ValueError(f"noise_scale must be finite and > 0, got {noise_scale}")
-    base = as_float_array(base_variances, "base_variances")
-    n = base.size
-    # every sum of the closed form grows with the scaled offset, so the
-    # largest, (last offset + largest delta) * noise_scale, bounds them all
-    with np.errstate(over="ignore"):
-        d2 = alternating_offsets((offsets[-1] + max(relative_differences)) * noise_scale, n) ** 2
-        e_sum = np.sum(base) + np.sum(d2)
-        if not np.isfinite([4.0 * n * e_sum, np.sum(2.0 * base**2 + 4.0 * d2 * base)]).all():
-            raise OverflowError("the scaled offsets square past float64 in the RMSE closed form")
-    points: list[RankCurvePoint] = []
-    for delta in relative_differences:
-        for offset in offsets:
-            d1 = alternating_offsets(offset * noise_scale, n)
-            d2 = alternating_offsets((offset + delta) * noise_scale, n)
-            s1 = rmse_summary_from_offsets(base, d1)
-            s2 = rmse_summary_from_offsets(base, d2)
-            points.append(
-                RankCurvePoint(
-                    delta=float(delta),
-                    offset=float(offset),
-                    error_probability=interference_probability(s1, s2),
-                )
-            )
-    return points
+    n, s_sum, v_sum = _rmse_sums(as_float_array(base_variances, "base_variances"), None)
+    noise_scale = float(noise_scale)
+
+    def summary(level: float) -> GaussianSummary:
+        # sum(d^2) = N*level^2 and sum(d^2 * s2) = level^2 * sum(s2); past
+        # float64 a Python float is inf, with no warning, for _rmse_from_sums
+        d2 = level * level
+        return _rmse_from_sums(n, s_sum + n * d2, v_sum + 4.0 * d2 * s_sum)
+
+    return [
+        RankCurvePoint(delta, offset, interference_probability(
+            summary(offset * noise_scale), summary((offset + delta) * noise_scale)
+        ))
+        for delta in map(float, relative_differences)
+        for offset in map(float, offsets)
+    ]
 
 
 def rank_distribution(

@@ -14,6 +14,9 @@ the RMSE under per-pair Gaussians:
 3. The square root is propagated through a first-order Taylor expansion:
    ``E[sqrt(Z)] ~ sqrt(E[Z])`` and ``V[sqrt(Z)] ~ V[Z] / (4 E[Z])``.
 
+Steps 2 and 3 need only ``sum(E)`` and ``sum(V)``, so the closed form is
+evaluated once, from these sums, which the barrier forms with no offset array.
+
 The truncation to first order is deliberate: it is what makes the headline
 formulas single-line, and its error is measured (not assumed) by regression
 against simulation in the test suite.
@@ -45,22 +48,48 @@ __all__ = [
 
 def _checked(
     variances: Sequence[float], offsets: Sequence[float] | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Variances and offsets as float arrays, checked once for both metrics;
-    no offsets are zero offsets, the optimal recommender's."""
+    no offsets (``None``) are zero offsets, the optimal recommender's."""
     arr = as_float_array(variances, "variances")
     if arr.size == 0:
         raise DegenerateInputError("empty variance list")
     if np.any(arr < 0.0):
         raise ValueError("variances must be >= 0")
     if offsets is None:
-        return arr, np.zeros_like(arr)
+        return arr, None
     off = as_float_array(offsets, "offsets")
     if off.size != arr.size:
         raise ValueError(
             f"offsets length {off.size} does not match {arr.size} variances"
         )
     return arr, off
+
+
+def _rmse_sums(
+    variances: Sequence[float], offsets: Sequence[float] | None
+) -> tuple[int, float, float]:
+    """``(N, sum(E), sum(V))``, inf or nan past float64; no offsets take one
+    squared copy of the variances, and ``2*sum(s2^2)`` has the bits of ``sum(2*s2^2)``."""
+    arr, off = _checked(variances, offsets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if off is None:
+            return arr.size, float(np.sum(arr)), 2.0 * float(np.sum(arr**2))
+        d2 = off**2
+        e_sum = float(np.sum(arr) + np.sum(d2))
+        return arr.size, e_sum, float(np.sum(2.0 * arr**2 + 4.0 * d2 * arr))
+
+
+def _rmse_from_sums(n: int, e_sum: float, v_sum: float) -> GaussianSummary:
+    """The closed form from ``e_sum = sum(E)`` and ``v_sum = sum(V)`` over ``n``
+    pairs, the only code that evaluates it; OverflowError past float64."""
+    if not (math.isfinite(4.0 * n * e_sum) and math.isfinite(v_sum)):
+        raise OverflowError("the RMSE closed form's sums overflow float64")
+    if e_sum <= 0.0:
+        raise DegenerateInputError(
+            "degenerate barrier: zero variances and zero offsets everywhere"
+        )
+    return GaussianSummary(math.sqrt(e_sum / n), v_sum / (4.0 * n * e_sum))
 
 
 def magic_barrier_rmse(variances: Sequence[float]) -> GaussianSummary:
@@ -84,18 +113,7 @@ def rmse_summary_from_offsets(
     ``variance = (sum(V)/N^2) / (4*sum(E)/N) = sum(V) / (4*N*sum(E))``.
     ``offsets=None`` is the optimal recommender, i.e. the Magic Barrier.
     """
-    arr, off = _checked(variances, offsets)
-    n = arr.size
-    d2 = off**2
-    e_sum = float(np.sum(arr) + np.sum(d2))
-    v_sum = float(np.sum(2.0 * arr**2 + 4.0 * d2 * arr))
-    if e_sum <= 0.0:
-        raise DegenerateInputError(
-            "degenerate barrier: zero variances and zero offsets everywhere"
-        )
-    return GaussianSummary(
-        mean=math.sqrt(e_sum / n), variance=v_sum / (4.0 * n * e_sum)
-    )
+    return _rmse_from_sums(*_rmse_sums(variances, offsets))
 
 
 def _folded_normal_moments(
@@ -129,7 +147,7 @@ def mae_summary_from_offsets(
     average, so ``mean = avg(E)`` and ``variance = sum(V)/N^2``.
     """
     arr, off = _checked(variances, offsets)
-    m, v = _folded_normal_moments(off, arr)
+    m, v = _folded_normal_moments(np.zeros_like(arr) if off is None else off, arr)
     n = arr.size
     return GaussianSummary(
         mean=float(np.mean(m)),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict, astuple, fields
@@ -50,6 +51,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only plain numbers as values, so "--fixed
+        # -1e5" read as a flag; "-" and a digit or "." starts no flag of this tool
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     # argparse exits 2 on usage errors; this tool reserves 2 for data errors
     def error(self, message):
         raise _UsageError(message)
@@ -444,11 +451,14 @@ def _verdict(decision: analysis.ImprovementDecision) -> dict:
 def _cmd_compare(args) -> tuple[dict, dict]:
     barrier, barrier_hist = _load_summary(args.barrier)
     rmse, rmse_hist = _load_summary(args.rmse)
+    decision = analysis.improvement_criterion(barrier, rmse)
+    if not (math.isfinite(decision.margin) and math.isfinite(decision.simplified_gap)):
+        raise DataFormatError(f"{args.barrier} and {args.rmse}: their means' gap overflows float64")
     body = {
         "barrier": barrier,
         "rmse": rmse,
         "interference_probability": analysis.interference_probability(barrier, rmse),
-        **_verdict(analysis.improvement_criterion(barrier, rmse)),
+        **_verdict(decision),
         "jsd": None,
     }
     if barrier_hist is not None and rmse_hist is not None:
@@ -572,14 +582,14 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
         bounds = (values[0], values[1])
     seed = _seed_from_args(args)
     try:
-        # a tiny rate draws variances whose squares, or the draws themselves,
-        # overflow float64
+        # a tiny rate draws variances that overflow float64 (FloatingPointError),
+        # or whose squares do (OverflowError from the closed form)
         with np.errstate(over="raise"):
             variances = ingest.sample_variances(
                 args.rate, args.count, bounds=bounds, seed=seed
             )
-            barrier = approx.magic_barrier_rmse(variances)
-    except FloatingPointError:
+        barrier = approx.magic_barrier_rmse(variances)
+    except (FloatingPointError, OverflowError):
         # with a window, its upper end bounds the draws as much as the rate
         cause = f"--rate {args.rate!r} is too small"
         if bounds is not None:

@@ -26,6 +26,7 @@ from magicbarrier import (
     ScaleSpec,
     gaussian_cdf,
     interference_probability,
+    rmse_summary_from_offsets,
 )
 from magicbarrier import mc
 from magicbarrier.ingest import TENSOR_HEADER
@@ -153,6 +154,23 @@ def shared_draw_precedence(variances, offsets_a, offsets_b) -> float:
     gap = float(np.sum(ob * ob - oa * oa))
     spread = 2.0 * math.sqrt(float(np.sum(s2 * (oa - ob) ** 2)))
     return 0.5 * math.erfc(-gap / (spread * math.sqrt(2.0)))
+
+
+def alternating_offsets(level: float, n: int) -> np.ndarray:
+    """Per-pair offsets of magnitude ``level`` with alternating sign."""
+    return level * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+
+def ranking_error_per_pair(base_variances, delta, offset, noise_scale=1.0) -> float:
+    """One point of :func:`ranking_error_curves` with the two systems'
+    offsets built as per-pair arrays of alternating sign, each put through
+    the per-pair closed form :func:`rmse_summary_from_offsets`."""
+    n = len(base_variances)
+    first, second = (
+        rmse_summary_from_offsets(base_variances, alternating_offsets(level * noise_scale, n))
+        for level in (offset, offset + delta)
+    )
+    return interference_probability(first, second)
 
 
 def interference_probability_quadrature(

@@ -29,15 +29,16 @@ from magicbarrier import (
     simulate_metric_shared,
 )
 from magicbarrier import analysis, mc
-from magicbarrier.analysis import alternating_offsets
 from magicbarrier.mc import optimal_predictors
 
 from conftest import make_dists
 from oracles import (
+    alternating_offsets,
     argsort_ordering_frequencies,
     interference_probability_empirical,
     interference_probability_mc,
     interference_probability_quadrature,
+    ranking_error_per_pair,
     shared_draw_precedence,
 )
 
@@ -332,6 +333,56 @@ class TestRankingErrorCurves:
         estimate = float(np.mean(samples[1].values < samples[0].values))
         se = math.sqrt(point.error_probability * (1 - point.error_probability) / tau)
         assert estimate == pytest.approx(point.error_probability, abs=4 * se)
+
+    @pytest.mark.parametrize("n", [1, 2, 51, 1000], ids=["one", "even", "odd", "many"])
+    @given(
+        seed=st.integers(0, 2**16),
+        deltas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+        offsets=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3).map(sorted),
+        noise_scale=st.floats(0.1, 5.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_pair_offsets(self, n, seed, deltas, offsets, noise_scale):
+        """Each point is the closed form on alternating-sign offset arrays."""
+        base = np.random.default_rng(seed).exponential(1 / 2.11, n)
+        points = ranking_error_curves(base, [0.0, *deltas], offsets, noise_scale)
+        expected = [
+            ranking_error_per_pair(base, delta, offset, noise_scale)
+            for delta in [0.0, *deltas]
+            for offset in offsets
+        ]
+        for point, want in zip(points, expected, strict=True):
+            if point.delta == 0.0:
+                assert point.error_probability == 0.5
+            assert point.error_probability == pytest.approx(want, abs=1e-13, rel=0)
+
+    def test_memory_does_not_grow_with_grid(self):
+        """One pass over the variances serves every grid point: the peak
+        stays below two float64 arrays of N, however large the grid."""
+        base = np.random.default_rng(0).exponential(1 / 2.11, 100_000)
+        grid = [0.05 * k for k in range(20)]
+        tracemalloc.start()
+        try:
+            ranking_error_curves(base, grid, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * base.nbytes, peak / base.nbytes
+
+    @pytest.mark.parametrize("scale", [1e200, np.float64(1e200)], ids=["float", "numpy"])
+    def test_overflowing_grid(self, scale):
+        """Refused with OverflowError, and no numpy warning on the way."""
+        with pytest.raises(OverflowError, match="overflow float64"):
+            ranking_error_curves([0.5, 0.7], [0.0, 1.0], [0.0, 1e200], scale)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-0.1, "variances must be >= 0"), (math.nan, "base_variances must be finite")],
+        ids=["negative", "nan"],
+    )
+    def test_invalid_base_variances(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ranking_error_curves([0.5, bad, 0.7], [0.1], [0.0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="nondecreasing"):

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magicbarrier import (
@@ -37,6 +38,33 @@ class TestMagicBarrierRmse:
             magic_barrier_rmse([])
         with pytest.raises(ValueError):
             magic_barrier_rmse([-0.1, 0.5])
+
+    @given(data=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_bits_of_zero_offsets(self, data):
+        """The barrier's own sums give the bits of the per-pair route at
+        zero offsets."""
+        arr = np.asarray(data)
+        assume(arr.any())
+        assert magic_barrier_rmse(arr) == rmse_summary_from_offsets(arr, np.zeros_like(arr))
+
+    def test_overflowing_sums(self):
+        with pytest.raises(OverflowError, match="overflow float64"):
+            magic_barrier_rmse([0.5, 1e200])
+        with pytest.raises(OverflowError, match="overflow float64"):
+            rmse_summary_from_offsets([0.5, 0.0], [0.0, 1e200])
+
+    def test_memory_is_one_squared_copy(self):
+        """The barrier squares the variances once and allocates no zero
+        offsets: its peak stays below two float64 arrays of N."""
+        variances = np.random.default_rng(0).exponential(1 / 2.11, 10**6)
+        tracemalloc.start()
+        try:
+            magic_barrier_rmse(variances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * variances.nbytes, peak / variances.nbytes
 
     @given(
         data=st.lists(st.floats(0.01, 4.0), min_size=1, max_size=30),

@@ -7,6 +7,9 @@ stderr holds only its own ``warning:``, ``usage error:``, ``data error:`` or
 command writes nothing to stdout, and a succeeding one writes JSON without
 ``NaN`` or ``Infinity``, or CSV without ``nan`` or ``inf``.
 
+A flag's value is given as ``--flag=value`` or as ``--flag value``, so that
+negative values are tried in both forms.
+
 Half of the examples are plain: values that pass the first checks, so that
 the code behind them runs. The other half are wild: each value is plain or
 drawn from anywhere in its type.
@@ -86,6 +89,12 @@ class Draw:
     def __call__(self, plain, wild=None):
         return self.data.draw(plain if wild is None else self.either(plain, wild))
 
+    def flag(self, name, value):
+        """``name=value``, or ``name value``: in the space form, a value that
+        starts with "-" and a digit must still read as a value."""
+        value = str(value)
+        return [name, value] if self(st.booleans()) else [f"{name}={value}"]
+
 
 def _number(value):
     return repr(float(value))
@@ -128,17 +137,17 @@ def predictions(draw, usable):
 def mc_flags(draw):
     return [
         f"--metric={draw(st.sampled_from(['rmse', 'mae']))}",
-        f"--tau={draw(st.integers(1, 40), st.integers(-2, 40))}",
-        f"--seed={draw(st.integers(0, 2**64 - 1), st.integers())}",
-        f"--workers={draw(st.integers(1, 2), st.integers(-1, 2))}",
+        *draw.flag("--tau", draw(st.integers(1, 40), st.integers(-2, 40))),
+        *draw.flag("--seed", draw(st.integers(0, 2**64 - 1), st.integers())),
+        *draw.flag("--workers", draw(st.integers(1, 2), st.integers(-1, 2))),
     ]
 
 
 def scale_flags(draw):
     return [
-        f"--scale-min={draw(st.just(1), SMALL_INTS)}",
-        f"--scale-max={draw(st.just(5), SMALL_INTS)}",
-        f"--trials={draw(st.just(6), SMALL_INTS)}",
+        *draw.flag("--scale-min", draw(st.just(1), SMALL_INTS)),
+        *draw.flag("--scale-max", draw(st.just(5), SMALL_INTS)),
+        *draw.flag("--trials", draw(st.just(6), SMALL_INTS)),
     ]
 
 
@@ -155,7 +164,7 @@ def test_ingest(data):
     )
     alpha = draw(st.floats(0.01, 0.5), st.floats(0.0, 1.0))
     check_run(
-        ["ingest", "tensor.csv", *scale_flags(draw), f"--alpha={alpha!r}"],
+        ["ingest", "tensor.csv", *scale_flags(draw), *draw.flag("--alpha", repr(alpha))],
         {"tensor.csv": tensor},
     )
 
@@ -184,7 +193,7 @@ def test_simulate(data):
     if draw(st.booleans()):
         argv.append("--clip")
     if draw(st.booleans()):
-        argv.append(f"--bins={draw(st.integers(2, 12), st.integers(-1, 12))}")
+        argv += draw.flag("--bins", draw(st.integers(2, 12), st.integers(-1, 12)))
     if draw(st.booleans()):
         argv.append("--values-out=values.bin")
     check_run(argv, files)
@@ -243,8 +252,8 @@ def test_sensitivity(data):
     fixed = draw(variances if axis == "n" else counts)
     fmt = draw(st.sampled_from(["json", "csv"]))
     check_run(
-        ["sensitivity", f"--axis={axis}", f"--grid={_grid(grid)}",
-         f"--fixed={_number(fixed)}", *scale_flags(draw), f"--format={fmt}"],
+        ["sensitivity", f"--axis={axis}", *draw.flag("--grid", _grid(grid)),
+         *draw.flag("--fixed", _number(fixed)), *scale_flags(draw), f"--format={fmt}"],
         {},
     )
 
@@ -268,8 +277,9 @@ def test_rankcurves(data):
     noise_scale = draw(st.floats(0.1, 5.0), ANY_FLOAT)
     fmt = draw(st.sampled_from(["json", "csv"]))
     check_run(
-        ["rankcurves", source, f"--deltas={_grid(deltas)}", f"--offsets={_grid(offsets)}",
-         f"--noise-scale={_number(noise_scale)}", f"--format={fmt}"],
+        ["rankcurves", source, *draw.flag("--deltas", _grid(deltas)),
+         *draw.flag("--offsets", _grid(offsets)),
+         *draw.flag("--noise-scale", _number(noise_scale)), f"--format={fmt}"],
         files,
     )
 
@@ -280,13 +290,13 @@ def test_transfer(data):
     draw = Draw(data)
     argv = [
         "transfer",
-        f"--rate={_number(draw(st.floats(0.5, 5.0), ANY_FLOAT))}",
-        f"--count={draw(st.integers(1, 2000), st.integers(-1, 2000))}",
-        f"--seed={draw(st.integers(0, 2**64 - 1), st.integers())}",
-        f"--competitor-mean={_number(draw(st.floats(0.0, 2.0), ANY_FLOAT))}",
+        *draw.flag("--rate", _number(draw(st.floats(0.5, 5.0), ANY_FLOAT))),
+        *draw.flag("--count", draw(st.integers(1, 2000), st.integers(-1, 2000))),
+        *draw.flag("--seed", draw(st.integers(0, 2**64 - 1), st.integers())),
+        *draw.flag("--competitor-mean", _number(draw(st.floats(0.0, 2.0), ANY_FLOAT))),
     ]
     if draw(st.booleans()):
         bounds = draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2).map(sorted),
                       st.lists(ANY_FLOAT, min_size=2, max_size=2))
-        argv.append(f"--bounds={_grid(bounds)}")
+        argv += draw.flag("--bounds", _grid(bounds))
     check_run(argv, {})

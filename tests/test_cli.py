@@ -773,6 +773,19 @@ class TestCompare:
         assert doc["interference_probability"] == pytest.approx(0.11507, abs=1e-5)
         assert doc["jsd"] is None
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["barrier-high", "barrier-low"])
+    def test_means_at_opposite_ends_of_float64(self, tmp_path, capsys, sign):
+        """Their gap overflows: a data error naming both files, and no output."""
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"mean": sign * 1.7e308, "variance": 1e300}), encoding="utf-8")
+        b.write_text(json.dumps({"mean": -sign * 1.7e308, "variance": 1e300}), encoding="utf-8")
+        report = tmp_path / "r.json"
+        assert main(["compare", str(a), str(b), "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {a} and {b}: ") and "overflows float64" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "hist",
         [{"heights": [5.0, 5.0]}, {"edges": [0.6, 0.7, 0.8]},
@@ -1762,6 +1775,30 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["sensitivity", "--grid", "1,2"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transfer", "--count", "100", "--bounds", "-0.5,1"],
+            ["transfer", "--count", "100", "--competitor-mean", "-0.25"],
+            ["transfer", "--count", "100", "--rate", "-.5"],
+            ["sensitivity", "--axis", "n", "--grid", "1,2", "--fixed", "-1e5"],
+            ["sensitivity", "--axis", "variance", "--fixed", "10", "--grid", "-0.5,1"],
+            ["rankcurves", "--variances", "v.csv", "--offsets", "0", "--deltas", "-1e-3,0.1"],
+        ],
+        ids=["bounds", "competitor-mean", "rate", "fixed", "grid", "deltas"],
+    )
+    def test_negative_value_after_a_space(self, tmp_path, monkeypatch, capsys, argv):
+        """The last flag's value starts with "-" and a digit or ".": given
+        after a space it reads as after "=", not as an unknown flag."""
+        monkeypatch.chdir(tmp_path)
+        Path("v.csv").write_text("variance\n0.5\n0.7\n", encoding="utf-8")
+        outcomes = []
+        for form in (argv, [*argv[:-2], f"{argv[-2]}={argv[-1]}"]):
+            code = main(form)
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert "expected one argument" not in outcomes[0][2]
 
 
 class TestImports:
