@@ -1480,6 +1480,16 @@ class TestGoldenDigests:
                 + "".join(f"{p['user']},{p['item']},{p['mean'] + shift}\n" for p in pairs),
                 encoding="utf-8",
             )
+        # per-pair shifts of period 2 and 4: with near's constant shift, three
+        # linearly independent offset patterns
+        for name, shift in (("wave", lambda k: 0.125 * (-1) ** k), ("tilt", lambda k: 0.03125 * (k % 4))):
+            Path(f"{name}.csv").write_text(
+                "user,item,prediction\n"
+                + "".join(
+                    f"{p['user']},{p['item']},{p['mean'] + shift(k)}\n" for k, p in enumerate(pairs)
+                ),
+                encoding="utf-8",
+            )
 
     @staticmethod
     def digest(path):
@@ -1515,6 +1525,11 @@ class TestGoldenDigests:
                 "7aa8d51e1ba54fac8b585e4a13a31267253937235790e3061e3654e32ea2db96",
             ),
             (
+                ["rank", "pairs.json", "--predictors", "near.csv", "wave.csv",
+                 "tilt.csv", "--tau", "12000", "--seed", "5"],
+                "b1606581f07ef932bd80d64542adfc859971b853df50d5b7f5fdcd5003d95cc7",
+            ),
+            (
                 ["rank", "pairs.json", "--predictors", "best.csv", "near.csv",
                  "far.csv", "--tau", "3000", "--seed", "5", "--workers", "2",
                  "--metric", "mae"],
@@ -1547,7 +1562,8 @@ class TestGoldenDigests:
             ),
         ],
         ids=[
-            "simulate", "simulate-mae-clip", "simulate-far", "rank", "rank-mae",
+            "simulate", "simulate-mae-clip", "simulate-far", "rank", "rank-full-rank",
+            "rank-mae",
             "estimate-rmse", "estimate-mae",
             "transfer", "sensitivity", "rankcurves", "ingest",
         ],
