@@ -333,12 +333,14 @@ def rank_distribution(
     a trial, a measure-zero event for nonconstant draws, are broken by
     system index.
 
-    RMSE trials draw one normal per distinct nonzero offset row, not one per
-    pair, which gives the orderings the law of the per-pair simulation but
-    not its bits (``mc`` module notes), on the calling thread; MAE ranks the
-    per-pair simulation on up to ``workers`` threads. Each block of trials is
-    reduced to ordering counts as it is yielded, so memory holds the blocks
-    in flight and one count per distinct ordering, never the K x tau values.
+    RMSE trials draw r normals, not one per pair, where r is the rank of the
+    distinct nonzero offset rows (one for constant shifts, one per system for
+    linearly independent offsets), which gives the orderings the law of the
+    per-pair simulation but not its bits (``mc`` module notes), on the
+    calling thread; MAE ranks the per-pair simulation on up to ``workers``
+    threads. Each block of trials is reduced to ordering counts as it is
+    yielded, so memory holds the blocks in flight and one count per distinct
+    ordering, never the K x tau values.
     """
     if not systems:
         raise ValueError("need at least one system")

@@ -49,12 +49,15 @@ Rank's RMSE stream
 For unclipped RMSE every system shares ``sum(d^2)``, so
 ``analysis.rank_distribution`` orders them by ``2*d.o + o.o``, linear in the
 draws: the cross terms of the K' distinct nonzero rows ``sigma * o`` are
-jointly Gaussian. A trial draws K' normals w, not N, and takes its cross
-terms as ``w @ R`` (ufuncs in a fixed order) for the upper-triangular factor
-R of the rows' Gram matrix, built once by modified Gram-Schmidt in einsum (no
-LAPACK; a dependent row gets a zero pivot): exact in law, not the kernel's
-values. A block holds ``max(1, _RANK_BLOCK_ELEMENTS // K)`` trials (4,096 at
-K = 4) and draws from the ``(master_seed, k0)`` stream that
+jointly Gaussian. Their Gram matrix has the upper-triangular factor R, built
+once by modified Gram-Schmidt in einsum (no LAPACK), in which a dependent row
+gets a zero pivot and a zero row. A trial draws r normals w, not N, where r
+is the rank of the K' rows (R's nonzero pivots), and takes its cross terms
+as ``w @ R`` over R's nonzero rows (ufuncs in a fixed order): exact in law,
+not the kernel's values. Offsets along one pattern, such as constant shifts,
+draw one normal whatever K'; linearly independent rows skip no pivot and
+draw all K'. A block holds ``max(1, _RANK_BLOCK_ELEMENTS // K)`` trials
+(4,096 at K = 4) and draws from the ``(master_seed, k0)`` stream that
 :func:`simulate_metric_shared` uses for its block at k0. The blocks run one
 after another on the calling thread, one block in memory at a time: each is
 a few small numpy calls that hold the interpreter lock for most of their
@@ -370,9 +373,10 @@ def _rmse_score_blocks(
     cfg: MCConfig,
 ) -> Iterator[np.ndarray]:
     """Scores ``2*d.o + o.o`` (N * RMSE^2 less the shared ``sum(d^2)``) that
-    order the systems as unclipped RMSE does, from K' normals per trial (module
-    notes): one new (K, trials in block) array per block, in trial order, on
-    the calling thread."""
+    order the systems as unclipped RMSE does, from one normal per trial for
+    each nonzero pivot of the distinct offset rows' factor, i.e. the rank of
+    those rows (module notes): one new (K, trials in block) array per block,
+    in trial order, on the calling thread."""
     offsets = _offsets(dists, predictor_list)
     rows = np.sqrt(dists.variances) * offsets
     moved = rows.any(axis=1)
@@ -382,18 +386,20 @@ def _rmse_score_blocks(
     column = [first.setdefault(o.tobytes(), len(first)) for o in offsets[moved]]
     basis = rows[moved][[column.index(j) for j in range(len(first))]]
     factor = _gram_factor(basis)
+    # a dependent row's factor row is zero, so only nonzero pivots take a normal
+    pivots = np.flatnonzero(np.diagonal(factor)).tolist()
     squares = np.einsum("ij,ij->i", offsets, offsets)
     block = max(1, _RANK_BLOCK_ELEMENTS // len(offsets))
 
     for k0 in range(0, cfg.trials, block):
         nt = min(block, cfg.trials - k0)
-        # one contiguous row of draws per factor row
-        w = _draw_block(cfg.master_seed, k0, nt, len(basis)).T.copy()
+        # one contiguous row of draws per pivot
+        w = _draw_block(cfg.master_seed, k0, nt, len(pivots)).T.copy()
         # not a BLAS product, so that a trial's bits do not depend on nt
         cross = np.zeros((len(basis), nt))
         term = np.empty_like(cross)
-        for j in range(len(basis)):
-            cross[j:] += np.multiply(factor[j, j:, None], w[j], out=term[j:])
+        for j, p in enumerate(pivots):
+            cross[p:] += np.multiply(factor[p, p:, None], w[j], out=term[p:])
         values = np.repeat(squares[:, None], nt, axis=1)
         values[moved] += 2.0 * cross[column]
         yield values

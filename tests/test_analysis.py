@@ -463,12 +463,18 @@ class TestRankDistribution:
         assert list(ranking) == sorted(expected)
         assert all(type(i) is int for ordering in ranking for i in ordering)
 
-    @pytest.mark.parametrize("shifts", RANK_SHIFTS, ids=["shifts0", "shifts1", "shifts2"])
+    @pytest.mark.parametrize(
+        "shifts", [*RANK_SHIFTS, "patterns"], ids=["shifts0", "shifts1", "shifts2", "patterns"]
+    )
     def test_rmse_bytes_fixed_by_seed(self, monkeypatch, shifts):
         # RMSE blocks hold 2**14 // K trials whatever N and the N-draw block
-        # size: 12,000 trials span 3 to 12 of them, the last one short
+        # size: 12,000 trials span 3 to 12 of them, the last one short. The
+        # shifts are constant, so their offset rows have rank 1; the patterns
+        # are three independent rows beside the optimal predictor, full rank
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         dists = make_dists(np.linspace(0.3, 1.5, 20))
+        if shifts == "patterns":
+            shifts = [0.0, *np.random.default_rng(8).normal(0.0, 0.2, (3, 20))]
         systems = rank_systems(dists, shifts)
         cfg = MCConfig(trials=12_000, master_seed=12)
         reference = list(rank_distribution(systems, dists, MetricKind.RMSE, cfg).items())

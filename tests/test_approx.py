@@ -156,6 +156,28 @@ class TestMaeDistribution:
         s = mae_summary_from_offsets([0.0], [0.5])
         assert (s.mean, s.variance) == (0.5, 0.0)
 
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10**6])
+    def test_bits_of_zero_offsets(self, n):
+        """The barrier's direct moments give the bits of the folded-normal
+        route at zero offsets, vanishing variances included."""
+        variances = np.random.default_rng(n).exponential(1 / 2.11, n)
+        variances[4::5] = 0.0
+        assert mae_summary_from_offsets(variances) == mae_summary_from_offsets(
+            variances, np.zeros(n)
+        )
+
+    def test_memory_without_zero_offsets(self):
+        """The barrier allocates no zero offsets and no per-pair folded-normal
+        temporaries: its peak stays below three float64 arrays of N."""
+        variances = np.random.default_rng(0).exponential(1 / 2.11, 10**6)
+        tracemalloc.start()
+        try:
+            mae_summary_from_offsets(variances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * variances.nbytes, peak / variances.nbytes
+
     def test_negative_offsets_fold_symmetrically(self):
         plus = mae_summary_from_offsets([0.7, 1.1], [0.4, 0.2])
         minus = mae_summary_from_offsets([0.7, 1.1], [-0.4, -0.2])

@@ -1443,7 +1443,11 @@ class TestGoldenDigests:
     Monte-Carlo bits (simulate, rank, compare) come from numpy's ziggurat
     normals on SFC64 streams seeded through ``SeedSequence`` spawn keys, not
     from scipy; the RMSE rank bits also from the einsum Gram-Schmidt factor
-    that projects those normals, which uses no LAPACK.
+    that projects those normals, which uses no LAPACK. An RMSE rank trial
+    draws r normals, r the rank of the distinct offset rows (the factor's
+    nonzero pivots): one for ``rank``'s constant shifts, three for
+    ``rank-full-rank``'s independent patterns, whose bits are those of a
+    draw of one normal per distinct row.
     """
 
     @pytest.fixture
@@ -1482,11 +1486,15 @@ class TestGoldenDigests:
             )
         # per-pair shifts of period 2 and 4: with near's constant shift, three
         # linearly independent offset patterns
-        for name, shift in (("wave", lambda k: 0.125 * (-1) ** k), ("tilt", lambda k: 0.03125 * (k % 4))):
+        for name, shift in (
+            ("wave", lambda k: 0.125 * (-1) ** k),
+            ("tilt", lambda k: 0.03125 * (k % 4)),
+        ):
             Path(f"{name}.csv").write_text(
                 "user,item,prediction\n"
                 + "".join(
-                    f"{p['user']},{p['item']},{p['mean'] + shift(k)}\n" for k, p in enumerate(pairs)
+                    f"{p['user']},{p['item']},{p['mean'] + shift(k)}\n"
+                    for k, p in enumerate(pairs)
                 ),
                 encoding="utf-8",
             )
@@ -1522,7 +1530,7 @@ class TestGoldenDigests:
             (
                 ["rank", "pairs.json", "--predictors", "best.csv", "near.csv",
                  "far.csv", "--tau", "3000", "--seed", "5", "--workers", "2"],
-                "7aa8d51e1ba54fac8b585e4a13a31267253937235790e3061e3654e32ea2db96",
+                "ee1a42394c89407948190d10e04ae5059c11145f98ee987cac1f4845ff673be8",
             ),
             (
                 ["rank", "pairs.json", "--predictors", "near.csv", "wave.csv",
@@ -1819,8 +1827,9 @@ class TestUsage:
 
 class TestImports:
     """At the size of a re-rating study, importing scipy.special was most of
-    a fresh process's time. Only ingest's KS pass, the MAE closed form and
-    compare against one histogram call scipy, and they import it then."""
+    a fresh process's time. Only ingest's KS pass, the MAE closed form with
+    offsets and compare against one histogram call scipy, and they import it
+    then; the MAE barrier (``estimate --metric mae``) needs no scipy."""
 
     CHILD = (
         "import json, sys\n"
@@ -1847,6 +1856,7 @@ class TestImports:
         out = ["--out", str(tmp_path / "out.json")]
         runs = [
             ("estimate --metric rmse", ["estimate", pairs, "--out", barrier]),
+            ("estimate --metric mae", ["estimate", pairs, "--metric", "mae", *out]),
             ("simulate", ["simulate", pairs, "--tau", "50", "--out", sample]),
             ("rank", ["rank", pairs, "--predictors", str(tmp_path / "a.csv"),
                       str(tmp_path / "b.csv"), "--tau", "50", *out]),

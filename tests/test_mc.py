@@ -634,9 +634,23 @@ class TestRmseExpansion:
         assert np.array_equal(values[1], direct)
 
 
+def record_draws(monkeypatch):
+    """The (k0, n_trials, n_pairs) of every ``mc._draw_block`` call, in order."""
+    drawn = []
+    draw_block = mc._draw_block
+
+    def recording(master_seed, k0, n_trials, n_pairs, **kwargs):
+        drawn.append((k0, n_trials, n_pairs))
+        return draw_block(master_seed, k0, n_trials, n_pairs, **kwargs)
+
+    monkeypatch.setattr(mc, "_draw_block", recording)
+    return drawn
+
+
 class TestRmseScoreBlocks:
-    """rank's RMSE path scores systems by 2 d.o + o.o from one normal per
-    distinct offset row, mapped through a Gram-Schmidt factor."""
+    """rank's RMSE path scores systems by 2 d.o + o.o from r normals per
+    trial, r the rank of the distinct offset rows (the nonzero pivots of
+    their Gram-Schmidt factor), mapped through that factor."""
 
     def test_gram_factor_of_dependent_rows(self):
         a = np.random.default_rng(9).normal(size=(2, 40))
@@ -652,14 +666,7 @@ class TestRmseScoreBlocks:
         # K = 3: blocks of 2**14 // 3 = 5461 trials, so 3000 trials end inside
         # the first block of the longer run; systems 1 and 2 are identical,
         # so a trial draws one normal, not one per pair
-        drawn = []
-        draw_block = mc._draw_block
-
-        def recording(master_seed, k0, n_trials, n_pairs, **kwargs):
-            drawn.append((k0, n_trials, n_pairs))
-            return draw_block(master_seed, k0, n_trials, n_pairs, **kwargs)
-
-        monkeypatch.setattr(mc, "_draw_block", recording)
+        drawn = record_draws(monkeypatch)
         dists = make_dists(np.linspace(0.3, 1.5, 20))
         o = np.random.default_rng(2).normal(0.0, 0.2, 20)
         systems = [
@@ -682,3 +689,31 @@ class TestRmseScoreBlocks:
         # 2 d.o + o.o is Gaussian with mean o.o and variance 4 sum(s2 o^2)
         mean, var = float(o @ o), 4.0 * float(np.sum(dists.variances * o * o))
         assert abs(values[1].mean() - mean) <= 3.891 * math.sqrt(var / values.shape[1])
+
+    @pytest.mark.parametrize(
+        "weights, rank",
+        [
+            ([(1.0, 0.0), (2.0, 0.0), (-1.0, 0.0)], 1),
+            ([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], 2),
+        ],
+        ids=["o-2o-minus-o", "o-p-o+p"],
+    )
+    def test_one_normal_per_pivot(self, monkeypatch, weights, rank):
+        # offsets a*o + b*p span `rank` directions: a trial draws that many
+        # normals, not one per distinct row, and the blocks stay prefixes
+        drawn = record_draws(monkeypatch)
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        o, p = np.random.default_rng(4).normal(0.0, 0.2, (2, 20))
+        systems = [
+            PredictorVector(keys=dists.keys, values=dists.means + a * o + b * p)
+            for a, b in weights
+        ]
+
+        def scores(tau):
+            cfg = MCConfig(trials=tau, master_seed=7)
+            return np.concatenate(list(mc._rmse_score_blocks(dists, systems, cfg)), axis=1)
+
+        values = scores(12_000)
+        assert drawn == [(0, 5461, rank), (5461, 5461, rank), (10922, 1078, rank)]
+        assert np.array_equal(scores(3000), values[:, :3000])
+        assert drawn[3:] == [(0, 3000, rank)]
