@@ -364,7 +364,13 @@ def _ordering_frequencies(
     coded = k**k <= np.iinfo(np.intp).max
     powers = k ** np.arange(k - 1, -1, -1, dtype=np.intp) if coded else None
     rank_type = np.min_scalar_type(k)
-    counts: dict = {}
+    # each block's distinct keys and counts, merged into the first entry
+    # whenever the blocks since the last merge hold more keys than it and
+    # than a floor: memory stays within about twice the distinct orderings
+    # (or the floor), and each key is merged O(log tau) times
+    keys_held: list[np.ndarray] = []
+    counts_held: list[np.ndarray] = []
+    unmerged = 0
     for values in blocks:
         # a system's rank counts the systems ahead of it: lower values, and
         # equal values at lower indices; k - 1 passes, each comparing every
@@ -376,21 +382,44 @@ def _ordering_frequencies(
             np.less_equal(values[:shift], values[k - shift :], out=ahead[k - shift :])
             ranks += ahead.view(np.uint8)
         if coded:
-            keys = powers @ ranks
+            # einsum's integer loop, ~5x faster than the matmul at 4 systems
+            keys = np.einsum("i,ij->j", powers, ranks)
         else:
             keys = np.ascontiguousarray(ranks.T).view(f"V{k * ranks.itemsize}").ravel()
         keys, block_counts = np.unique(keys, return_counts=True)
-        for key, count in zip(keys.tolist(), block_counts.tolist()):
-            counts[key] = counts.get(key, 0) + count
+        keys_held.append(keys)
+        counts_held.append(block_counts)
+        unmerged += keys.size
+        if unmerged > max(keys_held[0].size, _MERGE_FLOOR):
+            keys, block_counts = _merged_counts(keys_held, counts_held)
+            keys_held, counts_held, unmerged = [keys], [block_counts], 0
+    keys, counts = _merged_counts(keys_held, counts_held)
     # decode the distinct keys once: an ordering is the inverse permutation of
     # its ranks
     if coded:
-        ranks = np.array(np.unravel_index(list(counts), (k,) * k))
+        ranks = np.array(np.unravel_index(keys, (k,) * k))
     else:
-        ranks = np.frombuffer(b"".join(counts), dtype=rank_type).reshape(-1, k).T
+        ranks = np.frombuffer(keys.tobytes(), dtype=rank_type).reshape(-1, k).T
     orderings = np.empty_like(ranks)
     np.put_along_axis(orderings, ranks, np.arange(k)[:, None], axis=0)
     # row 0 leads lexsort's keys; counts < 2**53 divide by tau to int / int's bits
     order = np.lexsort(orderings[::-1])
-    frequencies = np.fromiter(counts.values(), np.float64, len(counts))[order] / tau
+    frequencies = counts[order] / tau
     return dict(zip(map(tuple, orderings.T[order].tolist()), frequencies.tolist()))
+
+
+# ordering keys held unmerged at most, whatever the distinct orderings
+_MERGE_FLOOR = 1 << 14
+
+
+def _merged_counts(
+    keys: list[np.ndarray], counts: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of ``keys``, each list entry sorted and distinct, in
+    sorted order, and each one's total over ``counts``."""
+    keys = np.concatenate(keys)
+    # a stable sort is a merge sort, which merges the sorted runs
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(np.concatenate(counts)[order], starts)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -626,7 +627,11 @@ def _cmd_transfer(args) -> tuple[dict, dict]:
 # parser wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    caller: each subcommand's ``func`` default looks its ``_cmd_*`` handler
+    up in this module when it runs, not when the parser is built."""
     parser = _Parser(
         prog="magicbarrier",
         description=(
@@ -657,21 +662,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="worker threads (capped at the usable CPUs)"
     )
 
-    def command(name, func, help, *parents):
+    def command(name, help, *parents):
         p = sub.add_parser(name, help=help, parents=[*parents, out])
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args: globals()[f"_cmd_{name}"](args))
         return p
 
-    p = command("ingest", _cmd_ingest, "fit per-pair Gaussians from a tensor CSV", scale)
+    p = command("ingest", "fit per-pair Gaussians from a tensor CSV", scale)
     p.add_argument("tensor", help="tensor CSV (header user,item,trial,rating)")
     p.add_argument("--alpha", type=float, default=0.05, help="KS significance level")
 
-    p = command("estimate", _cmd_estimate, "closed-form barrier distribution", metric)
+    p = command("estimate", "closed-form barrier distribution", metric)
     p.add_argument("pairs", help="pairs JSON from ingest")
 
-    p = command(
-        "simulate", _cmd_simulate, "Monte-Carlo metric distribution", metric, mc_flags
-    )
+    p = command("simulate", "Monte-Carlo metric distribution", metric, mc_flags)
     p.add_argument("pairs", help="pairs JSON from ingest")
     p.add_argument(
         "--predictors",
@@ -686,14 +689,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--values-out", default=None, help="raw float64 dump of all trials")
 
-    p = command("compare", _cmd_compare, "interference and improvement verdict")
+    p = command("compare", "interference and improvement verdict")
     p.add_argument("barrier", help="barrier JSON (estimate or simulate output)")
     p.add_argument("rmse", help="system metric JSON (estimate or simulate output)")
 
-    p = command(
-        "sensitivity", _cmd_sensitivity, "barrier moments over a parameter grid",
-        scale, fmt,
-    )
+    p = command("sensitivity", "barrier moments over a parameter grid", scale, fmt)
     p.add_argument("--axis", choices=["n", "variance"], required=True)
     p.add_argument("--grid", required=True, help="comma-separated axis values")
     p.add_argument(
@@ -703,26 +703,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="the non-axis quantity (variance for --axis n, pair count otherwise)",
     )
 
-    p = command(
-        "rankcurves", _cmd_rankcurves, "point-paradigm ranking error curves", fmt
-    )
+    p = command("rankcurves", "point-paradigm ranking error curves", fmt)
     p.add_argument("--variances", default=None, help="variance file (header: variance)")
     p.add_argument("--pairs", default=None, help="pairs JSON from ingest")
     p.add_argument("--deltas", required=True, help="relative differences, comma-separated")
     p.add_argument("--offsets", required=True, help="offset grid, comma-separated")
     p.add_argument("--noise-scale", type=float, default=1.0)
 
-    p = command(
-        "rank", _cmd_rank, "ranking distribution of several systems", metric, mc_flags
-    )
+    p = command("rank", "ranking distribution of several systems", metric, mc_flags)
     p.add_argument("pairs", help="pairs JSON from ingest")
     p.add_argument(
         "--predictors", nargs="+", required=True, help="one predictions CSV per system"
     )
 
-    p = command(
-        "transfer", _cmd_transfer, "barrier transfer onto a record without re-rating data"
-    )
+    p = command("transfer", "barrier transfer onto a record without re-rating data")
     p.add_argument("--rate", type=float, default=2.11, help="exponential rate of variances")
     p.add_argument("--count", type=int, default=2_800_000, help="ratings in the target record")
     p.add_argument("--bounds", default=None, help="optional truncation low,high")
@@ -738,6 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line on the process's one parser (``build_parser``)
+    and return its exit code."""
     try:
         args = build_parser().parse_args(argv)
         _check_output_dirs(args)

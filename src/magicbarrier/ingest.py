@@ -568,7 +568,14 @@ def parse_predictions(source: str, pairs: PairTable) -> PredictorVector:
 
     Raises :class:`DataFormatError` for a malformed, non-finite or duplicate
     record, with its 1-based line number, and for a pair without a prediction.
+
+    Plain text takes a path with no per-record Python; anything else, and any
+    text that path cannot accept whole, goes through the per-line reader, so
+    each error message and line number comes from that reader.
     """
+    values = _plain_predictions(source, pairs)
+    if values is not None:
+        return PredictorVector(keys=pairs.keys, values=values)
     table: dict[tuple[str, str], float] = {}
     for lineno, (user, item, value_s) in _records(source, PREDICTIONS_HEADER):
         try:
@@ -585,6 +592,42 @@ def parse_predictions(source: str, pairs: PairTable) -> PredictorVector:
     except KeyError as exc:
         raise DataFormatError(f"missing prediction for pair {exc.args[0]}") from None
     return PredictorVector(keys=pairs.keys, values=values)
+
+
+# Plain predictions text: the exact lower-case header, then one record per
+# LF-terminated line, of three fields of 1 to 1,024 characters free of
+# quotes, whitespace, NUL and byte-order marks (which the csv module and
+# strip() treat specially), so the csv module would split each line at its
+# commas alone
+_PLAIN_PREDICTIONS_HEADER = ",".join(PREDICTIONS_HEADER) + "\n"
+_PLAIN_FIELD = r'[^\s",\x00\ufeff]{1,1024}'
+_PLAIN_PREDICTIONS = re.compile(rf"(?:{_PLAIN_FIELD},{_PLAIN_FIELD},{_PLAIN_FIELD}\n)+")
+
+
+def _plain_predictions(source: str, pairs: PairTable) -> np.ndarray | None:
+    """The predictions of ``pairs`` in plain ``source``, checked by one
+    regular expression and read by C-level splits, maps and a dict; None
+    where the text is not plain or fails a check, for the per-line reader
+    to report."""
+    if not source.startswith(_PLAIN_PREDICTIONS_HEADER):
+        return None
+    body = source[len(_PLAIN_PREDICTIONS_HEADER) :]
+    if not body.endswith("\n"):
+        body += "\n"
+    if not _PLAIN_PREDICTIONS.fullmatch(body):
+        return None
+    fields = body.replace("\n", ",").split(",")[:-1]
+    try:
+        values = list(map(float, fields[2::3]))
+    except ValueError:
+        return None
+    table = dict(zip(zip(fields[0::3], fields[1::3]), values))
+    if len(table) < len(values) or not np.isfinite(values).all():
+        return None
+    try:
+        return np.array(list(map(table.__getitem__, pairs.keys)), dtype=np.float64)
+    except KeyError:
+        return None
 
 
 def parse_variances(source: str) -> np.ndarray:

@@ -56,7 +56,10 @@ is the rank of the K' rows (R's nonzero pivots), and takes its cross terms
 as ``w @ R`` over R's nonzero rows (ufuncs in a fixed order): exact in law,
 not the kernel's values. Offsets along one pattern, such as constant shifts,
 draw one normal whatever K'; linearly independent rows skip no pivot and
-draw all K'. A block holds ``max(1, _RANK_BLOCK_ELEMENTS // K)`` trials
+draw all K'. A block's K score rows are gathered from its cross terms in
+one take, with a trailing zero row for the systems whose offsets are zero,
+then doubled and shifted by ``o.o`` in place: no mask, repeat or per-system
+copy. A block holds ``max(1, _RANK_BLOCK_ELEMENTS // K)`` trials
 (4,096 at K = 4) and draws from the ``(master_seed, k0)`` stream that
 :func:`simulate_metric_shared` uses for its block at k0. The blocks run one
 after another on the calling thread, one block in memory at a time: each is
@@ -376,7 +379,10 @@ def _rmse_score_blocks(
     order the systems as unclipped RMSE does, from one normal per trial for
     each nonzero pivot of the distinct offset rows' factor, i.e. the rank of
     those rows (module notes): one new (K, trials in block) array per block,
-    in trial order, on the calling thread."""
+    in trial order, on the calling thread. Each block accumulates the cross
+    terms ``d.o`` of the distinct rows over the kept pivots, gathers one row
+    per system (a trailing zero row for the systems that do not move), and
+    doubles and adds ``o.o`` in place."""
     offsets = _offsets(dists, predictor_list)
     rows = np.sqrt(dists.variances) * offsets
     moved = rows.any(axis=1)
@@ -388,18 +394,24 @@ def _rmse_score_blocks(
     factor = _gram_factor(basis)
     # a dependent row's factor row is zero, so only nonzero pivots take a normal
     pivots = np.flatnonzero(np.diagonal(factor)).tolist()
-    squares = np.einsum("ij,ij->i", offsets, offsets)
+    squares = np.einsum("ij,ij->i", offsets, offsets)[:, None]
+    # each system's row of cross terms; a system that does not move reads the
+    # trailing zero row
+    gather = np.full(len(offsets), len(basis))
+    gather[moved] = column
     block = max(1, _RANK_BLOCK_ELEMENTS // len(offsets))
 
     for k0 in range(0, cfg.trials, block):
         nt = min(block, cfg.trials - k0)
-        # one contiguous row of draws per pivot
-        w = _draw_block(cfg.master_seed, k0, nt, len(pivots)).T.copy()
+        # one contiguous row of draws per pivot, a view when there is one
+        w = np.ascontiguousarray(_draw_block(cfg.master_seed, k0, nt, len(pivots)).T)
         # not a BLAS product, so that a trial's bits do not depend on nt
-        cross = np.zeros((len(basis), nt))
+        cross = np.zeros((len(basis) + 1, nt))
         term = np.empty_like(cross)
         for j, p in enumerate(pivots):
-            cross[p:] += np.multiply(factor[p, p:, None], w[j], out=term[p:])
-        values = np.repeat(squares[:, None], nt, axis=1)
-        values[moved] += 2.0 * cross[column]
+            cross[p:-1] += np.multiply(factor[p, p:, None], w[j], out=term[p:-1])
+        # squares + 2*cross: doubling is exact and the sum commutes
+        values = cross.take(gather, axis=0)
+        values *= 2.0
+        values += squares
         yield values

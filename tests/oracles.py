@@ -214,3 +214,31 @@ def interference_probability_mc(
     da = a.mean + a.std * rng.standard_normal(trials)
     db = b.mean + b.std * rng.standard_normal(trials)
     return float(np.mean(da > db))
+
+
+def masked_rmse_score_blocks(dists: PairTable, systems, cfg) -> list[np.ndarray]:
+    """rank's RMSE score blocks as ``squares + 2.0 * cross[column]`` over the
+    systems that move and ``squares`` alone elsewhere, from the same pivots,
+    draws and cross-term loop as ``mc._rmse_score_blocks``: the per-system
+    masked update that the single row gather replaced."""
+    offsets = mc._offsets(dists, systems)
+    rows = np.sqrt(dists.variances) * offsets
+    moved = rows.any(axis=1)
+    first: dict[bytes, int] = {}
+    column = [first.setdefault(o.tobytes(), len(first)) for o in offsets[moved]]
+    basis = rows[moved][[column.index(j) for j in range(len(first))]]
+    factor = mc._gram_factor(basis)
+    pivots = np.flatnonzero(np.diagonal(factor)).tolist()
+    squares = np.einsum("ij,ij->i", offsets, offsets)
+    block = max(1, mc._RANK_BLOCK_ELEMENTS // len(offsets))
+    blocks = []
+    for k0 in range(0, cfg.trials, block):
+        nt = min(block, cfg.trials - k0)
+        w = mc._draw_block(cfg.master_seed, k0, nt, len(pivots)).T.copy()
+        cross = np.zeros((len(basis), nt))
+        for j, p in enumerate(pivots):
+            cross[p:] += factor[p, p:, None] * w[j]
+        values = np.repeat(squares[:, None], nt, axis=1)
+        values[moved] += 2.0 * cross[column]
+        blocks.append(values)
+    return blocks

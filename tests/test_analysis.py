@@ -678,6 +678,21 @@ class TestOrderingCounter:
         blocks += [rng.integers(0, 3, (k, nt)).astype(np.float64) for nt in widths[1:]]
         self.check(blocks, k)
 
+    @pytest.mark.parametrize("k", [2, 4, 16, 17])
+    def test_counts_merged_across_blocks(self, monkeypatch, k):
+        # with no floor, the held keys are merged whenever the blocks since
+        # the last merge hold more of them than it left
+        monkeypatch.setattr(analysis, "_MERGE_FLOOR", 0)
+        merges = []
+        merged_counts = analysis._merged_counts
+        monkeypatch.setattr(
+            analysis, "_merged_counts", lambda *a: merges.append(1) or merged_counts(*a)
+        )
+        rng = np.random.default_rng(k)
+        blocks = [rng.integers(0, 4, (k, nt)).astype(np.float64) for nt in [1, 60] * 20]
+        self.check(blocks, k)
+        assert len(merges) > 2
+
     @pytest.mark.parametrize("k", COUNTER_KS)
     def test_rmse_blocks(self, k):
         dists = make_dists(np.linspace(0.3, 1.5, 20))

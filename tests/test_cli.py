@@ -1877,3 +1877,35 @@ class TestImports:
         )
         loaded = json.loads(child.stdout)
         assert loaded == {label: [] for label in ["import magicbarrier.cli", *dict(runs)]}
+
+
+class TestParserBuiltOnce:
+    """``main`` parses every command line with one parser per process; a flag
+    given to one call must not reach the next."""
+
+    CHILD = "import sys\nfrom magicbarrier import cli\nraise SystemExit(cli.main(sys.argv[1:]))\n"
+
+    def test_calls_in_one_process_match_single_calls(self, pairs_file, capsys):
+        pairs = str(pairs_file)
+        argvs = [
+            ["simulate", pairs, "--tau", "300", "--clip", "--bins", "7"],
+            ["simulate", pairs, "--tau", "300"],
+        ]
+        together = []
+        for argv in argvs:
+            assert main(argv) == 0
+            together.append(capsys.readouterr().out)
+        assert build_parser() is build_parser()
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        single = [
+            subprocess.run(
+                [sys.executable, "-c", self.CHILD, *argv],
+                capture_output=True, text=True, env=env, timeout=300, check=True,
+            ).stdout
+            for argv in argvs
+        ]
+        assert together == single
+        assert together[0] != together[1]
+        assert '"bins": 7' in together[0] and '"bins": 7' not in together[1]

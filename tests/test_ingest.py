@@ -735,3 +735,85 @@ class TestRecordDialect:
         )
         assert predictions.values.tolist() == [1e-3, 3.5, -0.25]
         assert parse_variances('variance\n"0.5\n\n"\n1.25\n').tolist() == [0.5, 1.25]
+
+
+def per_line_predictions(text, pairs):
+    """``parse_predictions`` with its plain path closed: the per-line reader's
+    predictor, or its error message."""
+    with mock.patch.object(ingest, "_plain_predictions", return_value=None):
+        try:
+            return parse_predictions(text, pairs)
+        except DataFormatError as exc:
+            return str(exc)
+
+
+# id and value pieces that the plain path refuses or the csv module and
+# strip() treat specially, beside plain ones
+_ID_PIECES = ["u", "i", "7", "é", " ", "\t", '"', "\ufeff", "\x00", "\u2028", "x" * 1025]
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e999", "-inf", "nan", "abc", "", " 2.5", "1_0", "+.5", "3.", '"4"']),
+)
+
+
+@st.composite
+def predictions_files(draw):
+    """Predictions text with quotes, spaces, CRLF, BOM, blank lines, duplicate
+    and overlong ids and non-finite values, and pairs that may miss a key."""
+    ids = st.lists(st.sampled_from(_ID_PIECES), min_size=1, max_size=3).map("".join)
+    records = draw(st.lists(st.tuples(ids, ids, _VALUES), max_size=6))
+    lines = [",".join(record) for record in records]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    header = draw(st.sampled_from(
+        ["user,item,prediction", "User,Item,Prediction", "\ufeffuser,item,prediction",
+         " user, item,prediction"]
+    ))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([header, *lines]) + draw(st.sampled_from(["", end]))
+    keys = list(dict.fromkeys((u.strip(), i.strip()) for u, i, _ in records))
+    keys = draw(st.permutations(keys))[: draw(st.integers(0, len(keys)))]
+    if draw(st.booleans()) or not keys:
+        keys.append(("missing", "pair"))
+    return text, PairTable(keys, np.zeros(len(keys)), np.ones(len(keys)))
+
+
+class TestPlainPredictions:
+    @settings(max_examples=300, deadline=None)
+    @given(predictions_files())
+    def test_same_result_as_the_per_line_reader(self, case):
+        text, pairs = case
+        expected = per_line_predictions(text, pairs)
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as exc:
+                parse_predictions(text, pairs)
+            assert str(exc.value) == expected
+        else:
+            got = parse_predictions(text, pairs)
+            assert got.keys == expected.keys
+            assert got.values.tobytes() == expected.values.tobytes()
+
+    def test_plain_text_skips_the_record_reader(self):
+        text = PLAIN_PREDICTIONS.rstrip("\n")
+        with mock.patch.object(ingest, "_records", side_effect=AssertionError):
+            assert parse_predictions(text, PREDICTED_PAIRS).values.tolist() == [1e-3, 3.5, -0.25]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            PLAIN_PREDICTIONS.replace("u1", '"u1"'),
+            PLAIN_PREDICTIONS.replace("\n", "\r\n"),
+            PLAIN_PREDICTIONS.replace("u1", "u" * 1025),
+            PLAIN_PREDICTIONS + "u0,i0,3.5\n",
+            PLAIN_PREDICTIONS.replace("3.5", "inf"),
+            "user,item,prediction\n",
+        ],
+        ids=["quote", "crlf", "overlong-id", "duplicate", "non-finite", "no-records"],
+    )
+    def test_other_text_goes_to_the_record_reader(self, text):
+        with mock.patch.object(ingest, "_records", wraps=ingest._records) as records:
+            try:
+                parse_predictions(text, PREDICTED_PAIRS)
+            except DataFormatError:
+                pass
+        assert records.called

@@ -23,7 +23,7 @@ from magicbarrier import (
 )
 
 from conftest import make_dists
-from oracles import block_draws, evaluate_metric_once
+from oracles import block_draws, evaluate_metric_once, masked_rmse_score_blocks
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_VAR = 1.0 - 2.0 / math.pi
@@ -717,3 +717,23 @@ class TestRmseScoreBlocks:
         assert drawn == [(0, 5461, rank), (5461, 5461, rank), (10922, 1078, rank)]
         assert np.array_equal(scores(3000), values[:, :3000])
         assert drawn[3:] == [(0, 3000, rank)]
+
+    def test_gathered_rows_match_the_masked_update(self):
+        # an unmoved system, two identical ones, a dependent row and two
+        # independent rows: the gathered, doubled and shifted rows carry the
+        # bits of squares + 2.0 * cross[column] in every block, the last short
+        dists = make_dists(np.linspace(0.3, 1.5, 20))
+        o, p = np.random.default_rng(6).normal(0.0, 0.2, (2, 20))
+        shifts = [np.zeros(20), o, p, o, -2.0 * o, 3.0 * o - p, np.zeros(20)]
+        systems = [
+            PredictorVector(keys=dists.keys, values=dists.means + shift)
+            for shift in shifts
+        ]
+        cfg = MCConfig(trials=5000, master_seed=13)
+        ours = list(mc._rmse_score_blocks(dists, systems, cfg))
+        reference = masked_rmse_score_blocks(dists, systems, cfg)
+        assert [b.shape for b in ours] == [(7, 2340), (7, 2340), (7, 320)]
+        for got, want in zip(ours, reference, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert np.all(ours[0][[0, 6]] == 0.0)
+        assert np.array_equal(ours[0][1], ours[0][3])
