@@ -339,8 +339,8 @@ def rank_distribution(
     per-pair simulation but not its bits (``mc`` module notes), on the
     calling thread; MAE ranks the per-pair simulation on up to ``workers``
     threads. Each block of trials is reduced to ordering counts as it is
-    yielded, so memory holds the blocks in flight and one count per distinct
-    ordering, never the K x tau values.
+    yielded, so memory holds the blocks in flight and at most about two
+    counts per distinct ordering (or 16,384), never the K x tau values.
     """
     if not systems:
         raise ValueError("need at least one system")
@@ -362,7 +362,12 @@ def _ordering_frequencies(
     # np.unique(axis=1) at 4 systems x 200k trials; beyond, one byte-string
     # key per trial's ranks, ~10x faster than np.unique(axis=1) at 16 systems
     coded = k**k <= np.iinfo(np.intp).max
-    powers = k ** np.arange(k - 1, -1, -1, dtype=np.intp) if coded else None
+    if coded:
+        # the narrowest code type from 16 bits up: einsum's integer loop and
+        # the sort take about half the time of intp at 4 systems (8-bit
+        # codes sort slower)
+        code_type = np.promote_types(np.min_scalar_type(k**k - 1), np.uint16)
+        powers = (k ** np.arange(k - 1, -1, -1, dtype=np.intp)).astype(code_type)
     rank_type = np.min_scalar_type(k)
     # each block's distinct keys and counts, merged into the first entry
     # whenever the blocks since the last merge hold more keys than it and
@@ -382,7 +387,6 @@ def _ordering_frequencies(
             np.less_equal(values[:shift], values[k - shift :], out=ahead[k - shift :])
             ranks += ahead.view(np.uint8)
         if coded:
-            # einsum's integer loop, ~5x faster than the matmul at 4 systems
             keys = np.einsum("i,ij->j", powers, ranks)
         else:
             keys = np.ascontiguousarray(ranks.T).view(f"V{k * ranks.itemsize}").ravel()

@@ -33,7 +33,9 @@ all chunks, finds the distinct pairs, and only those are decoded. Ranked by
 the record each first appears in, they give the pair codes. Ranges and
 duplicate triples are then checked with numpy. Any other text, and any text
 that fails a check, goes through the per-line parser on the record reader,
-which owns every error message and line number.
+which owns every error message and line number. Plain predictions text
+takes a path of the same kind: one regular expression checks the whole
+text, and C-level splits, ``float`` maps and one dict read it.
 
 A tensor is grouped by pair once, on first use, by one stable sort of its
 records; the fit and the KS pass both gather their per-length blocks from
