@@ -334,7 +334,7 @@ def rank_distribution(
     system index.
 
     RMSE trials draw r normals, not one per pair, where r is the rank of the
-    distinct nonzero offset rows (one for constant shifts, one per system for
+    distinct offset rows (one for constant shifts, one per system for
     linearly independent offsets), which gives the orderings the law of the
     per-pair simulation but not its bits (``mc`` module notes), on the
     calling thread; MAE ranks the per-pair simulation on up to ``workers``

@@ -739,7 +739,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_output_dirs(args)
         _emit(args, *args.func(args))
         return EXIT_OK
-    except _UsageError as exc:
+    # a size flag past memory; numpy names the array, and no byte is written yet
+    except (_UsageError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataFormatError, ValueError) as exc:

@@ -247,12 +247,13 @@ def variance_bounds(scale: ScaleSpec) -> tuple[float, float]:
         return sum((x - m) ** 2 for x in multiset) / t
 
     low, high = scale.min_category, scale.max_category
-    one_off = [
+    # generators, so memory stays O(t) however wide the scale
+    one_off = (
         multiset
         for c in range(low, high)
         for multiset in ((c,) * (t - 1) + (c + 1,), (c,) + (c + 1,) * (t - 1))
-    ]
-    split = [(low,) * k + (high,) * (t - k) for k in {t // 2, t - t // 2}]
+    )
+    split = ((low,) * k + (high,) * (t - k) for k in {t // 2, t - t // 2})
     return min(map(variance, one_off)), max(map(variance, split))
 
 

@@ -38,8 +38,8 @@ takes a path of the same kind: one regular expression checks the whole
 text, and C-level splits, ``float`` maps and one dict read it.
 
 A tensor is grouped by pair once, on first use, by one stable sort of its
-records; the fit and the KS pass both gather their per-length blocks from
-that one group-by by fancy indexing.
+records; one iterator gathers each slice length's block from it by fancy
+indexing, for the fit over all pairs and the KS pass over nonconstant ones.
 
 Two statistical utilities complete the module: a one-sample Kolmogorov-Smirnov
 test of the per-slice normality assumption, run over all slices of one length
@@ -121,11 +121,14 @@ class RatingTensor:
         ratings.setflags(write=False)
         return ratings, counts, np.cumsum(counts) - counts
 
-    def _length_block(self, rows: np.ndarray, n: int) -> np.ndarray:
-        """The ratings of pairs ``rows``, each of length ``n``, as a float64
-        (rows, n) block, every row in record order."""
-        ratings, _, starts = self._grouped
-        return ratings[starts[rows, None] + np.arange(n)]
+    def _length_blocks(self, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For each slice length n among pairs ``rows``, those of its pairs and
+        their ratings as a float64 (pairs, n) block, every row in record order."""
+        ratings, counts, starts = self._grouped
+        lengths = counts[rows]
+        for n in np.unique(lengths).tolist():
+            at = rows[lengths == n]
+            yield at, ratings[starts[at, None] + np.arange(n)]
 
     def pair_slices(self) -> list[np.ndarray]:
         """Each pair's ratings in record order, indexed by pair code, as
@@ -391,12 +394,9 @@ def fit_pair_gaussians(tensor: RatingTensor) -> PairTable:
     """
     if not len(tensor):
         raise DegenerateInputError("cannot fit an empty tensor")
-    _, counts, _ = tensor._grouped
-    means = np.empty(counts.size)
-    variances = np.empty(counts.size)
-    for n in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == n)
-        block = tensor._length_block(rows, n)
+    means = np.empty(len(tensor.pair_keys))
+    variances = np.empty(len(tensor.pair_keys))
+    for rows, block in tensor._length_blocks(np.arange(means.size)):
         means[rows] = block.mean(axis=1)
         variances[rows] = block.var(axis=1)
     # parsed keys are unique; in-scale ratings fit finite means, variances >= 0
@@ -470,10 +470,10 @@ def ks_test_slices(
     """KS-test every nonconstant slice of ``tensor`` against its fitted Gaussian.
 
     ``pairs`` is the tensor's fit (rows by pair code, as
-    :func:`fit_pair_gaussians` returns them). Gathers the slices with nonzero
-    variance by length from the tensor's one group-by, the one the fit uses,
-    and tests each length's block in one pass, with the arithmetic of
-    :func:`ks_normality_test`; returns ``(tested, rejected)``.
+    :func:`fit_pair_gaussians` returns them). Walks the slices with nonzero
+    variance through the fit's per-length blocks and tests each block in one
+    pass, with the arithmetic of :func:`ks_normality_test`; returns
+    ``(tested, rejected)``.
     """
     if pairs.keys != tensor.pair_keys:
         raise ValueError("pairs must be the fit of the tensor, row by pair code")
@@ -481,15 +481,12 @@ def ks_test_slices(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     # a slice with nonzero variance has at least two ratings; the reference
     # std is sqrt(sigma * sigma), as GaussianSummary(mu, sigma**2).std
-    _, counts, _ = tensor._grouped
     tested = np.flatnonzero(pairs.variances > 0.0)
-    tested_lengths = counts[tested]
     sigmas = np.sqrt(pairs.variances)
     stds = np.sqrt(sigmas * sigmas)
     rejected = 0
-    for n in np.unique(tested_lengths).tolist():
-        rows = tested[tested_lengths == n]
-        _, p = _ks_block(tensor._length_block(rows, n), pairs.means[rows], stds[rows])
+    for rows, block in tensor._length_blocks(tested):
+        _, p = _ks_block(block, pairs.means[rows], stds[rows])
         rejected += int(np.count_nonzero(p < alpha))
     return int(tested.size), rejected
 

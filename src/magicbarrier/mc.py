@@ -48,18 +48,18 @@ Rank's RMSE stream
 ------------------
 For unclipped RMSE every system shares ``sum(d^2)``, so
 ``analysis.rank_distribution`` orders them by ``2*d.o + o.o``, linear in the
-draws: the cross terms of the K' distinct nonzero rows ``sigma * o`` are
-jointly Gaussian. Their Gram matrix has the upper-triangular factor R, built
-once by modified Gram-Schmidt in einsum (no LAPACK), in which a dependent row
-gets a zero pivot and a zero row. A trial draws r normals w, not N, where r
-is the rank of the K' rows (R's nonzero pivots), and takes its cross terms
-as ``w @ R`` over R's nonzero rows (ufuncs in a fixed order): exact in law,
-not the kernel's values. Offsets along one pattern, such as constant shifts,
-draw one normal whatever K'; linearly independent rows skip no pivot and
-draw all K'. A block's K score rows are gathered from its cross terms in
-one take, with a trailing zero row for the systems whose offsets are zero,
-then doubled and shifted by ``o.o`` in place: no mask, repeat or per-system
-copy. A block holds ``max(1, _RANK_BLOCK_ELEMENTS // K)`` trials
+draws: the cross terms of the K' distinct rows ``sigma * o`` are jointly
+Gaussian. Their Gram matrix has the upper-triangular factor R, built once by
+modified Gram-Schmidt in einsum (no LAPACK), in which a dependent row gets a
+zero pivot and a zero row; so does the zero row of a system that does not
+move. A trial draws r normals w, not N, where r is the rank of the K' rows
+(R's nonzero pivots), and takes its cross terms as ``w @ R`` over R's
+nonzero rows (ufuncs in a fixed order): exact in law, not the kernel's
+values. Offsets along one pattern, such as constant shifts, draw one normal
+whatever K'; linearly independent rows skip no pivot and draw all K'. A
+block's K score rows are gathered from its cross terms in one take, then
+doubled and shifted by ``o.o`` in place: no mask, repeat or per-system copy.
+A block holds ``max(1, _RANK_BLOCK_ELEMENTS // K)`` trials
 (4,096 at K = 4) and draws from the ``(master_seed, k0)`` stream that
 :func:`simulate_metric_shared` uses for its block at k0. The blocks run one
 after another on the calling thread, one block in memory at a time: each is
@@ -380,25 +380,19 @@ def _rmse_score_blocks(
     each nonzero pivot of the distinct offset rows' factor, i.e. the rank of
     those rows (module notes): one new (K, trials in block) array per block,
     in trial order, on the calling thread. Each block accumulates the cross
-    terms ``d.o`` of the distinct rows over the kept pivots, gathers one row
-    per system (a trailing zero row for the systems that do not move), and
-    doubles and adds ``o.o`` in place."""
+    terms ``d.o`` of the distinct rows over the kept pivots (a system that
+    does not move has a zero row, so no pivot and zero cross terms), gathers
+    one row per system, and doubles and adds ``o.o`` in place."""
     offsets = _offsets(dists, predictor_list)
-    rows = np.sqrt(dists.variances) * offsets
-    moved = rows.any(axis=1)
     # equal offsets share one factor row, so identical systems tie; a dict of
     # row bytes, as np.unique(axis=0) builds a dtype with N fields
     first: dict[bytes, int] = {}
-    column = [first.setdefault(o.tobytes(), len(first)) for o in offsets[moved]]
-    basis = rows[moved][[column.index(j) for j in range(len(first))]]
+    column = [first.setdefault(o.tobytes(), len(first)) for o in offsets]
+    basis = np.sqrt(dists.variances) * offsets[[column.index(j) for j in range(len(first))]]
     factor = _gram_factor(basis)
-    # a dependent row's factor row is zero, so only nonzero pivots take a normal
+    # a dependent or zero row has a zero factor row: only nonzero pivots draw
     pivots = np.flatnonzero(np.diagonal(factor)).tolist()
     squares = np.einsum("ij,ij->i", offsets, offsets)[:, None]
-    # each system's row of cross terms; a system that does not move reads the
-    # trailing zero row
-    gather = np.full(len(offsets), len(basis))
-    gather[moved] = column
     block = max(1, _RANK_BLOCK_ELEMENTS // len(offsets))
 
     for k0 in range(0, cfg.trials, block):
@@ -406,12 +400,12 @@ def _rmse_score_blocks(
         # one contiguous row of draws per pivot, a view when there is one
         w = np.ascontiguousarray(_draw_block(cfg.master_seed, k0, nt, len(pivots)).T)
         # not a BLAS product, so that a trial's bits do not depend on nt
-        cross = np.zeros((len(basis) + 1, nt))
+        cross = np.zeros((len(basis), nt))
         term = np.empty_like(cross)
         for j, p in enumerate(pivots):
-            cross[p:-1] += np.multiply(factor[p, p:, None], w[j], out=term[p:-1])
+            cross[p:] += np.multiply(factor[p, p:, None], w[j], out=term[p:])
         # squares + 2*cross: doubling is exact and the sum commutes
-        values = cross.take(gather, axis=0)
+        values = cross.take(column, axis=0)
         values *= 2.0
         values += squares
         yield values

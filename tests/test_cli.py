@@ -1803,6 +1803,26 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["simulate", "PAIRS", "--tau", "100000000000000"],
+            ["simulate", "PAIRS", "--tau", "10", "--bins", "100000000000000"],
+            ["transfer", "--count", "100000000000000"],
+        ],
+        ids=["tau", "bins", "count"],
+    )
+    def test_size_past_memory_is_a_usage_error(self, capsys, pairs_file, argv):
+        """10**14 float64 values take 728 TiB, past the 128 TiB address
+        space, so the allocation fails under any overcommit setting; the
+        bins case fails only after the simulation has run."""
+        capsys.readouterr()
+        argv = [str(pairs_file) if arg == "PAIRS" else arg for arg in argv]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"usage error: Unable to allocate 728\. TiB for an array .*\n", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["transfer", "--count", "100", "--bounds", "-0.5,1"],
             ["transfer", "--count", "100", "--competitor-mean", "-0.25"],
             ["transfer", "--count", "100", "--rate", "-.5"],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ class TestVarianceBounds:
         for trials in range(2, 13):
             scale = ScaleSpec(1, hi, trials)
             assert variance_bounds(scale) == enumerated_variance_bounds(scale)
+
+    def test_memory_stays_small_on_a_wide_scale(self):
+        # a width of 10**5 has 2 * 10**5 extremal one-off multisets: held as
+        # lists they peaked near 26 MiB
+        tracemalloc.start()
+        try:
+            low, high = variance_bounds(ScaleSpec(0, 10**5, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert low == pytest.approx(0.16) and high == pytest.approx(0.24e10)
+        assert peak < 1 << 20
 
 
 class TestGaussianCdf:

@@ -325,6 +325,28 @@ class TestFitPairGaussians:
             arr = np.asarray(ratings, dtype=np.float64)
             assert fits.means[row] == arr.mean() and fits.variances[row] == arr.var()
 
+    def test_length_blocks_gather_each_requested_row_once(self):
+        # slices of 1 to 12 ratings; the requested rows skip every slice of
+        # lengths 3 and 7 and every fifth pair of the others
+        rng = np.random.default_rng(8)
+        slices = {(f"u{k}", "i"): rng.integers(1, 6, 1 + k % 12).tolist()
+                  for k in range(120)}
+        tensor = parse_tensor(make_tensor_csv(slices), ScaleSpec(1, 5, 12))
+        pair_slices = tensor.pair_slices()
+        lengths = np.array([len(s) for s in pair_slices])
+        rows = np.flatnonzero((lengths != 3) & (lengths != 7) & (np.arange(120) % 5 != 0))
+        seen, block_lengths = [], []
+        for at, block in tensor._length_blocks(rows):
+            n = block.shape[1]
+            assert block.dtype == np.float64 and block.shape == (at.size, n)
+            assert np.all(lengths[at] == n)
+            for row, ratings in zip(at.tolist(), block):
+                assert np.array_equal(ratings, pair_slices[row])
+            seen.extend(at.tolist())
+            block_lengths.append(n)
+        assert sorted(seen) == rows.tolist()
+        assert block_lengths == [1, 2, 4, 5, 6, 8, 9, 10, 11, 12]
+
     def test_empty_tensor_rejected(self, scale_5star):
         tensor = parse_tensor("user,item,trial,rating\n", scale_5star)
         with pytest.raises(DegenerateInputError):

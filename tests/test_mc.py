@@ -737,3 +737,47 @@ class TestRmseScoreBlocks:
             assert got.tobytes() == want.tobytes()
         assert np.all(ours[0][[0, 6]] == 0.0)
         assert np.array_equal(ours[0][1], ours[0][3])
+
+    def test_unmoved_systems_are_the_zero_row(self, monkeypatch):
+        # unmoved systems first, in the middle and last (one of them offset
+        # only on a pair of zero variance, so its row is zero too), two
+        # identical moved systems and a dependent row: a trial draws r = 2
+        # normals, and every block carries the bits of the masked update
+        drawn = record_draws(monkeypatch)
+        variances = np.linspace(0.3, 1.5, 20)
+        variances[0] = 0.0
+        dists = make_dists(variances)
+        o, p = np.random.default_rng(11).normal(0.0, 0.2, (2, 20))
+        edge = np.zeros(20)
+        edge[0] = 0.5
+        shifts = [np.zeros(20), o, edge, np.zeros(20), p, o, 3.0 * o - p, np.zeros(20)]
+        systems = [
+            PredictorVector(keys=dists.keys, values=dists.means + shift)
+            for shift in shifts
+        ]
+        cfg = MCConfig(trials=5000, master_seed=17)
+        ours = list(mc._rmse_score_blocks(dists, systems, cfg))
+        assert drawn == [(0, 2048, 2), (2048, 2048, 2), (4096, 904, 2)]
+        reference = masked_rmse_score_blocks(dists, systems, cfg)
+        for got, want in zip(ours, reference, strict=True):
+            assert got.tobytes() == want.tobytes()
+        values = np.concatenate(ours, axis=1)
+        assert np.all(values[[0, 3, 7]] == 0.0)
+        assert np.all(values[2] == 0.25)
+        assert np.array_equal(values[1], values[5])
+
+    def test_all_unmoved_systems_draw_no_normal(self, monkeypatch):
+        # a mean of -0.0 less a prediction of +0.0 is -0.0, so the systems
+        # carry two byte patterns of zero offsets: two zero rows, no pivot
+        drawn = record_draws(monkeypatch)
+        dists = make_dists(np.linspace(0.3, 1.5, 20), means=np.full(20, -0.0))
+        systems = [
+            PredictorVector(keys=dists.keys, values=values)
+            for values in (dists.means.copy(), np.zeros(20), dists.means.copy())
+        ]
+        cfg = MCConfig(trials=12_000, master_seed=7)
+        values = np.concatenate(list(mc._rmse_score_blocks(dists, systems, cfg)), axis=1)
+        assert drawn == [(0, 5461, 0), (5461, 5461, 0), (10922, 1078, 0)]
+        assert values.shape == (3, 12_000)
+        assert np.all(values == 0.0) and not np.signbit(values).any()
+        assert rank_distribution(systems, dists, MetricKind.RMSE, cfg) == {(0, 1, 2): 1.0}
