@@ -228,33 +228,30 @@ def variance_bounds(scale: ScaleSpec) -> tuple[float, float]:
     Returns ``(min nonzero variance, max variance)`` over all multisets of
     ``num_trials`` scale categories. The smallest nonzero variance,
     (t - 1)/t^2, comes only from one rating one step off the others; the
-    largest from splitting the ratings between the two scale ends as evenly
-    as possible. The variance expression is evaluated on exactly those
-    multisets, as sorted tuples, so the bounds carry the bits an exhaustive
-    enumeration of sorted multisets would give.
+    largest, k(t - k)(max - min)^2/t^2 with k = t // 2, from splitting the
+    ratings between the two scale ends as evenly as possible. Each is one
+    division of exact integers, so each is correctly rounded.
 
     Raises :class:`DegenerateInputError` for fewer than two trials, where no
-    nonzero variance is attainable.
+    nonzero variance is attainable, and ``ValueError`` where a bound leaves
+    float64.
     """
     t = scale.num_trials
     if t < 2:
         raise DegenerateInputError(
             f"no nonzero variance attainable with num_trials={t}"
         )
-
-    def variance(multiset: tuple[int, ...]) -> float:
-        m = sum(multiset) / t
-        return sum((x - m) ** 2 for x in multiset) / t
-
-    low, high = scale.min_category, scale.max_category
-    # generators, so memory stays O(t) however wide the scale
-    one_off = (
-        multiset
-        for c in range(low, high)
-        for multiset in ((c,) * (t - 1) + (c + 1,), (c,) + (c + 1,) * (t - 1))
-    )
-    split = ((low,) * k + (high,) * (t - k) for k in {t // 2, t - t // 2})
-    return min(map(variance, one_off)), max(map(variance, split))
+    # as Python integers, which do not wrap
+    t, lo, hi = int(t), int(scale.min_category), int(scale.max_category)
+    k = t // 2
+    low = (t - 1) / t**2
+    try:
+        high = k * (t - k) * (hi - lo) ** 2 / t**2
+    except OverflowError:
+        raise ValueError(f"the variance of {t} ratings in [{lo}, {hi}] overflows float64")
+    if low == 0.0:
+        raise ValueError(f"the smallest nonzero variance of {t} ratings underflows float64")
+    return low, high
 
 
 def gaussian_cdf(g: GaussianSummary, x):

@@ -19,23 +19,23 @@ before the text ends) and are stripped, blank lines are skipped, LF and CRLF
 endings both work, and every malformed record, the csv module's own errors
 included, is a :class:`DataFormatError` with its 1-based line number.
 
-Tensor parsing takes a block-wise fast path when the text is plain: the exact
-lower-case header, LF line endings, no blank lines, ids without quotes, NUL
-or whitespace, and trial and rating fields of ASCII digits. The text is read
-about 64 KiB at a time (which bounds the per-record work arrays alive at
-once), in numpy over its UTF-8 bytes, so no Python object is made per
-record: the comma and LF positions give every field's extent, a byte table
-refuses quotes, NUL and ASCII whitespace (one regular-expression search finds
-any other whitespace in text that is not ASCII), and the digit fields are
-converted one digit position at a time. Each record's "user,item" bytes are
-grouped by their length; one ``np.unique`` over each length's block, across
-all chunks, finds the distinct pairs, and only those are decoded. Ranked by
-the record each first appears in, they give the pair codes. Ranges and
-duplicate triples are then checked with numpy. Any other text, and any text
-that fails a check, goes through the per-line parser on the record reader,
-which owns every error message and line number. Plain predictions text
-takes a path of the same kind: one regular expression checks the whole
-text, and C-level splits, ``float`` maps and one dict read it.
+Tensor and predictions parsing take one fast path when the text is plain:
+the exact lower-case header, LF line endings, no blank lines, and fields free
+of quotes, NUL and whitespace, each at most its limit of UTF-8 bytes (1,024
+for ids and predictions, 18 ASCII digits for trials and ratings). One chunk
+loop reads such text about 64 KiB at a time (which bounds the per-record work
+arrays alive at once), in numpy over its UTF-8 bytes: the comma and LF
+positions give every field's extent, and a byte table refuses quotes, NUL and
+ASCII whitespace (one regular-expression search finds any other whitespace in
+text that is not ASCII). A tensor makes no Python object per record: its
+digit fields are converted one digit position at a time, and each record's
+"user,item" bytes are grouped by their length; one ``np.unique`` over each
+length's block, across all chunks, finds the distinct pairs, and only those
+are decoded. Ranked by the record each first appears in, they give the pair
+codes. Ranges and duplicate triples are then checked with numpy. Predictions
+are read by C-level splits, ``float`` maps and one dict. Any other text, and
+any text that fails a check, goes through the per-line parser on the record
+reader, which owns every error message and line number.
 
 A tensor is grouped by pair once, on first use, by one stable sort of its
 records; one iterator gathers each slice length's block from it by fancy
@@ -59,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -160,16 +160,15 @@ def parse_tensor(source: str, scale: ScaleSpec) -> RatingTensor:
     return tensor if tensor is not None else _parse_lines(source, scale)
 
 
-# The fast path takes the exact lower-case header, then one record per
-# LF-terminated line: ids free of quotes, NUL and whitespace (which the csv
-# module and strip() treat specially), 1 to 1024 UTF-8 bytes long (well inside
-# the csv module's field-size limit), and trial and rating fields of 1 to 18
-# ASCII digits (so they fit int64).
-_FAST_HEADER = ",".join(TENSOR_HEADER) + "\n"
-_FAST_WIDTHS = np.array([1024, 1024, 18, 18])
-# the separators of a record's bytes, and the bytes it may not hold: quote,
-# NUL and ASCII whitespace other than LF
-_FAST_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
+# Plain text: the exact lower-case header, then one record per LF-terminated
+# line of fields free of quotes, NUL and whitespace (which the csv module and
+# strip() treat specially), each of 1 to its limit of UTF-8 bytes: 1024 (well
+# inside the csv module's field-size limit), or 18 digits (which fit int64).
+_TENSOR_LIMITS = np.array([1024, 1024, 18, 18])
+_PREDICTION_LIMITS = np.array([1024, 1024, 1024])
+# the separators closing a record's fields, per field count, and the bytes it
+# may not hold: quote, NUL and ASCII whitespace other than LF
+_SEPARATORS = {n: np.frombuffer(b"," * (n - 1) + b"\n", np.uint8) for n in (3, 4)}
 _REFUSED_BYTES = np.zeros(256, dtype=bool)
 _REFUSED_BYTES[[0, ord('"'), *(c for c in range(128) if chr(c).isspace() and c != 10)]] = True
 # whitespace past ASCII, looked for only in text that is not ASCII
@@ -179,16 +178,61 @@ _WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
 _FAST_CHUNK = 1 << 16
 
 
+def _plain_chunks(
+    source: str, header: tuple[str, ...], limits: np.ndarray
+) -> Iterator[tuple | None]:
+    """Each chunk of about ``_FAST_CHUNK`` characters of ``source`` after its
+    header row ``header``, as LF-terminated lines, with what
+    :func:`_chunk_fields` gives for it; then None, and no more, at the first
+    chunk that is not plain, or at once for text without that exact header
+    or without records."""
+    head = ",".join(header) + "\n"
+    if not source.startswith(head) or len(source) == len(head):
+        yield None
+        return
+    pos = len(head)
+    while pos < len(source):
+        end = source.find("\n", pos + _FAST_CHUNK) + 1 or len(source)
+        chunk = source[pos:end]
+        pos = end
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        fields = _chunk_fields(chunk, limits)
+        if fields is None:
+            yield None
+            return
+        yield chunk, *fields
+
+
+def _chunk_fields(chunk: str, limits: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The UTF-8 bytes of ``chunk`` (LF-terminated lines), each record's start,
+    and its fields' (n, fields) ends (exclusive) and widths in bytes; None
+    unless every line is fields of 1 to ``limits`` bytes free of refused ones."""
+    if not chunk.isascii() and _WIDE_SPACE.search(chunk):
+        return None
+    try:
+        text = np.frombuffer(chunk.encode(), np.uint8)
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    if _REFUSED_BYTES.take(text).any():
+        return None
+    n = limits.size
+    separators = np.flatnonzero((text == 44) | (text == 10))
+    if separators.size % n or np.any(text[separators].reshape(-1, n) != _SEPARATORS[n]):
+        return None
+    widths = (np.diff(separators, prepend=-1) - 1).reshape(-1, n)
+    if widths.min() < 1 or np.any(widths > limits):
+        return None
+    ends = separators.reshape(-1, n)
+    return text, ends[:, 0] - widths[:, 0], ends, widths
+
+
 def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
     """The tensor of ``source``, parsed chunk by chunk in numpy over its UTF-8
     bytes; None where the text is not plain or fails a check, for the
     per-line parser to report."""
-    if not source.startswith(_FAST_HEADER):
-        return None
     # each line after the header is one record, or the text is not plain
-    lines = source.count("\n", len(_FAST_HEADER)) + (not source.endswith("\n"))
-    if not lines:  # no records: nothing for the fast path to save
-        return None
+    lines = source.count("\n") - source.endswith("\n")
     trials = np.empty(lines, np.int64)
     ratings = np.empty(lines, np.int64)
     key_sizes = np.empty(lines, np.uint16)  # at most 2,049 bytes
@@ -196,23 +240,10 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
     # bytes long, as (n, s) blocks in record order
     keys: dict[int, list[np.ndarray]] = {}
     records = 0
-    pos = len(_FAST_HEADER)
-    while pos < len(source):
-        end = source.find("\n", pos + _FAST_CHUNK) + 1 or len(source)
-        chunk = source[pos:end]
-        pos = end
-        if not chunk.endswith("\n"):
-            chunk += "\n"
-        if not chunk.isascii() and _WIDE_SPACE.search(chunk):
+    for chunk in _plain_chunks(source, TENSOR_HEADER, _TENSOR_LIMITS):
+        if chunk is None:
             return None
-        try:
-            text = np.frombuffer(chunk.encode(), np.uint8)
-        except UnicodeEncodeError:  # a lone surrogate
-            return None
-        fields = _chunk_fields(text)
-        if fields is None:
-            return None
-        starts, ends, widths = fields
+        _, text, starts, ends, widths = chunk
         trial, rating = (_digit_field(text, ends[:, j], widths[:, j]) for j in (2, 3))
         if trial is None or rating is None:
             return None
@@ -259,25 +290,6 @@ def _parse_blocks(source: str, scale: ScaleSpec) -> RatingTensor | None:
     if np.any(key[1:] == key[:-1]):
         return None
     return RatingTensor(tuple(map(distinct.__getitem__, order.tolist())), codes, trials, ratings)
-
-
-def _chunk_fields(text: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Where each record of ``text`` (the UTF-8 bytes of LF-terminated lines)
-    starts, and the (n, 4) ends (exclusive) and widths in bytes of its
-    fields; None unless every line is four fields of the fast path's widths,
-    free of the refused bytes."""
-    if _REFUSED_BYTES.take(text).any():
-        return None
-    separators = np.flatnonzero((text == 44) | (text == 10))
-    if separators.size % 4 or np.any(
-        text[separators].reshape(-1, 4) != _FAST_SEPARATORS
-    ):
-        return None
-    widths = (np.diff(separators, prepend=-1) - 1).reshape(-1, 4)
-    if widths.min() < 1 or np.any(widths > _FAST_WIDTHS):
-        return None
-    ends = separators.reshape(-1, 4)
-    return ends[:, 0] - widths[:, 0], ends, widths
 
 
 def _digit_field(text: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
@@ -491,10 +503,10 @@ def ks_test_slices(
     return int(tested.size), rejected
 
 
-def fit_exponential(variances: Iterable[float]) -> float:
+def fit_exponential(variances: Sequence[float] | np.ndarray) -> float:
     """ML rate of an exponential law (1 / sample mean) fitted to positive
-    variances."""
-    arr = np.asarray(list(variances), dtype=np.float64)
+    variances, read as one float64 array."""
+    arr = np.asarray(variances, dtype=np.float64)
     if arr.size == 0:
         raise DegenerateInputError("exponential fit needs a nonempty sample")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
@@ -568,65 +580,52 @@ def parse_predictions(source: str, pairs: PairTable) -> PredictorVector:
     Raises :class:`DataFormatError` for a malformed, non-finite or duplicate
     record, with its 1-based line number, and for a pair without a prediction.
 
-    Plain text takes a path with no per-record Python; anything else, and any
-    text that path cannot accept whole, goes through the per-line reader, so
-    each error message and line number comes from that reader.
+    Plain text, as the tensor's fast path defines it, is read with no
+    per-record Python; any other text, and plain text with a duplicate pair or
+    a value that is not a finite number, goes through the per-line reader,
+    which owns every record's error message and line number. Either table is
+    aligned to ``pairs`` by one step.
     """
-    values = _plain_predictions(source, pairs)
-    if values is not None:
-        return PredictorVector(keys=pairs.keys, values=values)
-    table: dict[tuple[str, str], float] = {}
-    for lineno, (user, item, value_s) in _records(source, PREDICTIONS_HEADER):
-        try:
-            value = float(value_s)
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: prediction must be a number") from None
-        if not math.isfinite(value):
-            raise DataFormatError(f"line {lineno}: prediction must be finite")
-        if (user, item) in table:
-            raise DataFormatError(f"line {lineno}: duplicate pair {(user, item)}")
-        table[user, item] = value
+    table = _plain_predictions(source)
+    if table is None:
+        table = {}
+        for lineno, (user, item, value_s) in _records(source, PREDICTIONS_HEADER):
+            try:
+                value = float(value_s)
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: prediction must be a number") from None
+            if not math.isfinite(value):
+                raise DataFormatError(f"line {lineno}: prediction must be finite")
+            if (user, item) in table:
+                raise DataFormatError(f"line {lineno}: duplicate pair {(user, item)}")
+            table[user, item] = value
     try:
-        values = [table[key] for key in pairs.keys]
+        values = list(map(table.__getitem__, pairs.keys))
     except KeyError as exc:
         raise DataFormatError(f"missing prediction for pair {exc.args[0]}") from None
     return PredictorVector(keys=pairs.keys, values=values)
 
 
-# Plain predictions text: the exact lower-case header, then one record per
-# LF-terminated line, of three fields of 1 to 1,024 characters free of
-# quotes, whitespace, NUL and byte-order marks (which the csv module and
-# strip() treat specially), so the csv module would split each line at its
-# commas alone
-_PLAIN_PREDICTIONS_HEADER = ",".join(PREDICTIONS_HEADER) + "\n"
-_PLAIN_FIELD = r'[^\s",\x00\ufeff]{1,1024}'
-_PLAIN_PREDICTIONS = re.compile(rf"(?:{_PLAIN_FIELD},{_PLAIN_FIELD},{_PLAIN_FIELD}\n)+")
-
-
-def _plain_predictions(source: str, pairs: PairTable) -> np.ndarray | None:
-    """The predictions of ``pairs`` in plain ``source``, checked by one
-    regular expression and read by C-level splits, maps and a dict; None
-    where the text is not plain or fails a check, for the per-line reader
-    to report."""
-    if not source.startswith(_PLAIN_PREDICTIONS_HEADER):
-        return None
-    body = source[len(_PLAIN_PREDICTIONS_HEADER) :]
-    if not body.endswith("\n"):
-        body += "\n"
-    if not _PLAIN_PREDICTIONS.fullmatch(body):
-        return None
-    fields = body.replace("\n", ",").split(",")[:-1]
-    try:
-        values = list(map(float, fields[2::3]))
-    except ValueError:
-        return None
-    table = dict(zip(zip(fields[0::3], fields[1::3]), values))
-    if len(table) < len(values) or not np.isfinite(values).all():
-        return None
-    try:
-        return np.array(list(map(table.__getitem__, pairs.keys)), dtype=np.float64)
-    except KeyError:
-        return None
+def _plain_predictions(source: str) -> dict[tuple[str, str], float] | None:
+    """The prediction of each pair in plain ``source``, read by C-level
+    splits, ``float`` maps and one dict; None where the text is not plain or
+    holds a duplicate pair or a value that is not a finite number."""
+    table: dict[tuple[str, str], float] = {}
+    records = 0
+    for chunk in _plain_chunks(source, PREDICTIONS_HEADER, _PREDICTION_LIMITS):
+        if chunk is None:
+            return None
+        # user, item and value fields in turn, then one empty string
+        fields = chunk[0].replace("\n", ",").split(",")
+        try:
+            values = list(map(float, fields[2::3]))
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        table.update(zip(zip(fields[0::3], fields[1::3]), values))
+        records += len(values)
+    return table if len(table) == records else None
 
 
 def parse_variances(source: str) -> np.ndarray:

@@ -1557,7 +1557,7 @@ class TestGoldenDigests:
             ),
             (
                 ["sensitivity", "--axis", "n", "--grid", "1,7,50,333", "--fixed", "0.7"],
-                "f326220429dd38c119321c68d56da67335c3ca6ec0279a2fe1f7fe6f72c7cacf",
+                "24215e839812e9283f26c5fc74e8c13f0c1dd083006fa7c13ab062f1ef6b7145",
             ),
             (
                 ["rankcurves", "--pairs", "pairs.json", "--deltas", "0.0,0.05,0.1",
@@ -1585,7 +1585,7 @@ class TestGoldenDigests:
         [
             (
                 ["sensitivity", "--axis", "n", "--grid", "1,7,50,333", "--fixed", "0.7"],
-                "0ace1dde7e4b05455554c1ef3b6a2345a8e9876f653613fefc7c98e23a22ed86",
+                "b7146f6f00975cc5d00ffcb4e89129b6da6ff114be99d1aeba6c19d8dd25d504",
             ),
             (
                 ["rankcurves", "--pairs", "pairs.json", "--deltas", "0.0,0.05,0.1",
@@ -1819,6 +1819,18 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert re.fullmatch(r"usage error: Unable to allocate 728\. TiB for an array .*\n", err)
+
+    def test_scale_past_float64_is_a_usage_error(self, capsys):
+        """The largest variance on [1, 10**200] is about 0.24e400, past
+        float64; the closed-form bounds refuse it before any row is built."""
+        capsys.readouterr()
+        argv = ["sensitivity", "--axis", "n", "--grid", "1", "--fixed", "1"]
+        assert main([*argv, "--scale-max", str(10**200)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            r"usage error: the variance of 5 ratings in \[1, 10*\] overflows float64\n", err
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,11 +88,30 @@ class TestVarianceBounds:
         assert variance_bounds(scale) == pytest.approx(brute_force_bounds(scale))
 
     @pytest.mark.parametrize("hi", range(5, 11))
-    def test_bits_match_full_enumeration(self, hi):
-        # the extremal multisets alone give the bits of every multiset
+    def test_bounds_are_the_correctly_rounded_closed_forms(self, hi):
+        # the exact rationals, rounded once, and within float rounding of an
+        # enumeration of every multiset
         for trials in range(2, 13):
             scale = ScaleSpec(1, hi, trials)
-            assert variance_bounds(scale) == enumerated_variance_bounds(scale)
+            k = trials // 2
+            exact = (
+                float(Fraction(trials - 1, trials**2)),
+                float(Fraction(k * (trials - k) * (hi - 1) ** 2, trials**2)),
+            )
+            assert variance_bounds(scale) == exact
+            assert exact == pytest.approx(enumerated_variance_bounds(scale), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (ScaleSpec(0, 10**200, 5), "variance of 5 ratings in .* overflows float64"),
+            (ScaleSpec(1, 5, 10**400), "smallest nonzero variance of .* underflows float64"),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_bounds_past_float64_are_refused(self, scale, message):
+        with pytest.raises(ValueError, match=message):
+            variance_bounds(scale)
 
     def test_memory_stays_small_on_a_wide_scale(self):
         # a width of 10**5 has 2 * 10**5 extremal one-off multisets: held as

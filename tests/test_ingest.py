@@ -527,6 +527,11 @@ class TestExponentialFit:
         with pytest.raises(DegenerateInputError):
             fit_exponential([])
 
+    @pytest.mark.parametrize("values", [[0.5, math.nan], np.array([math.inf, 1.0])])
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(DegenerateInputError, match="exponential support"):
+            fit_exponential(values)
+
     def test_recovers_rate_from_sampler(self):
         draws = sample_variances(2.11, 100_000, seed=42)
         refit = fit_exponential(draws)
@@ -770,9 +775,10 @@ def per_line_predictions(text, pairs):
 
 
 # id and value pieces that the plain path refuses or the csv module and
-# strip() treat specially, after plain ones
-_ID_PIECES = ["u", "i", "7", "é", " ", "\t", '"', "\ufeff", "\x00", "\u2028", "x" * 1025]
-_PLAIN_ID_PIECES = _ID_PIECES[:4]
+# strip() treat specially, after plain ones; a byte-order mark inside a field
+# is an ordinary character to both readers
+_ID_PIECES = ["u", "i", "7", "é", "\ufeff", " ", "\t", '"', "\x00", "\u2028", "x" * 1025]
+_PLAIN_ID_PIECES = _ID_PIECES[:5]
 _PLAIN_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["1e999", "1_0", "+.5", "3."]),
@@ -812,16 +818,18 @@ def predictions_files(draw):
 
 class TestPlainPredictions:
     @settings(max_examples=300, deadline=None)
-    @given(predictions_files())
-    def test_same_result_as_the_per_line_reader(self, case):
+    @given(predictions_files(), st.sampled_from([1, 20, 1 << 16]))
+    def test_same_result_as_the_per_line_reader(self, case, chunk):
         text, pairs = case
         expected = per_line_predictions(text, pairs)
+        with mock.patch.object(ingest, "_FAST_CHUNK", chunk):
+            try:
+                got = parse_predictions(text, pairs)
+            except DataFormatError as exc:
+                got = str(exc)
         if isinstance(expected, str):
-            with pytest.raises(DataFormatError) as exc:
-                parse_predictions(text, pairs)
-            assert str(exc.value) == expected
+            assert got == expected
         else:
-            got = parse_predictions(text, pairs)
             assert got.keys == expected.keys
             assert got.values.tobytes() == expected.values.tobytes()
 
@@ -830,17 +838,27 @@ class TestPlainPredictions:
         with mock.patch.object(ingest, "_records", side_effect=AssertionError):
             assert parse_predictions(text, PREDICTED_PAIRS).values.tolist() == [1e-3, 3.5, -0.25]
 
+    def test_plain_text_missing_a_pair_skips_the_record_reader(self):
+        pairs = PairTable([*PREDICTED_PAIRS.keys, ("u3", "i1")], [3] * 4, [1] * 4)
+        with mock.patch.object(ingest, "_records", side_effect=AssertionError):
+            with pytest.raises(DataFormatError) as exc:
+                parse_predictions(PLAIN_PREDICTIONS, pairs)
+        assert str(exc.value) == "missing prediction for pair ('u3', 'i1')"
+
     @pytest.mark.parametrize(
         "text",
         [
             PLAIN_PREDICTIONS.replace("u1", '"u1"'),
             PLAIN_PREDICTIONS.replace("\n", "\r\n"),
             PLAIN_PREDICTIONS.replace("u1", "u" * 1025),
+            PLAIN_PREDICTIONS.replace("u1", "é" * 512 + "u"),  # 513 characters, 1,025 bytes
+            PLAIN_PREDICTIONS.replace("u1", "u\u2003"),
             PLAIN_PREDICTIONS + "u0,i0,3.5\n",
             PLAIN_PREDICTIONS.replace("3.5", "inf"),
             "user,item,prediction\n",
         ],
-        ids=["quote", "crlf", "overlong-id", "duplicate", "non-finite", "no-records"],
+        ids=["quote", "crlf", "overlong-id", "overlong-id-bytes", "em-space", "duplicate",
+             "non-finite", "no-records"],
     )
     def test_other_text_goes_to_the_record_reader(self, text):
         with mock.patch.object(ingest, "_records", wraps=ingest._records) as records:
