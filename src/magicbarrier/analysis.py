@@ -340,7 +340,8 @@ def rank_distribution(
     calling thread; MAE ranks the per-pair simulation on up to ``workers``
     threads. Each block of trials is reduced to ordering counts as it is
     yielded, so memory holds the blocks in flight and at most about two
-    counts per distinct ordering (or 16,384), never the K x tau values.
+    counts per distinct ordering (or per block's trials), never the K x tau
+    values.
     """
     if not systems:
         raise ValueError("need at least one system")
@@ -371,8 +372,9 @@ def _ordering_frequencies(
     rank_type = np.min_scalar_type(k)
     # each block's distinct keys and counts, merged into the first entry
     # whenever the blocks since the last merge hold more keys than it and
-    # than a floor: memory stays within about twice the distinct orderings
-    # (or the floor), and each key is merged O(log tau) times
+    # than the block just counted has trials: memory stays within about twice
+    # the distinct orderings (or a block's trials), and each key is merged
+    # O(log tau) times
     keys_held: list[np.ndarray] = []
     counts_held: list[np.ndarray] = []
     unmerged = 0
@@ -394,7 +396,7 @@ def _ordering_frequencies(
         keys_held.append(keys)
         counts_held.append(block_counts)
         unmerged += keys.size
-        if unmerged > max(keys_held[0].size, _MERGE_FLOOR):
+        if unmerged > max(keys_held[0].size, values.shape[1]):
             keys, block_counts = _merged_counts(keys_held, counts_held)
             keys_held, counts_held, unmerged = [keys], [block_counts], 0
     keys, counts = _merged_counts(keys_held, counts_held)
@@ -410,10 +412,6 @@ def _ordering_frequencies(
     order = np.lexsort(orderings[::-1])
     frequencies = counts[order] / tau
     return dict(zip(map(tuple, orderings.T[order].tolist()), frequencies.tolist()))
-
-
-# ordering keys held unmerged at most, whatever the distinct orderings
-_MERGE_FLOOR = 1 << 14
 
 
 def _merged_counts(

@@ -40,9 +40,8 @@ arrives, so for MAE it holds only the blocks in flight.
 Every system is scored from its residuals ``d + o`` (a trial's deviations d
 from the pair means plus the system's offsets o), formed in the residual
 buffer, except the last system's, which works in the draw buffer once the
-draws are no longer needed. A system whose offsets are all exactly zero (the
-optimal predictor) reduces d itself: ``d + 0.0`` differs from ``d`` only in
-the sign of a zero, so its bits are those of the residuals.
+draws are no longer needed. The optimal predictor's zero offsets take the
+add too: skipping it would save about 2% of a one-system ``simulate``.
 
 Rank's RMSE stream
 ------------------
@@ -224,13 +223,12 @@ def _in_trial_order(
             yield pending.popleft().result()
 
 
-def _metric_rows(src: np.ndarray, dst: np.ndarray, metric: MetricKind) -> np.ndarray:
-    """Per-row metric of the residuals ``src``; overwrites ``dst``, which may
-    be ``src``."""
+def _metric_rows(resid: np.ndarray, metric: MetricKind) -> np.ndarray:
+    """Per-row metric of the residuals ``resid``, which it overwrites."""
     if metric is MetricKind.RMSE:
-        return np.sqrt(np.mean(np.square(src, out=dst), axis=1))
+        return np.sqrt(np.mean(np.square(resid, out=resid), axis=1))
     if metric is MetricKind.MAE:
-        return np.mean(np.abs(src, out=dst), axis=1)
+        return np.mean(np.abs(resid, out=resid), axis=1)
     raise ValueError(f"unknown metric: {metric!r}")
 
 
@@ -313,8 +311,6 @@ def _metric_blocks(
     order."""
     means = dists.means
     offsets = _offsets(dists, predictor_list)
-    # a system whose offsets are all zero scores the draws themselves
-    moved = offsets.any(axis=1)
     sigmas = np.sqrt(dists.variances)
     n_pairs = means.size
     tau = cfg.trials
@@ -342,8 +338,7 @@ def _metric_blocks(
         resid = local.resid[: nt * n_pairs].reshape(nt, n_pairs) if last else None
         for row in range(len(offsets)):
             dst = resid if row < last else delta
-            src = np.add(delta, offsets[row], out=dst) if moved[row] else delta
-            values[row] = _metric_rows(src, dst, metric)
+            values[row] = _metric_rows(np.add(delta, offsets[row], out=dst), metric)
         return values
 
     yield from _in_trial_order(run_task, cfg.trials, block, workers)

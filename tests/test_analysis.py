@@ -644,7 +644,7 @@ class TestRankDistribution:
         assert len(observed) == 2
 
 
-# 15**15 fits intp and 16**16 does not, so 16 and 17 take the unique(axis=1)
+# 15**15 fits intp and 16**16 does not, so 16 and 17 take the byte-key
 # path; 300 systems need uint16 ranks
 COUNTER_KS = [1, 2, 3, 4, 8, 15, 16, 17, 300]
 
@@ -680,9 +680,9 @@ class TestOrderingCounter:
 
     @pytest.mark.parametrize("k", [2, 4, 16, 17])
     def test_counts_merged_across_blocks(self, monkeypatch, k):
-        # with no floor, the held keys are merged whenever the blocks since
-        # the last merge hold more of them than it left
-        monkeypatch.setattr(analysis, "_MERGE_FLOOR", 0)
+        # the held keys are merged whenever the blocks since the last merge
+        # hold more of them than it left and than the block just counted has
+        # trials, which blocks of 1 and 60 trials reach again and again
         merges = []
         merged_counts = analysis._merged_counts
         monkeypatch.setattr(
@@ -692,6 +692,25 @@ class TestOrderingCounter:
         blocks = [rng.integers(0, 4, (k, nt)).astype(np.float64) for nt in [1, 60] * 20]
         self.check(blocks, k)
         assert len(merges) > 2
+
+    def test_held_keys_stay_bounded(self, monkeypatch):
+        # many small blocks: each merge receives at most about twice the
+        # distinct orderings plus a block's trials, whatever tau
+        received = []
+        merged_counts = analysis._merged_counts
+        monkeypatch.setattr(
+            analysis,
+            "_merged_counts",
+            lambda keys, counts: received.append(sum(map(len, keys)))
+            or merged_counts(keys, counts),
+        )
+        k, nt = 4, 10
+        rng = np.random.default_rng(4)
+        blocks = [rng.standard_normal((k, nt)) for _ in range(1_000)]
+        self.check(blocks, k)
+        distinct = len(argsort_ordering_frequencies(blocks, k, nt * len(blocks)))
+        assert len(received) > 1
+        assert max(received) <= 2 * (distinct + nt), received
 
     @pytest.mark.parametrize("k", COUNTER_KS)
     def test_rmse_blocks(self, k):
