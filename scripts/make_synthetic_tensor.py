@@ -13,6 +13,23 @@ import sys
 import numpy as np
 
 
+def synthetic_tensor(
+    users=67, items=5, trials=5, scale_min=1, scale_max=5, rate=2.11, seed=0
+) -> str:
+    """Tensor CSV text of ``users`` x ``items`` pairs rated ``trials`` times."""
+    rng = np.random.default_rng(seed)
+    lines = ["user,item,trial,rating"]
+    for u in range(users):
+        for i in range(items):
+            mu = rng.uniform(scale_min + 0.5, scale_max - 0.5)
+            sigma = np.sqrt(rng.exponential(1.0 / rate))
+            # rint rounds half to even, as round does
+            draws = np.rint(rng.normal(mu, sigma, trials))
+            ratings = np.clip(draws, scale_min, scale_max).astype(int)
+            lines.extend(f"u{u},i{i},{t},{r}" for t, r in enumerate(ratings.tolist(), 1))
+    return "\n".join(lines) + "\n"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--users", type=int, default=67)
@@ -25,23 +42,16 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="output path (default stdout)")
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    lo, hi = args.scale_min, args.scale_max
-    lines = ["user,item,trial,rating"]
-    for u in range(args.users):
-        for i in range(args.items):
-            mu = rng.uniform(lo + 0.5, hi - 0.5)
-            sigma = np.sqrt(rng.exponential(1.0 / args.rate))
-            for t in range(1, args.trials + 1):
-                rating = int(np.clip(round(rng.normal(mu, sigma)), lo, hi))
-                lines.append(f"u{u},i{i},{t},{rating}")
-    text = "\n".join(lines) + "\n"
+    text = synthetic_tensor(
+        args.users, args.items, args.trials, args.scale_min, args.scale_max, args.rate, args.seed
+    )
     if args.out is None:
         sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {len(lines) - 1} records to {args.out}", file=sys.stderr)
+        records = text.count("\n") - 1
+        print(f"wrote {records} records to {args.out}", file=sys.stderr)
     return 0
 
 

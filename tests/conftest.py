@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,16 +43,17 @@ def make_dists(variances, means=None, item="i"):
     return PairTable(keys, means, variances)
 
 
-def synthetic_study_tensor(seed=123, users=40, items=5, trials=5):
-    """Integer re-rating tensor drawn from the Gaussian rating model."""
-    rng = np.random.default_rng(seed)
-    pairs = {}
-    for u in range(users):
-        for i in range(items):
-            mu = rng.uniform(1.5, 4.5)
-            sigma = np.sqrt(rng.exponential(1 / 2.11))
-            pairs[(f"u{u}", f"i{i}")] = [
-                int(np.clip(round(rng.normal(mu, sigma)), 1, 5))
-                for _ in range(trials)
-            ]
-    return make_tensor_csv(pairs)
+def load_file(path):
+    """The Python file at ``path``, outside the package, as a module; it is
+    registered in ``sys.modules`` under its stem, where dataclasses look
+    their module up."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# the integer re-rating tensor that scripts/make_synthetic_tensor.py writes
+synthetic_tensor = load_file(SCRIPTS / "make_synthetic_tensor.py").synthetic_tensor

@@ -7,10 +7,8 @@ point MAGICBARRIER_TENSOR at it (or drop it at data/rerating_tensor.csv) to
 enable the test, otherwise it is skipped, not failed.
 """
 
-import importlib.util
 import math
 import os
-import sys
 import time
 from pathlib import Path
 
@@ -20,6 +18,7 @@ import pytest
 import magicbarrier as mb
 from magicbarrier.analysis import DiscreteDensity, jsd
 
+from conftest import load_file
 from oracles import interference_probability_mc, interference_probability_quadrature
 
 TAU = 100_000
@@ -27,17 +26,7 @@ STUDY_SEED = 0
 CONFIGS_PER_COUNT = 10  # 60 configurations in total
 STUDY_PATH = Path(__file__).resolve().parents[1] / "scripts" / "agreement_study.py"
 
-
-def load_study():
-    """``scripts/agreement_study.py`` as a module: the C2/C3 protocol."""
-    spec = importlib.util.spec_from_file_location("agreement_study", STUDY_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-STUDY = load_study()
+STUDY = load_file(STUDY_PATH)  # the C2/C3 protocol
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:

@@ -8,28 +8,17 @@ the benchmark's target list (without changing it) and check it against the
 package.
 """
 
-import importlib.util
 import inspect
-import sys
 from pathlib import Path
 
 import pytest
 
 import magicbarrier
 import magicbarrier.cli  # noqa: F401  (the benchmark imports it before tracing)
+from conftest import load_file
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-SPANS = load_spans()
+SPANS = load_file(SPANS_PATH)
 
 
 def resolve(module: str, path: str):

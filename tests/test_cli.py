@@ -22,14 +22,14 @@ from magicbarrier import approx, cli, ingest, mc
 from magicbarrier.cli import build_parser, main
 from magicbarrier.core import PairTable
 
-from conftest import make_tensor_csv, synthetic_study_tensor
+from conftest import make_tensor_csv, synthetic_tensor
 from oracles import argsort_ordering_frequencies, ks_per_slice
 
 
 @pytest.fixture
 def tensor_file(tmp_path):
     path = tmp_path / "tensor.csv"
-    path.write_text(synthetic_study_tensor(seed=123, users=40, items=5), encoding="utf-8")
+    path.write_text(synthetic_tensor(seed=123, users=40, items=5), encoding="utf-8")
     return path
 
 
@@ -123,7 +123,7 @@ class TestIngest:
         # the block parser's chunk boundaries and the KS pass sees blocks of
         # several lengths
         rng = np.random.default_rng(29)
-        header, *records = synthetic_study_tensor(seed=7, users=800, items=5).splitlines()
+        header, *records = synthetic_tensor(seed=7, users=800, items=5).splitlines()
         kept = [records[k] for k in rng.permutation(len(records)) if rng.random() < 0.8]
         text = "\n".join([header, *kept]) + "\n"
         assert len(text) > 2 * ingest._FAST_CHUNK
@@ -271,23 +271,28 @@ class TestEstimate:
         assert "10 pairs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "doc",
+        "text, message",
         [
-            5,
-            ["pairs"],
-            {
-                "scale": {"min_category": 1, "max_category": 5},
-                "pairs": [{"user": "u", "item": "i", "mean": 3, "variance": 0.5}],
-            },
+            (json.dumps(5), "expected a JSON object"),
+            (json.dumps(["pairs"]), "expected a JSON object"),
+            (
+                json.dumps({
+                    "scale": {"min_category": 1, "max_category": 5},
+                    "pairs": [{"user": "u", "item": "i", "mean": 3, "variance": 0.5}],
+                }),
+                "data error",
+            ),
+            ("{", "invalid JSON"),
+            (json.dumps({"scale": None}), "missing 'pairs' key"),
         ],
-        ids=["number", "list", "scale-field-missing"],
+        ids=["number", "list", "scale-field-missing", "invalid", "pairs-missing"],
     )
-    def test_malformed_json_is_data_error(self, tmp_path, capsys, doc):
+    def test_malformed_json_is_data_error(self, tmp_path, capsys, text, message):
         pairs = tmp_path / "odd.json"
-        pairs.write_text(json.dumps(doc), encoding="utf-8")
+        pairs.write_text(text, encoding="utf-8")
         assert main(["estimate", str(pairs)]) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and "odd.json" in err
+        assert "data error" in err and "odd.json" in err and message in err
 
     def test_duplicate_pair_is_data_error(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"
@@ -581,6 +586,8 @@ class TestSimulate:
             ("user,item\n", "line 1: expected header"),
             ("user,item,prediction\nu0,i0\n", "line 2: expected 3 fields"),
             ("user,item,prediction\n\nu0,i0,x\n", "line 3: prediction must be a number"),
+            # plain text: the plain reader hands it to the per-line reader
+            ("user,item,prediction\nu0,i0,3\nu1,i0,x\n", "line 3: prediction must be a number"),
             ('user,item,prediction\nu0,i0,3\n"u0",i0,4\n', "line 3: duplicate pair"),
             (
                 "user,item,prediction\nu0,i0,3\n"
@@ -595,8 +602,8 @@ class TestSimulate:
             ("user,item,prediction\nu0,i0,-Infinity\n", "line 2: prediction must be finite"),
             ('user,item,prediction\nu0,i0,3\n"u1,i0,4\n', "line 3: quoted field not closed"),
         ],
-        ids=["header", "fields", "number", "duplicate", "overlong-id", "empty",
-             "two-line-id", "nan", "inf", "minus-infinity", "unterminated-quote"],
+        ids=["header", "fields", "number", "plain-number", "duplicate", "overlong-id",
+             "empty", "two-line-id", "nan", "inf", "minus-infinity", "unterminated-quote"],
     )
     def test_predictions_errors_name_the_line(
         self, tmp_path, pairs_file, capsys, body, message
@@ -961,9 +968,11 @@ class TestSensitivity:
         assert rows[1]["variance"] == pytest.approx(1.0 / 400)
 
     def test_bad_grid_is_usage_error(self, capsys):
-        assert main(
-            ["sensitivity", "--axis", "n", "--grid", "abc", "--fixed", "1.0"]
-        ) == 1
+        for grid, message in [("abc", "expected comma-separated numbers"), (",", "empty grid")]:
+            assert main(
+                ["sensitivity", "--axis", "n", "--grid", grid, "--fixed", "1.0"]
+            ) == 1
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1021,6 +1030,13 @@ class TestRankCurves:
                 "--deltas", "0.1", "--offsets", "0.0",
             ]
         ) == 1
+
+    def test_no_variances_is_degenerate(self, tmp_path, capsys):
+        variances = tmp_path / "v.csv"
+        variances.write_text("variance\n", encoding="utf-8")
+        argv = ["rankcurves", "--variances", str(variances), "--deltas", "0", "--offsets", "0"]
+        assert main(argv) == 3
+        assert "no positive variances" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "base, flags",
@@ -1663,6 +1679,10 @@ class TestTransfer:
         assert mean == pytest.approx(doc["sampled_variance_mean"], rel=0.05)
         if bounds is None:
             assert mean == 1.0 / 2.11
+
+    def test_three_bounds_are_a_usage_error(self, capsys):
+        assert main(["transfer", "--count", "100", "--bounds", "0.1,0.5,0.9"]) == 1
+        assert "--bounds: expected low,high" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bounds", ["340,350", "50,60"], ids=["340-350", "50-60"])
     def test_far_window_succeeds(self, tmp_path, capsys, bounds):

@@ -29,14 +29,14 @@ from magicbarrier.ingest import (
     parse_variances,
 )
 
-from conftest import make_tensor_csv, synthetic_study_tensor
+from conftest import make_tensor_csv, synthetic_tensor
 from oracles import ks_per_slice, serialize_tensor
 
 
 class TestParseTensor:
     def test_full_study_shape(self, scale_5star):
         # 67 users x 5 items x 5 trials = 1675 records
-        text = synthetic_study_tensor(seed=7, users=67, items=5, trials=5)
+        text = synthetic_tensor(seed=7, users=67, items=5, trials=5)
         tensor = parse_tensor(text, scale_5star)
         assert len(tensor) == 1675
         assert len(tensor.pair_slices()) == 335
@@ -75,7 +75,7 @@ class TestParseTensor:
         assert tensor.ratings.tolist() == [3, 4]
 
     def test_roundtrip_identity(self, scale_5star):
-        text = synthetic_study_tensor(seed=11, users=8, items=3)
+        text = synthetic_tensor(seed=11, users=8, items=3)
         tensor = parse_tensor(text, scale_5star)
         again = parse_tensor(serialize_tensor(tensor), scale_5star)
         assert again.pair_keys == tensor.pair_keys
@@ -225,7 +225,7 @@ class TestParseFastPathBytes:
     @pytest.mark.parametrize("order", ["pair-major", "trial-major", "shuffled"])
     @pytest.mark.parametrize("chunk", [1, 300, 1 << 16])
     def test_record_orders(self, scale_5star, order, chunk):
-        header, *records = synthetic_study_tensor(seed=5, users=30).splitlines()
+        header, *records = synthetic_tensor(seed=5, users=30).splitlines()
         if order == "trial-major":
             records.sort(key=lambda line: int(line.split(",")[2]))
         elif order == "shuffled":

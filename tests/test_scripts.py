@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` and README's library example run end to end
 against the package."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 from magicbarrier import ingest
 from magicbarrier.cli import main
+
+from conftest import synthetic_tensor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +31,16 @@ def test_synthetic_tensor_feeds_ingest(tmp_path):
     tensor = tmp_path / "tensor.csv"
     run_script("make_synthetic_tensor.py", "--users", "5", "--out", str(tensor))
     assert main(["ingest", str(tensor), "--out", str(tmp_path / "pairs.json")]) == 0
+
+
+def test_synthetic_tensor_bytes():
+    # the study-size baseline README's Quick start writes (--seed 7): 1,675
+    # records, 279 of whose 335 pairs are nonvanishing; the tests' tensors
+    # come from the same generator
+    text = synthetic_tensor(seed=7).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "b37aa9841d6d02f8391da2f1ca916deaa338c8db1bd522a600549107e1eb77a7"
+    )
 
 
 def test_synthetic_tensor_takes_the_fast_parse_path(tmp_path, monkeypatch):
