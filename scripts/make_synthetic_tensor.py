@@ -8,6 +8,7 @@ real study export.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -30,17 +31,37 @@ def synthetic_tensor(
     return "\n".join(lines) + "\n"
 
 
+def _checked(kind, ok, rule):
+    """An argparse type: ``kind(text)``, refused unless ``ok`` holds for it."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def main() -> int:
+    count = _checked(int, lambda v: v >= 1, ">= 1")
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--users", type=int, default=67)
-    ap.add_argument("--items", type=int, default=5)
-    ap.add_argument("--trials", type=int, default=5)
+    ap.add_argument("--users", type=count, default=67)
+    ap.add_argument("--items", type=count, default=5)
+    ap.add_argument("--trials", type=count, default=5)
     ap.add_argument("--scale-min", type=int, default=1)
     ap.add_argument("--scale-max", type=int, default=5)
-    ap.add_argument("--rate", type=float, default=2.11, help="exponential rate of latent variances")
+    ap.add_argument(
+        "--rate", type=_checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+        default=2.11, help="exponential rate of latent variances",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="output path (default stdout)")
     args = ap.parse_args()
+    if args.scale_min >= args.scale_max:
+        ap.error(f"--scale-min {args.scale_min} must be below --scale-max {args.scale_max}")
 
     text = synthetic_tensor(
         args.users, args.items, args.trials, args.scale_min, args.scale_max, args.rate, args.seed

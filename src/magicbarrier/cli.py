@@ -215,8 +215,6 @@ def _load_pairs(path: str) -> tuple[ScaleSpec | None, PairTable]:
             )
         )
         keys = list(zip(users, items))
-        # free the parsed document before the table copies the columns
-        del doc, entries, users, items
         pairs = PairTable(keys, means, variances)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed pair entry: {exc}") from exc

@@ -23,17 +23,19 @@ definition: changing ``_BLOCK_ELEMENTS`` changes the values.
 
 Block sizing
 ------------
-Trials are simulated in blocks, one block per task. A block holds
+Trials are simulated in blocks, one per task, on a pool of ``workers``
+threads (at least one, at most the usable CPUs or the blocks): ``workers``
+sets a thread count, not a code path. A block holds
 ``max(1, _BLOCK_ELEMENTS // N)`` trials, so each of its buffers stays near
 ``_BLOCK_ELEMENTS`` float64 values (2 MiB, cache-sized) whatever the pair
-count N. Each thread allocates its buffers once, sized for
-``min(block, tau)`` trials, and runs every block in views of them, so a fresh
-process does not page-fault through new temporaries block after block.
-Each block's K metric rows come out as a new (K, trials in block) array, in
-trial order; threads work at most two blocks per thread ahead of the
-consumer. :func:`simulate_metric_shared` copies them into its K x tau
-result, so it holds O(N + K*tau) and, per worker thread, one draw buffer
-(plus one residual buffer with several systems);
+count N. Each thread allocates its buffers once, sized for a full block
+(pages a short run never writes are not resident), and runs every block in
+views of them, so a fresh process does not page-fault through new
+temporaries block after block. Each block's K metric rows come out as a new
+(K, trials in block) array, in trial order; threads work at most two blocks
+per thread ahead of the consumer. :func:`simulate_metric_shared` copies them
+into its K x tau result, so it holds O(N + K*tau) and, per worker thread,
+one draw buffer (plus one residual buffer with several systems);
 ``analysis.rank_distribution`` reduces each block to ordering counts as it
 arrives, so for MAE it holds only the blocks in flight.
 
@@ -200,17 +202,14 @@ def _offsets(dists: PairTable, predictor_list: Sequence[PredictorVector]) -> np.
 def _in_trial_order(
     run_task: Callable[[int], np.ndarray], tau: int, block: int, workers: int
 ) -> Iterator[np.ndarray]:
-    """``run_task(k0)`` for the blocks starting at k0 = 0, block, 2*block, ...
-    below tau, yielded in trial order from up to ``workers`` threads: the
-    N-draw kernel's blocks, whose large numpy calls release the interpreter
-    lock (rank's RMSE blocks run on the calling thread, module notes)."""
+    """``run_task(k0)`` for the blocks k0 = 0, block, 2*block, ... below tau,
+    in trial order from a pool of one to ``workers`` threads: the N-draw
+    kernel's blocks, whose large numpy calls release the interpreter lock
+    (rank's RMSE blocks run on the calling thread, module notes)."""
     starts = range(0, tau, block)
     # in-flight memory is one or two blocks per thread, and threads beyond the
     # usable CPUs or the tasks only add contention
-    workers = min(workers, _usable_cpus(), len(starts))
-    if workers <= 1:
-        yield from map(run_task, starts)
-        return
+    workers = max(1, min(workers, _usable_cpus(), len(starts)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # a window of 2 blocks per thread keeps every thread busy while the
         # consumer works, without queueing the whole run (pool.map would)
@@ -315,7 +314,6 @@ def _metric_blocks(
     n_pairs = means.size
     tau = cfg.trials
     block = max(1, _BLOCK_ELEMENTS // n_pairs)
-    rows = min(block, tau)
     last = len(offsets) - 1
     if clip_bounds is not None:
         lo = clip_bounds[0] - means
@@ -326,10 +324,10 @@ def _metric_blocks(
     def run_task(k0: int) -> np.ndarray:
         nt = min(block, tau - k0)
         if not hasattr(local, "draws"):
-            local.draws = np.empty(rows * n_pairs, dtype=np.float64)
+            local.draws = np.empty(block * n_pairs, dtype=np.float64)
             # the draws must survive every residual pass but the last, which
             # works in the draw block itself
-            local.resid = np.empty(rows * n_pairs, dtype=np.float64) if last else None
+            local.resid = np.empty(block * n_pairs, dtype=np.float64) if last else None
         values = np.empty((len(offsets), nt), dtype=np.float64)
         delta = _draw_block(cfg.master_seed, k0, nt, n_pairs, out=local.draws)
         delta *= sigmas
@@ -396,9 +394,8 @@ def _rmse_score_blocks(
         w = np.ascontiguousarray(_draw_block(cfg.master_seed, k0, nt, len(pivots)).T)
         # not a BLAS product, so that a trial's bits do not depend on nt
         cross = np.zeros((len(basis), nt))
-        term = np.empty_like(cross)
         for j, p in enumerate(pivots):
-            cross[p:] += np.multiply(factor[p, p:, None], w[j], out=term[p:])
+            cross[p:] += factor[p, p:, None] * w[j]
         # squares + 2*cross: doubling is exact and the sum commutes
         values = cross.take(column, axis=0)
         values *= 2.0

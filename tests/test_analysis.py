@@ -288,6 +288,8 @@ def sweep_config(deltas, offsets, n=51):
     )
 
 
+# the closed form's bits come from numpy's sums
+@pytest.mark.simd
 class TestRankingErrorCurves:
     def test_zero_delta_is_coin_flip(self):
         cfg = sweep_config([0.0], [0.0, 0.1, 0.5, 1.0])
@@ -436,6 +438,8 @@ Z_LAW = 3.891
 LAW_FALSE_ALARM = 1e-4
 
 
+# the factor's pivots fix how many normals a trial draws
+@pytest.mark.simd
 class TestRankDistribution:
     # MAE orderings come from the N-draw kernel, bit for bit (RMSE ones from
     # projected normals, checked in law below). The default block holds all
@@ -655,6 +659,8 @@ def tie_shifts(k):
     return [0.02 * (i // 2) * (-1) ** (i // 2) for i in range(k)]
 
 
+# the ordering counts come from numpy's unique sorts
+@pytest.mark.simd
 class TestOrderingCounter:
     # the comparison counter must give the argsort counter's mapping, item for
     # item and in the same order, wherever values tie

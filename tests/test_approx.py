@@ -20,6 +20,9 @@ from magicbarrier.mc import optimal_predictors
 
 from conftest import make_dists
 
+# the closed form's bits come from numpy's sums
+pytestmark = pytest.mark.simd
+
 
 class TestMagicBarrierRmse:
     def test_single_pair(self):

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 from pathlib import Path
@@ -304,35 +303,6 @@ class TestEstimate:
         assert main(["estimate", str(pairs)]) == 2
         err = capsys.readouterr().err
         assert "pairs.json" in err and "duplicate pair ('u1', 'i')" in err
-
-    def test_pairs_document_freed_before_the_table(self, tmp_path, monkeypatch):
-        # on these 200,000 pairs, holding the parsed document while the table
-        # copied its columns peaked at 1.23 times the parse (103 MB against
-        # 84 MB on Python 3.11); freeing it first leaves 1.02
-        path = tmp_path / "pairs.json"
-        entries = [
-            {"user": f"u{k}", "item": f"i{k % 5}", "mean": 1.5 + (k % 97) / 50,
-             "variance": 0.01 + (k % 13) / 20}
-            for k in range(200_000)
-        ]
-        path.write_text(json.dumps({"pairs": entries}), encoding="utf-8")
-        del entries
-        parse_peaks = []
-        load_json = cli._load_json
-
-        def recording(path):
-            doc = load_json(path)
-            parse_peaks.append(tracemalloc.get_traced_memory()[1])
-            return doc
-
-        monkeypatch.setattr(cli, "_load_json", recording)
-        tracemalloc.start()
-        try:
-            cli._load_pairs(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * parse_peaks[0]
 
 
 class TestJsonTypes:
@@ -780,6 +750,46 @@ class TestCompare:
         assert doc["interference_probability"] == pytest.approx(0.11507, abs=1e-5)
         assert doc["jsd"] is None
 
+    def test_two_histograms_on_equal_edges(self, tmp_path):
+        # masses (3/4, 1/4) and (1/4, 3/4) against their mixture (1/2, 1/2):
+        # each KL is 3/4 log2(3/2) - 1/4 bits, and so is their mean
+        paths = []
+        for name, mean, heights in (("a", 0.9, [0.75, 0.25]), ("b", 1.1, [0.25, 0.75])):
+            path = tmp_path / f"{name}.json"
+            hist = {"edges": [0.0, 1.0, 2.0], "heights": heights}
+            path.write_text(json.dumps({"mean": mean, "variance": 0.3, "histogram": hist}),
+                            encoding="utf-8")
+            paths.append(str(path))
+        report = tmp_path / "r.json"
+        assert main(["compare", *paths, "--out", str(report)]) == 0
+        doc = read_json(report)
+        assert doc["jsd"] == pytest.approx(0.75 * math.log2(1.5) - 0.25, rel=1e-12)
+        assert doc["jsd"] == pytest.approx(0.18872, abs=1e-5)
+        assert "jsd_note" not in doc
+
+    def test_simulation_against_itself(self, tmp_path, pairs_file):
+        sample = tmp_path / "sample.json"
+        report = tmp_path / "r.json"
+        assert main(["simulate", str(pairs_file), "--tau", "500", "--seed", "3",
+                     "--out", str(sample)]) == 0
+        assert main(["compare", str(sample), str(sample), "--out", str(report)]) == 0
+        doc = read_json(report)
+        assert doc["jsd"] == 0.0 and "jsd_note" not in doc
+
+    def test_histograms_on_different_edges(self, tmp_path, pairs_file):
+        samples = []
+        for seed in ("3", "4"):
+            sample = tmp_path / f"sample{seed}.json"
+            assert main(["simulate", str(pairs_file), "--tau", "500", "--seed", seed,
+                         "--out", str(sample)]) == 0
+            samples.append(sample)
+        assert read_json(samples[0])["histogram"]["edges"] != read_json(samples[1])["histogram"]["edges"]
+        report = tmp_path / "r.json"
+        assert main(["compare", *map(str, samples), "--out", str(report)]) == 0
+        doc = read_json(report)
+        assert doc["jsd"] is None
+        assert doc["jsd_note"] == "histogram edges differ; divergence not computed"
+
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["barrier-high", "barrier-low"])
     def test_means_at_opposite_ends_of_float64(self, tmp_path, capsys, sign):
         """Their gap overflows: a data error naming both files, and no output."""
@@ -989,6 +999,8 @@ class TestSensitivity:
         assert 0.0 <= rows[-1]["variance"] < 1e-300
 
 
+# the closed form's bits come from numpy's sums
+@pytest.mark.simd
 class TestRankCurves:
     def test_delta_zero_row(self, tmp_path):
         variances = tmp_path / "variances.csv"
@@ -1449,6 +1461,8 @@ class TestJsonWriter:
         assert cli._json_value(table) == self.reference(rows)
 
 
+# every digest's bits come from numpy kernels
+@pytest.mark.simd
 class TestGoldenDigests:
     """SHA-256 of outputs at a fixed small input and seed.
 
@@ -1679,6 +1693,14 @@ class TestTransfer:
         assert mean == pytest.approx(doc["sampled_variance_mean"], rel=0.05)
         if bounds is None:
             assert mean == 1.0 / 2.11
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "t.json"
+        assert main(["transfer", "--count", count, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --count must be >= 1") and "Traceback" not in err
+        assert not out.exists()
 
     def test_three_bounds_are_a_usage_error(self, capsys):
         assert main(["transfer", "--count", "100", "--bounds", "0.1,0.5,0.9"]) == 1

@@ -168,6 +168,8 @@ _MUTATIONS = {
 }
 
 
+# the fast path's byte scans and sorts are numpy's
+@pytest.mark.simd
 class TestParseFastPath:
     """The block-wise fast path reads what the per-line parser reads, and
     refuses the rest to it."""
@@ -218,6 +220,8 @@ def _fast_outcome(text, scale, chunk=1 << 16):
     return _outcome(lambda: fast)
 
 
+# the fast path's byte scans and sorts are numpy's
+@pytest.mark.simd
 class TestParseFastPathBytes:
     """The fast path over UTF-8 bytes: record orders, field widths, chunk
     boundaries and the pair codes of keys of different byte lengths."""
@@ -816,6 +820,8 @@ def predictions_files(draw):
     return text, PairTable(keys, np.zeros(len(keys)), np.ones(len(keys)))
 
 
+# the plain path's byte scans and sorts are numpy's
+@pytest.mark.simd
 class TestPlainPredictions:
     @settings(max_examples=300, deadline=None)
     @given(predictions_files(), st.sampled_from([1, 20, 1 << 16]))

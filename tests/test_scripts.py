@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from magicbarrier import ingest
 from magicbarrier.cli import main
 
@@ -16,14 +18,14 @@ from conftest import synthetic_tensor
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
+        capture_output=True, text=True, env=env, timeout=300, check=check,
     )
 
 
@@ -41,6 +43,26 @@ def test_synthetic_tensor_bytes():
     assert hashlib.sha256(text).hexdigest() == (
         "b37aa9841d6d02f8391da2f1ca916deaa338c8db1bd522a600549107e1eb77a7"
     )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--users", "1", "--trials", "-1"], "argument --trials: must be >= 1, got -1"),
+        (["--scale-min", "5", "--scale-max", "1"], "--scale-min 5 must be below --scale-max 1"),
+        (["--rate", "0"], "argument --rate: must be finite and > 0, got 0"),
+        (["--users", "-1"], "argument --users: must be >= 1, got -1"),
+        (["--items", "0"], "argument --items: must be >= 1, got 0"),
+        (["--rate", "nan", "--users", "1"], "argument --rate: must be finite and > 0, got nan"),
+    ],
+    ids=["trials-neg", "scale-reversed", "rate-0", "users-neg", "items-0", "rate-nan"],
+)
+def test_synthetic_tensor_refuses_bad_arguments(tmp_path, args, message):
+    out = tmp_path / "tensor.csv"
+    done = run_script("make_synthetic_tensor.py", *args, "--out", str(out), check=False)
+    assert done.returncode == 2
+    assert done.stderr.endswith(f"make_synthetic_tensor.py: error: {message}\n")
+    assert "Traceback" not in done.stderr and not out.exists()
 
 
 def test_synthetic_tensor_takes_the_fast_parse_path(tmp_path, monkeypatch):
